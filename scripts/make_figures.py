@@ -6,12 +6,15 @@ Writes into --outdir (default ./figures):
   fig2.csv      the same quantity on a denser (N, mu) grid for surface plots
   fig3_3q.csv   p,discord_bits,branch for the 3-qubit dephasing sweep
   fig3_4q.csv   p,discord_bits,branch for the 4-qubit sweep (plateau + decay)
+  fig3_even.csv n,p,discord_bits,branch for the freezing sweep at N = 4, 8, 12, 16
 
-The 4-qubit sweep parameters sit in the freezing regime (s=0, c2=c1*c3,
-c1=5/6, c3=-0.2); the detected transition point is written to stderr.
+The 4-qubit and even-N sweep parameters sit in the freezing regime (s=0,
+c2=c1*c3 for N divisible by 4, c1=5/6, c3=-0.2); the detected transition
+points are written to stderr.
 """
 
 import argparse
+import csv
 import sys
 from pathlib import Path
 
@@ -49,6 +52,22 @@ def write_dynamics(path: Path, n: int, p_steps: int) -> None:
         )
 
 
+def write_freezing(path: Path, ns, p_steps: int) -> None:
+    grid = [float(p) for p in np.linspace(0.0, 0.9, p_steps)]
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["n", "p", "discord_bits", "branch"])
+        for n in ns:
+            sign = -1.0 if (n // 2) % 2 else 1.0
+            params = FamilyParams(n, C1, sign * C1 * C3, C3, 0.0)
+            for row in dynamics_sweep(params, grid).rows:
+                writer.writerow([n, f"{row.p:.9g}", f"{row.value:.9g}", row.branch])
+            report = detect_freeze_transition(params)
+            sys.stderr.write(
+                f"{path.name} N={n}: frozen_value={report.frozen_value:.9g} p_star={report.p_star:.9g}\n"
+            )
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--outdir", type=Path, default=Path("figures"))
@@ -61,7 +80,8 @@ def main() -> int:
     write_ghz_curve(args.outdir / "fig2.csv", range(2, 11), args.mu_steps)
     write_dynamics(args.outdir / "fig3_3q.csv", 3, args.p_steps)
     write_dynamics(args.outdir / "fig3_4q.csv", 4, args.p_steps)
-    print(f"wrote 4 datasets to {args.outdir}/")
+    write_freezing(args.outdir / "fig3_even.csv", (4, 8, 12, 16), args.p_steps)
+    print(f"wrote 5 datasets to {args.outdir}/")
     return 0
 
 

@@ -70,9 +70,12 @@ from .spectral import (
     closed_form_spectrum_3q,
     closed_form_spectrum_4q,
     diagonal_field_spectrum,
+    family_spectrum,
     ghz_spectrum,
     hermitian_eigenvalues,
+    require_physical,
     spectrum_4q_printed,
+    symmetric_spectrum,
     von_neumann_entropy,
     xlog2,
 )

@@ -23,20 +23,20 @@ Everything is evaluated in bits. Values carry region and branch provenance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from math import comb
 
 import numpy as np
 
-from .pauli import DiagonalFieldParams, FamilyParams, GhzParams, build_symmetric_family, realize
+from .pauli import DiagonalFieldParams, FamilyParams, GhzParams
 from .spectral import (
     SpectrumResult,
-    closed_form_spectrum_3q,
-    closed_form_spectrum_4q,
     diagonal_field_spectrum,
     ghz_spectrum,
-    hermitian_eigenvalues,
+    h_scalar,
+    signed_field_sums,
+    symmetric_spectrum,
     xlog2,
+    xlog2_scalar,
 )
 
 REGION_CASE1 = "case1"
@@ -48,11 +48,6 @@ S_ZERO_TOL = 1e-14
 
 class NoAnalyticCase(ValueError):
     """No closed form applies to these parameters; use the oracle instead."""
-
-
-def _h(x: float, y: float = 0.0) -> float:
-    # clamped variant of binary_h for internal assembly; physical inputs stay in-domain
-    return float(xlog2(np.array(1.0 + y + x)) + xlog2(np.array(1.0 + y - x)))
 
 
 @dataclass(frozen=True)
@@ -101,16 +96,16 @@ def max_w(params: FamilyParams, pattern: str = "parity") -> float:
     if pattern == "parity":
         total = 0.0
         for j in range(n):
-            total += comb(n - 1, j) * _h(abs(s + (-1) ** j * c3), (n - 1 - 2 * j) * s)
+            total += comb(n - 1, j) * h_scalar(abs(s + (-1) ** j * c3), (n - 1 - 2 * j) * s)
         return total / 2**n
     if pattern == "printed":
         if n != 3:
             raise ValueError("printed pattern is defined for n_qubits == 3 only")
         return (
-            _h(abs(s + c3), 2 * s)
-            + _h(abs(s - c3), -2 * s)
-            + _h(abs(s + c3))
-            + _h(abs(s - c3))
+            h_scalar(abs(s + c3), 2 * s)
+            + h_scalar(abs(s - c3), -2 * s)
+            + h_scalar(abs(s + c3))
+            + h_scalar(abs(s - c3))
         ) / 8
     raise ValueError(f"unknown pattern {pattern!r}")
 
@@ -130,55 +125,28 @@ def max_w_mod4(params: FamilyParams) -> float:
     total = 0.0
     if m == 0:
         for k in range(2 * nn):
-            total += comb(4 * nn - 1, 2 * k) * _h(plus, (4 * nn - 4 * k - 1) * s)
-            total += comb(4 * nn - 1, 2 * k + 1) * _h(minus, (4 * nn - 4 * k - 3) * s)
+            total += comb(4 * nn - 1, 2 * k) * h_scalar(plus, (4 * nn - 4 * k - 1) * s)
+            total += comb(4 * nn - 1, 2 * k + 1) * h_scalar(minus, (4 * nn - 4 * k - 3) * s)
     elif m == 1:
         for k in range(2 * nn + 1):
-            total += comb(4 * nn, 2 * k) * _h(plus, (4 * nn - 4 * k) * s)
+            total += comb(4 * nn, 2 * k) * h_scalar(plus, (4 * nn - 4 * k) * s)
         for k in range(2 * nn):
-            total += comb(4 * nn, 2 * k + 1) * _h(minus, (4 * nn - 4 * k - 2) * s)
+            total += comb(4 * nn, 2 * k + 1) * h_scalar(minus, (4 * nn - 4 * k - 2) * s)
     elif m == 2:
         for k in range(2 * nn + 1):
-            total += comb(4 * nn + 1, 2 * k) * _h(plus, (4 * nn - 4 * k + 1) * s)
-            total += comb(4 * nn + 1, 2 * k + 1) * _h(minus, (4 * nn - 4 * k - 1) * s)
+            total += comb(4 * nn + 1, 2 * k) * h_scalar(plus, (4 * nn - 4 * k + 1) * s)
+            total += comb(4 * nn + 1, 2 * k + 1) * h_scalar(minus, (4 * nn - 4 * k - 1) * s)
     else:
         for k in range(2 * nn + 2):
-            total += comb(4 * nn + 2, 2 * k) * _h(plus, (4 * nn - 4 * k + 2) * s)
+            total += comb(4 * nn + 2, 2 * k) * h_scalar(plus, (4 * nn - 4 * k + 2) * s)
         for k in range(2 * nn + 1):
-            total += comb(4 * nn + 2, 2 * k + 1) * _h(minus, (4 * nn - 4 * k) * s)
+            total += comb(4 * nn + 2, 2 * k + 1) * h_scalar(minus, (4 * nn - 4 * k) * s)
     return total / 2**n
-
-
-def _family_spectrum(params: FamilyParams) -> SpectrumResult:
-    if params.n_qubits == 3:
-        return closed_form_spectrum_3q(params)
-    if params.n_qubits == 4:
-        return closed_form_spectrum_4q(params)
-    return hermitian_eigenvalues(realize(build_symmetric_family(params)))
-
-
-def _sum_lambda_log(spectrum: SpectrumResult) -> float:
-    return float(np.sum(xlog2(np.clip(spectrum.eigenvalues, 0.0, None))))
 
 
 def _argmax_c_name(params: FamilyParams) -> str:
     vals = {"c1": abs(params.c1), "c2": abs(params.c2), "c3": abs(params.c3)}
     return max(vals, key=vals.get)
-
-
-def _case2_value(params: FamilyParams, spectrum: SpectrumResult, C: float) -> float:
-    c1, c2, c3 = params.c1, params.c2, params.c3
-    if params.n_qubits == 3:
-        return 0.5 * _h(np.sqrt(c1**2 + c2**2 + c3**2)) - 0.5 * _h(C)
-    if params.n_qubits == 4:
-        bracket = (
-            xlog2(np.array(1 + c1 + c2 + c3))
-            + xlog2(np.array(1 + c1 - c2 - c3))
-            + xlog2(np.array(1 - c1 + c2 - c3))
-            + xlog2(np.array(1 - c1 - c2 + c3))
-        ) / 4
-        return float(bracket) - 0.5 * _h(C)
-    return _sum_lambda_log(spectrum) + params.n_qubits - 0.5 * _h(C)
 
 
 def discord_symmetric(params: FamilyParams) -> DiscordResult:
@@ -189,14 +157,13 @@ def discord_symmetric(params: FamilyParams) -> DiscordResult:
         raise NoAnalyticCase(
             f"no closed form for c=({params.c1},{params.c2},{params.c3}) s={params.s}"
         )
-    spectrum = _family_spectrum(params)
+    spectrum = symmetric_spectrum(params)
+    base = spectrum.sum_xlog2() + params.n_qubits
     if region.region == REGION_CASE2_S0:
-        value = _case2_value(params, spectrum, region.C)
         branch = f"case2[s=0,C={_argmax_c_name(params)}]"
-        return DiscordResult(value, branch, region, None, spectrum)
+        return DiscordResult(base - 0.5 * h_scalar(region.C), branch, region, None, spectrum)
     w = max_w(params, "parity")
-    value = _sum_lambda_log(spectrum) + params.n_qubits - w
-    return DiscordResult(value, "case1[parity]", region, w, spectrum)
+    return DiscordResult(base - w, "case1[parity]", region, w, spectrum)
 
 
 def discord_diagonal_field(params: DiagonalFieldParams) -> DiscordResult:
@@ -210,16 +177,14 @@ def discord_diagonal_field(params: DiagonalFieldParams) -> DiscordResult:
     if n < 2:
         raise ValueError("discord needs at least 2 qubits")
     spectrum = diagonal_field_spectrum(params)
-    # sum_b lambda_b log2 lambda_b + N == (1/2^N) sum_b xlog2(1 + y_b) with
-    # y_b the signed field sum of branch b; this grouping keeps the clamping
-    # of marginally negative branches symmetric with the H sum below
-    entropy_side = 0.0
-    for signs in product((1.0, -1.0), repeat=n):
-        entropy_side += float(xlog2(1.0 + sum(sg * s for sg, s in zip(signs, params.fields))))
-    hsum = 0.0
-    for signs in product((1.0, -1.0), repeat=n - 1):
-        y = sum(sg * s for sg, s in zip(signs, params.fields[:-1]))
-        hsum += _h(abs(params.fields[-1]), y)
+    # sum_b lambda_b log2 lambda_b + N == (1/2^N) sum_b xlog2(2^N lambda_b), and
+    # 2^N lambda_b = 1 + y_b with y_b the signed field sum of branch b; this
+    # grouping keeps the clamping of marginally negative branches symmetric
+    # with the H sum over the first N-1 fields below
+    entropy_side = float(np.sum(xlog2(np.array(spectrum.values) * 2**n)))
+    y = signed_field_sums(params.fields[:-1])
+    x = abs(params.fields[-1])
+    hsum = float(np.sum(xlog2(1.0 + y + x) + xlog2(1.0 + y - x)))
     value = (entropy_side - hsum) / 2**n
     return DiscordResult(value, "diagonal-field", None, None, spectrum)
 
@@ -228,8 +193,7 @@ def discord_ghz(params: GhzParams) -> DiscordResult:
     """Closed-form discord of the noisy GHZ state."""
     dim = 2**params.n_qubits
     mu = params.mu
-    t1 = xlog2(np.array(1.0 - mu)) / dim
-    t2 = xlog2(np.array(1.0 + (dim - 1) * mu)) / dim
-    t3 = xlog2(np.array(1.0 + (dim // 2 - 1) * mu)) / (dim // 2)
-    value = float(t1 + t2 - t3)
-    return DiscordResult(value, "ghz", None, None, ghz_spectrum(params))
+    t1 = xlog2_scalar(1.0 - mu) / dim
+    t2 = xlog2_scalar(1.0 + (dim - 1) * mu) / dim
+    t3 = xlog2_scalar(1.0 + (dim // 2 - 1) * mu) / (dim // 2)
+    return DiscordResult(t1 + t2 - t3, "ghz", None, None, ghz_spectrum(params))

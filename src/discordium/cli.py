@@ -33,13 +33,7 @@ from .pauli import (
     realize,
     validate_state,
 )
-from .spectral import (
-    closed_form_spectrum_3q,
-    closed_form_spectrum_4q,
-    diagonal_field_spectrum,
-    ghz_spectrum,
-    hermitian_eigenvalues,
-)
+from .spectral import family_spectrum, require_physical
 
 
 def _fmt(x: float) -> str:
@@ -79,25 +73,6 @@ def _family_dense(params):
     return build_noisy_ghz_dense(params)
 
 
-def _family_spectrum(params):
-    if isinstance(params, FamilyParams):
-        if params.n_qubits == 3:
-            return closed_form_spectrum_3q(params)
-        if params.n_qubits == 4:
-            return closed_form_spectrum_4q(params)
-        return hermitian_eigenvalues(_family_dense(params))
-    if isinstance(params, DiagonalFieldParams):
-        return diagonal_field_spectrum(params)
-    return ghz_spectrum(params)
-
-
-def _check_physical(params) -> None:
-    spectrum = _family_spectrum(params)
-    min_eig = float(spectrum.eigenvalues[-1])
-    if min_eig < -1e-10:
-        raise ValueError(f"unphysical parameters: min eigenvalue {min_eig:.3e}")
-
-
 def _oracle_config(args) -> OracleConfig:
     cfg = OracleConfig.from_json(args.config) if args.config else OracleConfig()
     if getattr(args, "seed", None) is not None:
@@ -129,7 +104,7 @@ def _write(text: str, out_path: str | None) -> None:
 
 def _cmd_discord(args) -> int:
     params = _family_params(args)
-    _check_physical(params)
+    require_physical(params)
     cfg = _oracle_config(args)
     if args.method == "analytic":
         try:
@@ -155,7 +130,7 @@ def _cmd_discord(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     params = _family_params(args)
-    spectrum = _family_spectrum(params)
+    spectrum = family_spectrum(params)
     payload = {
         "eigenvalues": [float(v) for v in spectrum.eigenvalues],
         "entropy_bits": spectrum.entropy_bits(),
@@ -191,7 +166,7 @@ def _cmd_dynamics(args) -> int:
     params = _family_params(args)
     if not isinstance(params, FamilyParams):
         raise ValueError("dynamics sweeps apply to the symmetric family")
-    _check_physical(params)
+    require_physical(params)
     if args.gamma is not None:
         if args.t_max is None:
             raise ValueError("--gamma requires --t-max")
@@ -225,7 +200,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_compare(args) -> int:
     params = _family_params(args)
-    _check_physical(params)
+    require_physical(params)
     cfg = _oracle_config(args)
     analytic = _analytic_result(params).value
     oracle = _oracle_value(params, cfg)

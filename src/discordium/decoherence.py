@@ -13,6 +13,8 @@ p* = 1 - (|c3|/|c1|)^{1/N} is where the dominant coefficient switches.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from dataclasses import dataclass
 from functools import reduce
@@ -22,7 +24,7 @@ import numpy as np
 from .analytic import DiscordResult, NoAnalyticCase, discord_symmetric
 from .oracle import OracleConfig, minimize_discord, minimize_reduced
 from .pauli import DensityMatrix, FamilyParams, PauliSum, build_symmetric_family, realize
-from .spectral import xlog2
+from .spectral import h_scalar
 
 
 @dataclass(frozen=True)
@@ -83,11 +85,14 @@ class DynamicsSeries:
     rows: list[SeriesRow]
 
     def to_csv(self) -> str:
-        lines = ["p,discord_bits,branch"]
+        """Header p,discord_bits,branch; a branch label holding a comma is quoted."""
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["p", "discord_bits", "branch"])
         for row in self.rows:
             val = "nan" if not np.isfinite(row.value) else f"{row.value:.9g}"
-            lines.append(f"{row.p:.9g},{val},{row.branch}")
-        return "\n".join(lines) + "\n"
+            writer.writerow([f"{row.p:.9g}", val, row.branch])
+        return out.getvalue()
 
 
 @dataclass(frozen=True)
@@ -207,19 +212,14 @@ def dynamics_sweep(
     return DynamicsSeries(rows)
 
 
-def _half_h(x: float) -> float:
-    return 0.5 * float(xlog2(np.array(1.0 + x)) + xlog2(np.array(1.0 - x)))
-
-
 def detect_freeze_transition(params: FamilyParams, coupling_tol: float = 1e-12) -> FreezeReport:
     """Freezing predicate and transition point for the symmetric family.
 
     Frozen iff s = 0, N even, c2 = (-1)^{N/2} c1 c3 (i.e. c2 = c1 c3 when N
     is divisible by 4) and |c1| >= |c3|. On the plateau the value is
-    H(|c3|)/2; the transition p* = 1 - (|c3|/|c1|)^{1/N} comes from the
-    dominance boundary |c1|(1-p)^N = |c3| and is refined by bisecting that
-    switch. |c1| = |c3| degenerates to p* = 0 (no plateau). coupling_tol
-    loosens the c2 = c1 c3 equality for truncated-decimal inputs.
+    H(|c3|)/2, and the transition p* = 1 - (|c3|/|c1|)^{1/N} is the dominance
+    boundary |c1|(1-p)^N = |c3|; |c1| = |c3| gives p* = 0 (no plateau).
+    coupling_tol loosens the c2 = c1 c3 equality for truncated-decimal inputs.
     """
     n = params.n_qubits
     not_frozen = FreezeReport(False, None, None, "analytic_boundary")
@@ -230,21 +230,8 @@ def detect_freeze_transition(params: FamilyParams, coupling_tol: float = 1e-12) 
         return not_frozen
     if abs(params.c1) < abs(params.c3) or params.c1 == 0.0:
         return not_frozen
-    frozen_value = _half_h(abs(params.c3))
-    if abs(params.c1) == abs(params.c3):
-        return FreezeReport(True, frozen_value, 0.0, "analytic_boundary")
-
     p_star = 1.0 - (abs(params.c3) / abs(params.c1)) ** (1.0 / n)
-    # bisection on the dominance switch |c1|(1-p)^N - |c3|, monotone in p
-    lo, hi = 0.0, 1.0
-    for _ in range(100):
-        mid = (lo + hi) / 2.0
-        if abs(params.c1) * (1.0 - mid) ** n >= abs(params.c3):
-            lo = mid
-        else:
-            hi = mid
-    p_star = (lo + hi) / 2.0 if abs((lo + hi) / 2.0 - p_star) > 1e-12 else p_star
-    return FreezeReport(True, frozen_value, p_star, "analytic_boundary")
+    return FreezeReport(True, 0.5 * h_scalar(abs(params.c3)), p_star, "analytic_boundary")
 
 
 def freeze_changepoint(series: DynamicsSeries, frozen_value: float, tol: float = 1e-6) -> FreezeReport:

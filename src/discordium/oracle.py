@@ -29,14 +29,8 @@ from pathlib import Path
 import numpy as np
 from scipy.optimize import minimize as _scipy_minimize
 
-from .pauli import DensityMatrix, FamilyParams, build_symmetric_family, partial_trace, realize
-from .spectral import (
-    closed_form_spectrum_3q,
-    closed_form_spectrum_4q,
-    hermitian_eigenvalues,
-    von_neumann_entropy,
-    xlog2,
-)
+from .pauli import DensityMatrix, FamilyParams, partial_trace
+from .spectral import h_scalar, symmetric_spectrum, von_neumann_entropy, xlog2
 
 PROB_FLOOR = 1e-14
 SPREAD_FLAG = 1e-4
@@ -393,10 +387,6 @@ def _h_block(x, y) -> float:
     return float(np.sum(xlog2(one_y + x) + xlog2(one_y - x) - 2.0 * xlog2(one_y)))
 
 
-def _h_scalar(x: float) -> float:
-    return float(xlog2(np.array(1.0 + x)) + xlog2(np.array(1.0 - x)))
-
-
 def _reduced_terms(
     params: FamilyParams,
     zvec: np.ndarray,
@@ -466,16 +456,6 @@ def reduced_objective(
     return ReducedObjective(g, f, t, terms[-1], total)
 
 
-def _family_slog(params: FamilyParams) -> float:
-    if params.n_qubits == 3:
-        spectrum = closed_form_spectrum_3q(params)
-    elif params.n_qubits == 4:
-        spectrum = closed_form_spectrum_4q(params)
-    else:
-        spectrum = hermitian_eigenvalues(realize(build_symmetric_family(params)))
-    return float(np.sum(xlog2(np.clip(spectrum.eigenvalues, 0.0, None))))
-
-
 def minimize_reduced(params: FamilyParams, cfg: OracleConfig | None = None, n_cap: int = 6) -> OracleResult:
     """Symmetric-family discord by maximizing the reduced z-coordinate objective.
 
@@ -535,6 +515,6 @@ def minimize_reduced(params: FamilyParams, cfg: OracleConfig | None = None, n_ca
     spread = float(max(converged_vals) - min(converged_vals)) if converged_vals else float("nan")
     y_max, z_max, _, _ = max(finals, key=lambda t: (t[0], -t[3]))
 
-    value = _family_slog(params) + n - 0.5 * _h_scalar(params.s) - y_max
+    value = symmetric_spectrum(params).sum_xlog2() + n - 0.5 * h_scalar(params.s) - y_max
     point = ReducedPoint({p: float(z_max[i]) for i, p in enumerate(prefs)})
     return OracleResult(value, point, sum(1 for _, _, ok, _ in finals if ok), spread)

@@ -7,14 +7,16 @@ the y = 0 case. All entropies use log base 2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import product
+from functools import cached_property
 
 import numpy as np
 
 from .pauli import DensityMatrix, DiagonalFieldParams, FamilyParams, GhzParams
 
 SOURCE_NUMERIC = "numeric"
+SOURCE_BLOCKS = "closed_form_blocks"
 SOURCE_3Q = "closed_form_3q"
 SOURCE_4Q = "closed_form_4q"
 SOURCE_GHZ = "closed_form_ghz"
@@ -30,27 +32,56 @@ def xlog2(values):
     return float(out) if out.ndim == 0 else out
 
 
+def xlog2_scalar(v: float) -> float:
+    """v*log2(v) for one float, 0 for v <= 0; the scalar form of xlog2."""
+    return v * math.log2(v) if v > 0.0 else 0.0
+
+
+def h_scalar(x: float, y: float = 0.0) -> float:
+    """H_y(x) for floats; an argument 1+y+-x below 0 contributes 0."""
+    return xlog2_scalar(1.0 + y + x) + xlog2_scalar(1.0 + y - x)
+
+
 def binary_h(x: float, y: float = 0.0) -> float:
     """(1+y+x)log2(1+y+x) + (1+y-x)log2(1+y-x), even in x."""
     a, b = 1.0 + y + x, 1.0 + y - x
     if a < -1e-12 or b < -1e-12:
         raise ValueError(f"binary_h domain violation: 1+y+x={a}, 1+y-x={b}")
-    return float(xlog2(max(a, 0.0)) + xlog2(max(b, 0.0)))
+    return h_scalar(x, y)
 
 
 @dataclass(frozen=True)
 class SpectrumResult:
-    """Descending real spectrum plus the source that produced it."""
+    """A spectrum as values with multiplicities, plus the source that produced it.
 
-    eigenvalues: np.ndarray
+    Closed forms list one pair of values per 2x2 block, so the entropy sum and
+    the minimum eigenvalue cost O(len(values)). `eigenvalues`, the full
+    descending array, is expanded on first access only.
+    """
+
+    values: tuple[float, ...]
+    multiplicities: tuple[int, ...]
     source: str
 
-    def __post_init__(self):
-        ev = np.sort(np.asarray(self.eigenvalues, dtype=float))[::-1]
-        object.__setattr__(self, "eigenvalues", ev)
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        ev = np.repeat(np.array(self.values, dtype=float), self.multiplicities)
+        return np.sort(ev)[::-1]
+
+    @property
+    def min_eigenvalue(self) -> float:
+        return min(self.values)
+
+    def sum_xlog2(self) -> float:
+        """sum_i lambda_i log2 lambda_i over the full spectrum; lambda <= 0 gives 0."""
+        return sum(m * xlog2_scalar(v) for v, m in zip(self.values, self.multiplicities))
 
     def entropy_bits(self) -> float:
-        return float(-np.sum(xlog2(np.clip(self.eigenvalues, 0.0, None))))
+        return -self.sum_xlog2()
+
+
+def _listed(eigenvalues: np.ndarray, source: str) -> SpectrumResult:
+    return SpectrumResult(tuple(eigenvalues.tolist()), (1,) * len(eigenvalues), source)
 
 
 def hermitian_eigenvalues(rho: DensityMatrix) -> SpectrumResult:
@@ -58,53 +89,69 @@ def hermitian_eigenvalues(rho: DensityMatrix) -> SpectrumResult:
     arr = rho.entries
     if np.max(np.abs(arr - arr.conj().T)) > 1e-10:
         raise ValueError("input is not Hermitian within 1e-10")
-    return SpectrumResult(np.linalg.eigvalsh(arr), SOURCE_NUMERIC)
+    return _listed(np.linalg.eigvalsh(arr)[::-1], SOURCE_NUMERIC)
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """-sum lambda log2 lambda in bits; eigenvalues below 1e-14 contribute 0."""
-    ev = hermitian_eigenvalues(rho).eigenvalues
-    if ev[-1] < -1e-8:
-        raise ValueError(f"unphysical state: eigenvalue {ev[-1]} below -1e-8")
-    return float(-np.sum(xlog2(np.clip(ev, 0.0, None))))
+    """-sum lambda log2 lambda in bits; negative eigenvalues contribute 0."""
+    spectrum = hermitian_eigenvalues(rho)
+    if spectrum.min_eigenvalue < -1e-8:
+        raise ValueError(f"unphysical state: eigenvalue {spectrum.min_eigenvalue} below -1e-8")
+    return spectrum.entropy_bits()
+
+
+def symmetric_spectrum(params: FamilyParams) -> SpectrumResult:
+    """Symmetric-family spectrum from its 2x2 blocks, in O(N).
+
+    X..X and Y..Y flip every bit while Z..Z and the single-site Z are
+    diagonal, so the state splits into blocks on |b>, |b with every bit
+    flipped>. With k = |b| the block is
+
+        [[1 + (-1)^k c3 + (N-2k) s,  conj(z)],
+         [z,  1 + (-1)^(N-k) c3 - (N-2k) s]] / 2^N,   z = c1 + i^N (-1)^k c2,
+
+    and it appears C(N, k) times for k < N/2 and C(N, k)/2 times for k = N/2.
+    |z| is hypot(c1, c2) for odd N and |c1 + (-1)^(N/2+k) c2| for even N.
+    """
+    n, c1, c2, c3, s = params.n_qubits, params.c1, params.c2, params.c3, params.s
+    dim = 2.0**n
+    values, mults = [], []
+    for k in range(n // 2 + 1):
+        e = c3 if k % 2 == 0 else -c3
+        f = (n - 2 * k) * s
+        if n % 2:
+            mid, r = 1.0, math.hypot(e + f, c1, c2)
+        else:
+            mid, r = 1.0 + e, math.hypot(f, c1 + c2 if (n // 2 + k) % 2 == 0 else c1 - c2)
+        mult = math.comb(n, k) // 2 if 2 * k == n else math.comb(n, k)
+        values += [(mid + r) / dim, (mid - r) / dim]
+        mults += [mult, mult]
+    return SpectrumResult(tuple(values), tuple(mults), SOURCE_BLOCKS)
 
 
 def closed_form_spectrum_3q(params: FamilyParams) -> SpectrumResult:
-    """Three-qubit symmetric-family spectrum.
+    """Three-qubit view of symmetric_spectrum.
 
     Six eigenvalues (1 +- r1)/8 with r1^2 = c1^2+c2^2+(c3-s)^2 (three of each
     sign) and two eigenvalues (1 +- r2)/8 with r2^2 = c1^2+c2^2+(c3+3s)^2.
     """
     if params.n_qubits != 3:
         raise ValueError("closed_form_spectrum_3q needs n_qubits == 3")
-    c1, c2, c3, s = params.c1, params.c2, params.c3, params.s
-    r1 = np.sqrt(c1**2 + c2**2 + c3**2 - 2 * c3 * s + s**2)
-    r2 = np.sqrt(c1**2 + c2**2 + c3**2 + 6 * c3 * s + 9 * s**2)
-    ev = [(1 + r1) / 8] * 3 + [(1 - r1) / 8] * 3 + [(1 + r2) / 8, (1 - r2) / 8]
-    return SpectrumResult(np.array(ev), SOURCE_3Q)
+    spectrum = symmetric_spectrum(params)
+    return SpectrumResult(spectrum.values, spectrum.multiplicities, SOURCE_3Q)
 
 
 def closed_form_spectrum_4q(params: FamilyParams) -> SpectrumResult:
-    """Four-qubit symmetric-family spectrum (trace-correct form).
+    """Four-qubit view of symmetric_spectrum (trace-correct form).
 
-    Derived from the 2x2 blocks over computational pairs |b>, |b-flipped>:
-    six eigenvalues (1 + c3 +- (c1+c2))/16, eight (1 - c3 +- rk)/16 with
+    Six eigenvalues (1 + c3 +- (c1+c2))/16, eight (1 - c3 +- rk)/16 with
     rk^2 = (c1-c2)^2 + 4 s^2, and two (1 + c3 +- rl)/16 with
     rl^2 = (c1+c2)^2 + 16 s^2.
     """
     if params.n_qubits != 4:
         raise ValueError("closed_form_spectrum_4q needs n_qubits == 4")
-    c1, c2, c3, s = params.c1, params.c2, params.c3, params.s
-    rk = np.sqrt((c1 - c2) ** 2 + 4 * s**2)
-    rl = np.sqrt((c1 + c2) ** 2 + 16 * s**2)
-    ev = (
-        [(1 + c3 + (c1 + c2)) / 16] * 3
-        + [(1 + c3 - (c1 + c2)) / 16] * 3
-        + [(1 - c3 + rk) / 16] * 4
-        + [(1 - c3 - rk) / 16] * 4
-        + [(1 + c3 + rl) / 16, (1 + c3 - rl) / 16]
-    )
-    return SpectrumResult(np.array(ev), SOURCE_4Q)
+    spectrum = symmetric_spectrum(params)
+    return SpectrumResult(spectrum.values, spectrum.multiplicities, SOURCE_4Q)
 
 
 def spectrum_4q_printed(params: FamilyParams) -> np.ndarray:
@@ -129,18 +176,37 @@ def spectrum_4q_printed(params: FamilyParams) -> np.ndarray:
 
 
 def ghz_spectrum(params: GhzParams) -> SpectrumResult:
-    """Noisy GHZ spectrum: (1-mu)/2^N with multiplicity 2^N - 1, plus one
-    eigenvalue (1 + (2^N - 1) mu)/2^N."""
+    """Noisy GHZ spectrum: (1 + (2^N - 1) mu)/2^N once and (1-mu)/2^N with
+    multiplicity 2^N - 1."""
     dim = 2**params.n_qubits
-    ev = np.full(dim, (1.0 - params.mu) / dim)
-    ev[0] = (1.0 + (dim - 1) * params.mu) / dim
-    return SpectrumResult(ev, SOURCE_GHZ)
+    mu = params.mu
+    return SpectrumResult(((1.0 + (dim - 1) * mu) / dim, (1.0 - mu) / dim), (1, dim - 1), SOURCE_GHZ)
+
+
+def signed_field_sums(fields) -> np.ndarray:
+    """y_b = sum_i (-1)^{b_i} s_i for all 2^N bitstrings b, the last field least significant."""
+    y = np.zeros(1)
+    for s in fields:
+        y = (y[:, None] + np.array((s, -s))).ravel()
+    return y
 
 
 def diagonal_field_spectrum(params: DiagonalFieldParams) -> SpectrumResult:
     """Diagonal-family spectrum: (1 + sum_i (-1)^{b_i} s_i)/2^N over bitstrings b."""
-    n = params.n_qubits
-    ev = np.empty(2**n)
-    for idx, signs in enumerate(product((1.0, -1.0), repeat=n)):
-        ev[idx] = (1.0 + sum(sg * s for sg, s in zip(signs, params.fields))) / 2**n
-    return SpectrumResult(ev, SOURCE_DIAGONAL)
+    return _listed((1.0 + signed_field_sums(params.fields)) / 2**params.n_qubits, SOURCE_DIAGONAL)
+
+
+def family_spectrum(params) -> SpectrumResult:
+    """Closed-form spectrum of any supported family's parameters."""
+    if isinstance(params, FamilyParams):
+        return symmetric_spectrum(params)
+    if isinstance(params, DiagonalFieldParams):
+        return diagonal_field_spectrum(params)
+    return ghz_spectrum(params)
+
+
+def require_physical(params) -> None:
+    """Raise ValueError when the family's closed-form spectrum has an eigenvalue below -1e-10."""
+    min_eig = family_spectrum(params).min_eigenvalue
+    if min_eig < -1e-10:
+        raise ValueError(f"unphysical parameters: min eigenvalue {min_eig:.3e}")

@@ -1,28 +1,12 @@
 import numpy as np
 import pytest
 
-from discordium import (
-    FamilyParams,
-    build_symmetric_family,
-    closed_form_spectrum_3q,
-    closed_form_spectrum_4q,
-    hermitian_eigenvalues,
-    realize,
-)
+from discordium import FamilyParams, symmetric_spectrum
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
-
-
-def _min_eigenvalue(params: FamilyParams) -> float:
-    if params.n_qubits == 3:
-        return float(closed_form_spectrum_3q(params).eigenvalues[-1])
-    if params.n_qubits == 4:
-        return float(closed_form_spectrum_4q(params).eigenvalues[-1])
-    spectrum = hermitian_eigenvalues(realize(build_symmetric_family(params)))
-    return float(spectrum.eigenvalues[-1])
 
 
 def sample_physical_family(rng, n, s_zero=False, max_tries=10000) -> FamilyParams:
@@ -31,7 +15,7 @@ def sample_physical_family(rng, n, s_zero=False, max_tries=10000) -> FamilyParam
         c1, c2, c3 = rng.uniform(-1.0, 1.0, 3)
         s = 0.0 if s_zero else float(rng.uniform(-1.0, 1.0))
         params = FamilyParams(n, float(c1), float(c2), float(c3), s)
-        if _min_eigenvalue(params) >= -1e-10:
+        if symmetric_spectrum(params).min_eigenvalue >= -1e-10:
             return params
     raise RuntimeError("rejection sampling failed")
 
@@ -46,6 +30,6 @@ def sample_case1_family(rng, n, max_tries=10000) -> FamilyParams:
         if abs(s) < 1e-3:
             continue
         params = FamilyParams(n, c1, c2, c3, s)
-        if _min_eigenvalue(params) >= -1e-10:
+        if symmetric_spectrum(params).min_eigenvalue >= -1e-10:
             return params
     raise RuntimeError("rejection sampling failed")

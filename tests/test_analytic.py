@@ -1,12 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 
+import discordium
 from discordium import (
     DiagonalFieldParams,
     FamilyParams,
     GhzParams,
     NoAnalyticCase,
     binary_h,
+    build_symmetric_family,
     classify_region,
     closed_form_spectrum_4q,
     discord_diagonal_field,
@@ -14,10 +18,11 @@ from discordium import (
     discord_symmetric,
     max_w,
     max_w_mod4,
+    realize,
     xlog2,
 )
 
-from conftest import sample_physical_family
+from conftest import sample_case1_family, sample_physical_family
 
 
 class TestClassifyRegion:
@@ -144,9 +149,13 @@ class TestDiscordSymmetric:
         assert res.max_w is not None
         assert res.value >= -1e-8
 
-    def test_case1_5q_uses_numeric_spectrum(self):
-        res = discord_symmetric(FamilyParams(5, 0.05, 0.05, -0.2, 0.1))
-        assert res.spectrum_used.source == "numeric"
+    def test_case1_5q_uses_block_spectrum(self):
+        params = FamilyParams(5, 0.05, 0.05, -0.2, 0.1)
+        res = discord_symmetric(params)
+        assert res.spectrum_used.source == "closed_form_blocks"
+        dense = np.linalg.eigvalsh(realize(build_symmetric_family(params)).entries)
+        expected = float(np.sum(xlog2(np.clip(dense, 0, None)))) + 5 - max_w(params)
+        assert res.value == pytest.approx(expected, abs=1e-12)
         assert res.value >= -1e-8
 
     def test_region_none_raises(self):
@@ -166,6 +175,60 @@ class TestDiscordSymmetric:
         spectrum = closed_form_spectrum_4q(params)
         slog = float(np.sum(xlog2(np.clip(spectrum.eigenvalues, 0, None))))
         assert bracket == pytest.approx(slog + 4, abs=1e-11)
+
+
+def _xl(v):
+    return v * math.log2(v) if v > 0 else 0.0
+
+
+def _weighted_block_sum(n, c1, c2, c3, s):
+    """sum lambda log2 lambda: each 2x2 block on |b>, |b flipped> diagonalised
+    by numpy and weighted by C(N, |b|), halved at |b| = N/2."""
+    total = 0.0
+    for k in range(n // 2 + 1):
+        z = c1 + 1j**n * (-1) ** k * c2
+        block = np.array(
+            [
+                [1 + (-1) ** k * c3 + (n - 2 * k) * s, np.conj(z)],
+                [z, 1 + (-1) ** (n - k) * c3 - (n - 2 * k) * s],
+            ]
+        ) / 2**n
+        weight = math.comb(n, k) / (2 if 2 * k == n else 1)
+        total += weight * sum(_xl(float(lam)) for lam in np.linalg.eigvalsh(block))
+    return total
+
+
+class TestDiscordSymmetricLargeN:
+    @pytest.mark.parametrize("n", range(9, 17))
+    def test_case1_matches_weighted_block_sum(self, rng, n):
+        for _ in range(3):
+            p = sample_case1_family(rng, n)
+            res = discord_symmetric(p)
+            assert res.branch == "case1[parity]"
+            expected = _weighted_block_sum(n, p.c1, p.c2, p.c3, p.s) + n - max_w_mod4(p)
+            assert res.value == pytest.approx(expected, abs=1e-10)
+
+    @pytest.mark.parametrize("n", range(9, 17))
+    def test_case2_matches_weighted_block_sum(self, rng, n):
+        for _ in range(3):
+            p = sample_physical_family(rng, n, s_zero=True)
+            res = discord_symmetric(p)
+            assert res.branch.startswith("case2")
+            C = max(abs(p.c1), abs(p.c2), abs(p.c3))
+            expected = _weighted_block_sum(n, p.c1, p.c2, p.c3, 0.0) + n - 0.5 * (_xl(1 + C) + _xl(1 - C))
+            assert res.value == pytest.approx(expected, abs=1e-10)
+
+    def test_n64_without_realize(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("realize called for a closed form")
+
+        for module in (discordium, discordium.pauli, discordium.spectral, discordium.analytic):
+            if hasattr(module, "realize"):
+                monkeypatch.setattr(module, "realize", refuse)
+        res = discord_symmetric(FamilyParams(64, 0.01, 0.01, -0.02, 0.001))
+        assert res.branch == "case1[parity]"
+        assert math.isfinite(res.value)
+        assert res.value >= -1e-8
 
 
 class TestDiscordGhz:

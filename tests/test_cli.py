@@ -3,7 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from discordium import FamilyParams, GhzParams, discord_ghz, discord_symmetric
+from discordium import (
+    FamilyParams,
+    GhzParams,
+    build_symmetric_family,
+    discord_ghz,
+    discord_symmetric,
+    realize,
+)
 from discordium.cli import main
 
 FIG3_ARGS = [
@@ -76,6 +83,29 @@ class TestDiscordCommand:
         assert err.startswith("error:")
         assert "\n" not in err.strip()
 
+    def test_closed_form_past_dense_cap(self, capsys, monkeypatch):
+        # the closed form and its physicality gate need no dense matrix
+        monkeypatch.setenv("DISCORDIUM_DENSE_CAP", "2")
+        argv = ["discord", "--family", "symmetric", "--c1", "0.1", "--c2", "0.1", "--c3", "-0.3",
+                "--s", "0.01", "--format", "json"]
+        for n in ("3", "12", "40"):
+            code, out, _ = run(argv + ["--n", n], capsys)
+            assert code == 0
+            payload = json.loads(out)
+            assert payload["branch"] == "case1[parity]"
+            expected = discord_symmetric(FamilyParams(int(n), 0.1, 0.1, -0.3, 0.01)).value
+            assert payload["value_bits"] == expected
+
+    def test_unphysical_large_n_exit_2(self, capsys):
+        code, _, err = run(
+            ["discord", "--family", "symmetric", "--n", "12",
+             "--c1", "0.1", "--c2", "0.1", "--c3", "-0.3", "--s", "0.2"],
+            capsys,
+        )
+        assert code == 2
+        assert err.startswith("error: unphysical parameters")
+        assert "\n" not in err.strip()
+
     def test_bad_range_exit_2(self, capsys):
         code, _, err = run(
             ["discord", "--family", "ghz", "--n", "2", "--mu", "1.5"], capsys
@@ -114,6 +144,19 @@ class TestSpectrumCommand:
         assert set(payload) == {"eigenvalues", "entropy_bits"}
         assert np.allclose(sorted(payload["eigenvalues"]), [0.125, 0.125, 0.125, 0.625])
         assert payload["entropy_bits"] == pytest.approx(1.5487949406953985, abs=1e-12)
+
+    def test_symmetric_matches_dense(self, capsys):
+        params = FamilyParams(5, 0.2, -0.1, -0.3, 0.05)
+        code, out, _ = run(
+            ["spectrum", "--family", "symmetric", "--n", "5",
+             "--c1", "0.2", "--c2", "-0.1", "--c3", "-0.3", "--s", "0.05"],
+            capsys,
+        )
+        assert code == 0
+        got = np.array(json.loads(out)["eigenvalues"])
+        dense = np.linalg.eigvalsh(realize(build_symmetric_family(params)).entries)[::-1]
+        assert np.all(np.diff(got) <= 0)
+        assert np.max(np.abs(got - dense)) <= 1e-12
 
 
 class TestGhzCurveCommand:

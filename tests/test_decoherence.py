@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -210,6 +213,17 @@ class TestDynamicsSweep:
         assert len(lines) == 3
         assert lines[1].startswith("0,0.0290494055,")
 
+    def test_csv_rows_have_three_fields(self):
+        grid = [round(p, 2) for p in np.arange(0.0, 0.9, 0.05)]
+        for params in (FIG3_3Q, FIG3_4Q):
+            series = dynamics_sweep(params, grid)
+            rows = list(csv.reader(io.StringIO(series.to_csv())))
+            assert rows[0] == ["p", "discord_bits", "branch"]
+            assert len(rows) == len(grid) + 1
+            assert all(len(row) == 3 for row in rows)
+            assert [row[2] for row in rows[1:]] == [r.branch for r in series.rows]
+            assert any("," in row[2] for row in rows[1:])
+
 
 class TestFreezeDetection:
     def test_fig3_transition(self):
@@ -221,10 +235,21 @@ class TestFreezeDetection:
         assert report.method == "analytic_boundary"
 
     def test_equal_magnitudes_degenerate(self):
-        params = FamilyParams(4, 0.2, 0.2 * 0.2, 0.2, 0.0)
-        report = detect_freeze_transition(params)
-        assert report.frozen
-        assert report.p_star == 0.0
+        for n in (4, 6, 8):
+            sign = -1.0 if (n // 2) % 2 else 1.0
+            for c1, c3 in ((0.2, 0.2), (0.7, -0.7), (-0.35, 0.35)):
+                report = detect_freeze_transition(FamilyParams(n, c1, sign * c1 * c3, c3, 0.0))
+                assert report.frozen
+                assert report.p_star == 0.0
+                assert report.frozen_value == pytest.approx(0.5 * binary_h(abs(c3)), abs=1e-15)
+
+    def test_odd_n_not_frozen(self):
+        for n in (3, 5, 7, 9):
+            for sign in (1.0, -1.0):
+                params = FamilyParams(n, 5 / 6, sign * (5 / 6) * (-0.2), -0.2, 0.0)
+                report = detect_freeze_transition(params, coupling_tol=1e-9)
+                assert not report.frozen
+                assert report.p_star is None and report.frozen_value is None
 
     def test_c1_smaller_not_frozen(self):
         params = FamilyParams(4, 0.1, 0.1 * -0.2, -0.2, 0.0)

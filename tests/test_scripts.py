@@ -1,0 +1,39 @@
+import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import discordium
+from discordium import binary_h
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def test_make_figures_smoke(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(discordium.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "make_figures.py"), "--outdir", str(tmp_path), "--p-steps", "5"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    for name in ("fig1.csv", "fig2.csv", "fig3_3q.csv", "fig3_4q.csv", "fig3_even.csv"):
+        assert (tmp_path / name).is_file()
+
+    with (tmp_path / "fig3_even.csv").open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["n", "p", "discord_bits", "branch"]
+    assert all(len(row) == 4 for row in rows)
+    plateau = 0.5 * binary_h(0.2)
+    for n in (4, 8, 12, 16):
+        series = [(float(p), float(v)) for m, p, v, _ in rows[1:] if int(m) == n]
+        assert len(series) == 5
+        p_star = 1.0 - (0.2 / (5 / 6)) ** (1.0 / n)
+        before = [v for p, v in series if p < p_star]
+        assert before
+        assert all(abs(v - plateau) <= 1e-8 for v in before)
+        assert all(v < plateau for p, v in series if p > p_star)
+        assert f"N={n}: frozen_value=" in proc.stderr

@@ -19,7 +19,9 @@ from discordium import (
     hermitian_eigenvalues,
     realize,
     spectrum_4q_printed,
+    symmetric_spectrum,
     von_neumann_entropy,
+    xlog2,
 )
 
 from conftest import sample_physical_family
@@ -178,7 +180,71 @@ class TestClosedForm4q:
         assert found >= 10
 
 
+def _dense_sorted(params):
+    return np.linalg.eigvalsh(realize(build_symmetric_family(params)).entries)
+
+
+class TestBlockSpectrum:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_matches_dense_random(self, rng, n):
+        for _ in range(20):
+            c1, c2, c3, s = (float(v) for v in rng.uniform(-1.0, 1.0, 4))
+            params = FamilyParams(n, c1, c2, c3, s)
+            expanded = np.sort(symmetric_spectrum(params).eigenvalues)
+            assert np.max(np.abs(expanded - _dense_sorted(params))) <= 1e-12
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            (0.0, 0.0, 0.0, 0.0),
+            (0.1, -0.2, -0.3, 1e-12),
+            (0.1, -0.2, -0.3, -1e-12),
+            (0.3, 0.3, -0.3, 0.0),
+            (0.0, 0.0, -0.5, 0.05),
+        ],
+    )
+    def test_matches_dense_edge_cases(self, n, coeffs):
+        params = FamilyParams(n, *coeffs)
+        expanded = np.sort(symmetric_spectrum(params).eigenvalues)
+        assert np.max(np.abs(expanded - _dense_sorted(params))) <= 1e-12
+
+    def test_block_count_and_trace(self):
+        for n in range(2, 40):
+            spec = symmetric_spectrum(FamilyParams(n, 0.1, 0.2, -0.3, 0.01))
+            assert len(spec.values) == 2 * (n // 2 + 1)
+            assert sum(spec.multiplicities) == 2**n
+            total = sum(m * v for v, m in zip(spec.values, spec.multiplicities))
+            assert total == pytest.approx(1.0, abs=1e-12)
+
+    def test_sums_match_expanded(self, rng):
+        for n in (2, 5, 8, 11):
+            params = sample_physical_family(rng, n)
+            spec = symmetric_spectrum(params)
+            ev = spec.eigenvalues
+            assert len(ev) == 2**n
+            assert np.all(np.diff(ev) <= 0)
+            assert spec.min_eigenvalue == ev[-1]
+            assert spec.sum_xlog2() == pytest.approx(float(np.sum(xlog2(ev))), abs=1e-12)
+            assert spec.entropy_bits() == -spec.sum_xlog2()
+
+    def test_fixed_size_views(self, rng):
+        for n, view in ((3, closed_form_spectrum_3q), (4, closed_form_spectrum_4q)):
+            params = sample_physical_family(rng, n)
+            spec = view(params)
+            assert spec.values == symmetric_spectrum(params).values
+            assert spec.multiplicities == symmetric_spectrum(params).multiplicities
+
+
 class TestFamilySpectra:
+    def test_ghz_two_values(self):
+        for n in (2, 10, 40):
+            spec = ghz_spectrum(GhzParams(n, 0.3))
+            assert spec.multiplicities == (1, 2**n - 1)
+            assert spec.values == ((1 + (2**n - 1) * 0.3) / 2**n, 0.7 / 2**n)
+            assert spec.min_eigenvalue == 0.7 / 2**n
+
+
     def test_ghz_spectrum_matches_dense(self):
         for n in (2, 3, 4):
             for mu in (0.0, 0.3, 1.0):
