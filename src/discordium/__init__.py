@@ -44,6 +44,7 @@ from .oracle import (
     discord_objective,
     measured_conditional_entropy,
     minimize_discord,
+    minimize_family,
     minimize_reduced,
     reduced_objective,
 )
@@ -60,6 +61,7 @@ from .pauli import (
     build_noisy_ghz_dense,
     build_noisy_ghz_pauli,
     build_symmetric_family,
+    family_dense,
     partial_trace,
     realize,
     validate_state,

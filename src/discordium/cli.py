@@ -22,15 +22,15 @@ from .analytic import (
     discord_symmetric,
 )
 from .decoherence import detect_freeze_transition, dynamics_sweep
-from .oracle import OracleConfig, minimize_discord, minimize_reduced
+from .oracle import OracleConfig, minimize_family, minimize_reduced
 from .pauli import (
+    DENSE_CAP_ENV,
+    DenseCapExceeded,
     DiagonalFieldParams,
     FamilyParams,
     GhzParams,
-    build_diagonal_field,
-    build_noisy_ghz_dense,
-    build_symmetric_family,
-    realize,
+    dense_cap,
+    family_dense,
     validate_state,
 )
 from .spectral import family_spectrum, require_physical
@@ -65,14 +65,6 @@ def _family_params(args):
     return GhzParams(args.n, args.mu)
 
 
-def _family_dense(params):
-    if isinstance(params, FamilyParams):
-        return realize(build_symmetric_family(params))
-    if isinstance(params, DiagonalFieldParams):
-        return realize(build_diagonal_field(params))
-    return build_noisy_ghz_dense(params)
-
-
 def _oracle_config(args) -> OracleConfig:
     cfg = OracleConfig.from_json(args.config) if args.config else OracleConfig()
     if getattr(args, "seed", None) is not None:
@@ -86,12 +78,6 @@ def _analytic_result(params):
     if isinstance(params, DiagonalFieldParams):
         return discord_diagonal_field(params)
     return discord_ghz(params)
-
-
-def _oracle_value(params, cfg: OracleConfig) -> float:
-    if isinstance(params, FamilyParams) and params.n_qubits > 4:
-        return minimize_reduced(params, cfg).value
-    return minimize_discord(_family_dense(params), cfg).value
 
 
 def _write(text: str, out_path: str | None) -> None:
@@ -112,11 +98,11 @@ def _cmd_discord(args) -> int:
             value, branch = res.value, res.branch
         except NoAnalyticCase:
             if args.fallback == "oracle":
-                value, branch = _oracle_value(params, cfg), "oracle[fallback]"
+                value, branch = minimize_family(params, cfg).value, "oracle[fallback]"
             else:
                 raise
     elif args.method == "oracle":
-        value, branch = _oracle_value(params, cfg), "oracle"
+        value, branch = minimize_family(params, cfg).value, "oracle"
     else:
         if not isinstance(params, FamilyParams):
             raise ValueError("--method reduced applies to the symmetric family only")
@@ -130,6 +116,12 @@ def _cmd_discord(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     params = _family_params(args)
+    cap = dense_cap()
+    if params.n_qubits > cap:
+        raise DenseCapExceeded(
+            f"spectrum lists all 2^N eigenvalues; n_qubits={params.n_qubits} exceeds "
+            f"dense cap {cap} (set {DENSE_CAP_ENV} to raise it)"
+        )
     spectrum = family_spectrum(params)
     payload = {
         "eigenvalues": [float(v) for v in spectrum.eigenvalues],
@@ -151,11 +143,7 @@ def _cmd_ghz_curve(args) -> int:
             params = GhzParams(n, float(mu))
             row = f"{n},{_fmt(float(mu))},{_fmt(discord_ghz(params).value)}"
             if args.oracle_check:
-                extra = (
-                    _fmt(minimize_discord(build_noisy_ghz_dense(params), cfg).value)
-                    if n <= 3
-                    else ""
-                )
+                extra = _fmt(minimize_family(params, cfg).value) if n <= 3 else ""
                 row += f",{extra}"
             lines.append(row)
     _write("\n".join(lines) + "\n", args.out)
@@ -187,7 +175,7 @@ def _cmd_dynamics(args) -> int:
 
 def _cmd_validate(args) -> int:
     params = _family_params(args)
-    report = validate_state(_family_dense(params))
+    report = validate_state(family_dense(params))
     payload = {
         "hermitian": report.hermitian,
         "trace_deviation": report.trace_deviation,
@@ -203,7 +191,7 @@ def _cmd_compare(args) -> int:
     require_physical(params)
     cfg = _oracle_config(args)
     analytic = _analytic_result(params).value
-    oracle = _oracle_value(params, cfg)
+    oracle = minimize_family(params, cfg).value
     diff = abs(analytic - oracle)
     _write(
         f"analytic={_fmt(analytic)} oracle={_fmt(oracle)} diff={_fmt(diff)} tol={_fmt(args.tol)}\n",

@@ -22,8 +22,8 @@ from functools import reduce
 import numpy as np
 
 from .analytic import DiscordResult, NoAnalyticCase, discord_symmetric
-from .oracle import OracleConfig, minimize_discord, minimize_reduced
-from .pauli import DensityMatrix, FamilyParams, PauliSum, build_symmetric_family, realize
+from .oracle import OracleConfig, ReducedPoint, minimize_family
+from .pauli import DensityMatrix, FamilyParams, PauliSum
 from .spectral import h_scalar
 
 
@@ -201,12 +201,9 @@ def dynamics_sweep(
             except NoAnalyticCase:
                 rows.append(SeriesRow(p, float("nan"), "none", inter))
         elif method == "oracle":
-            if ev.n_qubits <= 4:
-                out = minimize_discord(realize(build_symmetric_family(ev)), cfg)
-                rows.append(SeriesRow(p, out.value, "oracle", inter))
-            else:
-                out = minimize_reduced(ev, cfg)
-                rows.append(SeriesRow(p, out.value, "oracle[reduced]", inter))
+            out = minimize_family(ev, cfg)
+            branch = "oracle[reduced]" if isinstance(out.best_tree, ReducedPoint) else "oracle"
+            rows.append(SeriesRow(p, out.value, branch, inter))
         else:
             raise ValueError(f"unknown method {method!r}")
     return DynamicsSeries(rows)

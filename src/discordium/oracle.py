@@ -7,9 +7,17 @@ objective is the measured conditional-entropy chain
 
     sum_{k=1}^{N-1} S(A_{k+1} | outcomes of A_1..A_k)  -  [S(rho) - S(rho_{A1})]
 
-minimized over all trees. Branch states are propagated by projecting out the
-measured qubit, which halves the dimension at every level, so one objective
-evaluation costs a handful of small dense contractions.
+minimized over all trees.
+
+The chain is evaluated on the real Pauli tensor T[a1..aN] = Tr[rho s_a1 x .. x
+s_aN] (s_0 = I, s_1..3 = X, Y, Z), 4^N reals built once per state. Measuring
+the next qubit along the unit vector r with outcome +/- maps a branch tensor
+W to (W[0, ...] +/- sum_k r_k W[k, ...]) / 2, so one batched contraction
+propagates all 2^m branches of a level. A branch's next qubit has the
+unnormalized state (p I + w.s)/2, read off the branch tensor with the identity
+index on every later qubit, so its eigenvalues are (p +/- |w|)/2. The number
+of numpy calls per evaluation grows with the level count, not the branch
+count.
 
 A reduced optimizer specialized to the symmetric family works in the z
 components of the tree directions only. For that family the transverse
@@ -29,11 +37,12 @@ from pathlib import Path
 import numpy as np
 from scipy.optimize import minimize as _scipy_minimize
 
-from .pauli import DensityMatrix, FamilyParams, partial_trace
+from .pauli import PAULI, DensityMatrix, FamilyParams, family_dense, partial_trace
 from .spectral import h_scalar, symmetric_spectrum, von_neumann_entropy, xlog2
 
 PROB_FLOOR = 1e-14
 SPREAD_FLAG = 1e-4
+FULL_ORACLE_CAP = 4
 
 AXIS_DIRECTIONS = (
     np.array([0.0, 0.0, 1.0]),
@@ -168,70 +177,81 @@ class EnsembleBranch:
     negligible: bool
 
 
-def _vec_pair(direction: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    z = float(np.clip(direction[2], -1.0, 1.0))
-    theta = np.arccos(z)
-    phi = float(np.arctan2(direction[1], direction[0]))
-    return _angle_pair(theta, phi)
+_PAULI_STACK = np.array([PAULI[c] for c in "IXYZ"])
+_PLUS_MINUS = np.array([1.0, -1.0])
+_BLOCH_NORM = np.array([0.0, 1.0, 1.0, 1.0])
 
 
-def _angle_pair(theta: float, phi: float) -> tuple[np.ndarray, np.ndarray]:
-    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    e = np.exp(1j * phi)
-    v_plus = np.array([c, s * e], dtype=complex)
-    v_minus = np.array([s, -c * e], dtype=complex)
-    return v_plus, v_minus
+def _pauli_tensor(rho: DensityMatrix) -> np.ndarray:
+    """Flat T[a1..aN] = Tr[rho s_a1 x .. x s_aN], a1 most significant; 4^N reals."""
+    acc = rho.entries.reshape(1, rho.dim, rho.dim)
+    for _ in range(rho.n_qubits):
+        a, d = acc.shape[0], acc.shape[1] // 2
+        # sum_{i,j} rho[(i, .), (j, .)] s_a[j, i] over the leading qubit
+        acc = np.tensordot(acc.reshape(a, 2, d, 2, d), _PAULI_STACK, axes=([1, 3], [2, 1]))
+        acc = np.moveaxis(acc, 3, 1).reshape(4 * a, d, d)
+    return np.ascontiguousarray(acc.reshape(-1).real)
 
 
-def _project_out(mat: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """<v| mat |v> over the first qubit; returns the half-dimension block sum."""
-    d = mat.shape[0] // 2
-    c00 = (v[0].conjugate() * v[0]).real
-    c11 = (v[1].conjugate() * v[1]).real
-    c01 = v[0].conjugate() * v[1]
-    return (
-        c00 * mat[:d, :d]
-        + c01 * mat[:d, d:]
-        + c01.conjugate() * mat[d:, :d]
-        + c11 * mat[d:, d:]
-    )
+class _Chain:
+    """The measured conditional-entropy chain of one state, levels 1..levels.
+
+    Built once per state and evaluated for many trees. Row o of `_halves[j]`
+    holds the outcome-o projector (I +- r.s)/2 of prefix j in Pauli
+    coordinates, (1, +-r_x, +-r_y, +-r_z)/2; the buffers are reused by every
+    evaluation.
+    """
+
+    def __init__(self, rho: DensityMatrix, levels: int):
+        self._tensor = _pauli_tensor(rho)
+        self._halves = np.full((2**levels - 1, 2, 4), 0.5)
+        self._plus = self._halves[:, 0, 1:]
+        self._minus = self._halves[:, 1, 1:]
+        self._rows = np.empty((2 ** (levels + 1) - 2, 4))
+        self._steps = [
+            (self._halves[(1 << m) - 1 : (2 << m) - 1], 1 << m, self._rows[(2 << m) - 2 : (4 << m) - 2])
+            for m in range(levels)
+        ]
+
+    def at_angles(self, angles: np.ndarray) -> np.ndarray:
+        """Branch entropies for directions given as (theta, phi) pairs in prefix order."""
+        c, s = np.cos(angles), np.sin(angles)
+        np.multiply(s[0::2], c[1::2], out=self._plus[:, 0])
+        np.multiply(s[0::2], s[1::2], out=self._plus[:, 1])
+        self._plus[:, 2] = c[0::2]
+        return self._entropies()
+
+    def at_directions(self, directions: np.ndarray) -> np.ndarray:
+        """Branch entropies for unit Bloch vectors, one row per prefix in prefix order."""
+        self._plus[:] = directions
+        return self._entropies()
+
+    def _entropies(self) -> np.ndarray:
+        """p * S(next qubit) for every branch, in level then prefix order.
+
+        Level m holds 2^m branches (rows 2^m - 2 .. 2^(m+1) - 3). Measuring
+        with outcome +- maps a branch tensor W to (W[0] +- r.W[1:])/2, one
+        batched contraction per level. Branches with p < 1e-14 and
+        eigenvalues at or below 1e-14 are skipped.
+        """
+        np.multiply(self._plus, 0.5, out=self._plus)
+        np.negative(self._plus, out=self._minus)
+        w = self._tensor
+        for halves, b, rows in self._steps:
+            w = np.matmul(halves, w.reshape(b, 4, -1)).reshape(2 * b, -1)
+            # next qubit's (p, w_x, w_y, w_z), identity on every later qubit
+            rows[:] = w[:, :: w.shape[1] // 4]
+        q = self._rows
+        p = q[:, :1]
+        lam = 0.5 * (p + np.sqrt((q * q) @ _BLOCH_NORM)[:, None] * _PLUS_MINUS)
+        keep = (lam > PROB_FLOOR) & (p >= PROB_FLOOR)
+        ratio = np.divide(lam, p, out=np.ones_like(lam), where=keep)
+        return -(lam * np.log2(ratio)).sum(axis=1)
 
 
-def _branch_entropy_sum(branches: list[np.ndarray]) -> float:
-    """sum_u p_u * S(first qubit of branch u), branches unnormalized."""
-    total = 0.0
-    for sub in branches:
-        d = sub.shape[0] // 2
-        a = np.trace(sub[:d, :d]).real
-        dd = np.trace(sub[d:, d:]).real
-        b = np.trace(sub[:d, d:])
-        p = a + dd
-        if p < PROB_FLOOR:
-            continue
-        disc = np.sqrt((a - dd) ** 2 + 4.0 * (b.real**2 + b.imag**2))
-        for lam in ((p + disc) / 2.0, (p - disc) / 2.0):
-            if lam > PROB_FLOOR:
-                total -= lam * np.log2(lam / p)
-    return total
-
-
-def _level_entropies(arr: np.ndarray, n: int, pairs: dict, up_to: int) -> list[float]:
-    """Measured conditional-entropy sums for levels 1..up_to."""
-    levels = []
-    branches = [("", arr)]
-    for m in range(1, up_to + 1):
-        nxt = []
-        for pref, mat in branches:
-            vp, vm = pairs[pref]
-            nxt.append((pref + "0", _project_out(mat, vp)))
-            nxt.append((pref + "1", _project_out(mat, vm)))
-        levels.append(_branch_entropy_sum([sub for _, sub in nxt]))
-        branches = nxt
-    return levels
-
-
-def _tree_pairs(tree: MeasurementTree) -> dict:
-    return {p: _vec_pair(v) for p, v in tree.directions.items()}
+def _tree_directions(tree: MeasurementTree, levels: int) -> np.ndarray:
+    """Tree directions of the prefixes shorter than levels, in prefix order."""
+    return np.array([tree.directions[p] for p in _prefixes(levels)])
 
 
 def _unmeasured_term(rho: DensityMatrix) -> float:
@@ -241,9 +261,9 @@ def _unmeasured_term(rho: DensityMatrix) -> float:
 def conditional_ensemble(rho: DensityMatrix, tree: MeasurementTree, k: int) -> list[EnsembleBranch]:
     """Exact post-measurement ensemble after measuring qubits 1..k.
 
-    Projectors are built at full dimension (rank-1 on each measured qubit,
-    identity elsewhere); branches with probability below 1e-14 are carried
-    with state None and flagged negligible.
+    Projectors are built at full dimension ((I +- r.s)/2 on each measured
+    qubit, identity elsewhere); branches with probability below 1e-14 are
+    carried with state None and flagged negligible.
     """
     n = rho.n_qubits
     if not 1 <= k <= n - 1:
@@ -255,9 +275,10 @@ def conditional_ensemble(rho: DensityMatrix, tree: MeasurementTree, k: int) -> l
     for bits in product("01", repeat=k):
         proj = np.array([[1.0 + 0j]])
         for i, bit in enumerate(bits):
-            vp, vm = _vec_pair(tree.directions["".join(bits[:i])])
-            v = vp if bit == "0" else vm
-            proj = np.kron(proj, np.outer(v, v.conjugate()))
+            r = tree.directions["".join(bits[:i])]
+            r_dot_s = r[0] * PAULI["X"] + r[1] * PAULI["Y"] + r[2] * PAULI["Z"]
+            sign = 1.0 if bit == "0" else -1.0
+            proj = np.kron(proj, 0.5 * (PAULI["I"] + sign * r_dot_s))
         proj = np.kron(proj, eye_rest)
         sandwich = proj @ rho.entries @ proj
         p = float(np.trace(sandwich).real)
@@ -276,7 +297,8 @@ def measured_conditional_entropy(rho: DensityMatrix, tree: MeasurementTree, k: i
         raise ValueError(f"k must lie in 1..{n - 1}")
     if tree.n_measured != n - 1:
         raise ValueError("tree size does not match the state")
-    return _level_entropies(rho.entries, n, _tree_pairs(tree), k)[-1]
+    entropies = _Chain(rho, k).at_directions(_tree_directions(tree, k))
+    return float(entropies[2**k - 2 :].sum())
 
 
 def discord_objective(rho: DensityMatrix, tree: MeasurementTree) -> float:
@@ -284,8 +306,8 @@ def discord_objective(rho: DensityMatrix, tree: MeasurementTree) -> float:
     n = rho.n_qubits
     if tree.n_measured != n - 1:
         raise ValueError("tree size does not match the state")
-    levels = _level_entropies(rho.entries, n, _tree_pairs(tree), n - 1)
-    return float(sum(levels)) - _unmeasured_term(rho)
+    chain = _Chain(rho, n - 1).at_directions(_tree_directions(tree, n - 1))
+    return float(chain.sum()) - _unmeasured_term(rho)
 
 
 def _axis_angle_starts(npar: int) -> list[np.ndarray]:
@@ -297,7 +319,9 @@ def _axis_angle_starts(npar: int) -> list[np.ndarray]:
     return starts
 
 
-def minimize_discord(rho: DensityMatrix, cfg: OracleConfig | None = None, n_cap: int = 4) -> OracleResult:
+def minimize_discord(
+    rho: DensityMatrix, cfg: OracleConfig | None = None, n_cap: int = FULL_ORACLE_CAP
+) -> OracleResult:
     """Multi-start Nelder-Mead over measurement-tree angles.
 
     Deterministic given cfg.seed: every start has its own spawned substream
@@ -310,14 +334,12 @@ def minimize_discord(rho: DensityMatrix, cfg: OracleConfig | None = None, n_cap:
         raise ValueError("discord needs at least 2 qubits")
     if n > n_cap:
         raise ValueError(f"n_qubits={n} exceeds oracle cap {n_cap}")
-    prefs = _prefixes(n - 1)
-    npar = len(prefs)
-    arr = rho.entries
+    npar = len(_prefixes(n - 1))
+    chain = _Chain(rho, n - 1)
     base = _unmeasured_term(rho)
 
     def objective(x: np.ndarray) -> float:
-        pairs = {p: _angle_pair(x[2 * i], x[2 * i + 1]) for i, p in enumerate(prefs)}
-        return float(sum(_level_entropies(arr, n, pairs, n - 1)))
+        return float(chain.at_angles(x).sum())
 
     seed_seq = np.random.SeedSequence(cfg.seed)
 
@@ -380,11 +402,11 @@ def _reduced_structure(n: int):
     return prefs, levels
 
 
-def _h_block(x, y) -> float:
-    """sum over branches of H_y(x) - H_y(0), vectorized and clamped."""
+def _h_block(x, y):
+    """sum over the last (branch) axis of H_y(x) - H_y(0), vectorized and clamped."""
     one_y = 1.0 + np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
-    return float(np.sum(xlog2(one_y + x) + xlog2(one_y - x) - 2.0 * xlog2(one_y)))
+    return np.sum(xlog2(one_y + x) + xlog2(one_y - x) - 2.0 * xlog2(one_y), axis=-1)
 
 
 def _reduced_terms(
@@ -393,18 +415,19 @@ def _reduced_terms(
     envelope: bool,
     cross_sign: str,
     phi_by_parent: dict[str, float] | None,
-) -> list[float]:
+) -> list:
+    """Per-level terms for z vectors of shape (..., d), one value per leading index."""
     n, s, c3 = params.n_qubits, params.s, params.c3
     c = max(abs(params.c1), abs(params.c2))
     _, levels = _reduced_structure(n)
     terms = []
     for m, (anc, sign, parity, last, parent) in enumerate(levels, start=1):
-        zm = zvec[anc]
-        y = (sign * (s * zm)).sum(axis=1)
+        zm = zvec[..., anc]
+        y = (sign * (s * zm)).sum(axis=-1)
         if m < n - 1:
             x = s
         else:
-            p3 = zm.prod(axis=1)
+            p3 = zm.prod(axis=-1)
             eps = parity if cross_sign == "parity" else last
             if cross_sign not in ("parity", "printed"):
                 raise ValueError(f"unknown cross_sign {cross_sign!r}")
@@ -413,7 +436,7 @@ def _reduced_terms(
             elif envelope:
                 phi = c * c * (1.0 - p3 * p3) + (c3 * p3) ** 2
             else:
-                phi = c * c * (1.0 - zm * zm).prod(axis=1) + (c3 * p3) ** 2
+                phi = c * c * (1.0 - zm * zm).prod(axis=-1) + (c3 * p3) ** 2
             rad = s * s + 2.0 * eps * s * c3 * p3 + phi
             x = np.sqrt(np.clip(rad, 0.0, None))
         terms.append(_h_block(x, y) / 2 ** (m + 1))
@@ -448,7 +471,7 @@ def reduced_objective(
                 raise ValueError("phi keys must be final-level parent prefixes")
             if val < -1e-12:
                 raise ValueError("phi values must be nonnegative")
-    terms = _reduced_terms(params, zvec, envelope, cross_sign, point.phi)
+    terms = [float(t) for t in _reduced_terms(params, zvec, envelope, cross_sign, point.phi)]
     total = float(sum(terms))
     g = terms[0] if n >= 3 else None
     f = terms[1] if n >= 3 else None
@@ -460,8 +483,10 @@ def minimize_reduced(params: FamilyParams, cfg: OracleConfig | None = None, n_ca
     """Symmetric-family discord by maximizing the reduced z-coordinate objective.
 
     Coordinate-wise grid sweeps on [0, 1] (step 0.01, using evenness in each
-    coordinate) followed by bounded Powell refinement, from a few deterministic
-    and seeded random starting points.
+    coordinate; one batched objective call per grid line) followed by bounded
+    Powell refinement, from three deterministic and min(cfg.starts, 12) - 3
+    seeded random starting points. At most 12 starts are run whatever
+    cfg.starts says, and cfg.include_axes_starts is ignored.
     """
     cfg = cfg or OracleConfig()
     n = params.n_qubits
@@ -472,8 +497,8 @@ def minimize_reduced(params: FamilyParams, cfg: OracleConfig | None = None, n_ca
     prefs, _ = _reduced_structure(n)
     d = len(prefs)
 
-    def y_of(z: np.ndarray) -> float:
-        return float(sum(_reduced_terms(params, z, False, "parity", None)))
+    def y_of(z: np.ndarray):
+        return sum(_reduced_terms(params, z, False, "parity", None))
 
     grid = np.linspace(0.0, 1.0, 101)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
@@ -484,15 +509,13 @@ def minimize_reduced(params: FamilyParams, cfg: OracleConfig | None = None, n_ca
     finals = []
     for idx, z0 in enumerate(starts):
         z = z0.copy()
-        best = y_of(z)
+        best = float(y_of(z))
         for _ in range(40):
             improved = False
             for i in range(d):
-                vals = np.empty_like(grid)
-                zi = z.copy()
-                for gidx, gv in enumerate(grid):
-                    zi[i] = gv
-                    vals[gidx] = y_of(zi)
+                line = np.tile(z, (len(grid), 1))
+                line[:, i] = grid
+                vals = y_of(line)
                 j = int(np.argmax(vals))
                 if vals[j] > best + 1e-13:
                     best = vals[j]
@@ -501,7 +524,7 @@ def minimize_reduced(params: FamilyParams, cfg: OracleConfig | None = None, n_ca
             if not improved:
                 break
         res = _scipy_minimize(
-            lambda zz: -y_of(zz),
+            lambda zz: -float(y_of(zz)),
             z,
             method="Powell",
             bounds=[(0.0, 1.0)] * d,
@@ -518,3 +541,15 @@ def minimize_reduced(params: FamilyParams, cfg: OracleConfig | None = None, n_ca
     value = symmetric_spectrum(params).sum_xlog2() + n - 0.5 * h_scalar(params.s) - y_max
     point = ReducedPoint({p: float(z_max[i]) for i, p in enumerate(prefs)})
     return OracleResult(value, point, sum(1 for _, _, ok, _ in finals if ok), spread)
+
+
+def minimize_family(params, cfg: OracleConfig | None = None) -> OracleResult:
+    """Oracle discord of a family state, the one place that picks the oracle.
+
+    A symmetric-family state above the full oracle's 4-qubit cap goes to
+    `minimize_reduced` (its best_tree is a ReducedPoint); every other state
+    is realized densely and goes to `minimize_discord`.
+    """
+    if isinstance(params, FamilyParams) and params.n_qubits > FULL_ORACLE_CAP:
+        return minimize_reduced(params, cfg)
+    return minimize_discord(family_dense(params), cfg)

@@ -251,6 +251,15 @@ def build_noisy_ghz_dense(params: GhzParams) -> DensityMatrix:
     return DensityMatrix(n, arr)
 
 
+def family_dense(params) -> DensityMatrix:
+    """Dense state of any supported family's parameters."""
+    if isinstance(params, FamilyParams):
+        return realize(build_symmetric_family(params))
+    if isinstance(params, DiagonalFieldParams):
+        return realize(build_diagonal_field(params))
+    return build_noisy_ghz_dense(params)
+
+
 def realize(psum: PauliSum, cap: int | None = None) -> DensityMatrix:
     """Dense realization (1/2^N) sum_P w(P) P via Kronecker products."""
     cap = dense_cap() if cap is None else cap

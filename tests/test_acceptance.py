@@ -39,7 +39,7 @@ from discordium import (
     xlog2,
 )
 
-from conftest import sample_case1_family, sample_physical_family
+from conftest import RNG_SEED, arbitration, sample_physical_family
 
 FIG3_4Q = FamilyParams(4, 5 / 6, (5 / 6) * (-0.2), -0.2, 0.0)
 FIG3_3Q = FamilyParams(3, 5 / 6, (5 / 6) * (-0.2), -0.2, 0.0)
@@ -102,35 +102,8 @@ def test_criterion_3_bell_diagonal_oracle(rng):
 def test_criterion_4_case1_arbitration(rng, tmp_path):
     with criterion(4, "N=3 case-1 parity formula matches the oracle; report generated"):
         cfg = OracleConfig(starts=10, seed=4)
-        rows = []
-        for _ in range(30):
-            params = sample_case1_family(rng, 3)
-            spectrum = closed_form_spectrum_3q(params)
-            base = slog(spectrum.eigenvalues) + 3.0
-            parity = base - max_w(params, "parity")
-            printed = base - max_w(params, "printed")
-            out = minimize_discord(realize(build_symmetric_family(params)), cfg)
-            rows.append(
-                {
-                    "c1": params.c1,
-                    "c2": params.c2,
-                    "c3": params.c3,
-                    "s": params.s,
-                    "oracle": out.value,
-                    "parity": parity,
-                    "printed": printed,
-                    "parity_abs_err": abs(parity - out.value),
-                    "printed_abs_err": abs(printed - out.value),
-                    "printed_agrees": abs(printed - out.value) <= 5e-3,
-                }
-            )
-        report = {
-            "draws": len(rows),
-            "parity_max_abs_err": max(r["parity_abs_err"] for r in rows),
-            "printed_max_abs_err": max(r["printed_abs_err"] for r in rows),
-            "printed_agreement_count": sum(r["printed_agrees"] for r in rows),
-            "rows": rows,
-        }
+        rows = [arbitration.case1_row(arbitration.sample_case1(rng), cfg) for _ in range(30)]
+        report = arbitration.build_report(rows, RNG_SEED)
         path = tmp_path / "case1_arbitration.json"
         path.write_text(json.dumps(report, indent=1))
         print(

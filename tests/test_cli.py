@@ -158,6 +158,25 @@ class TestSpectrumCommand:
         assert np.all(np.diff(got) <= 0)
         assert np.max(np.abs(got - dense)) <= 1e-12
 
+    def test_past_dense_cap_exit_2(self, capsys, monkeypatch):
+        monkeypatch.delenv("DISCORDIUM_DENSE_CAP", raising=False)
+        code, out, err = run(
+            ["spectrum", "--family", "symmetric", "--n", "20", "--c3", "0.1"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "dense cap 8" in err
+        assert err.count("\n") == 1
+
+    def test_raised_cap_lists_every_eigenvalue(self, capsys, monkeypatch):
+        monkeypatch.setenv("DISCORDIUM_DENSE_CAP", "10")
+        code, out, _ = run(
+            ["spectrum", "--family", "symmetric", "--n", "10", "--c3", "0.1", "--s", "0.02"],
+            capsys,
+        )
+        assert code == 0
+        assert len(json.loads(out)["eigenvalues"]) == 1024
+
 
 class TestGhzCurveCommand:
     def test_row_count_and_endpoints(self, capsys, tmp_path):

@@ -206,6 +206,15 @@ class TestDynamicsSweep:
         for ra, ro in zip(series_a.rows, series_o.rows):
             assert ro.value == pytest.approx(ra.value, abs=5e-3)
 
+    def test_oracle_method_labels_route(self):
+        cfg = OracleConfig(starts=3, seed=3)
+        full = dynamics_sweep(FIG3_3Q, [0.2], method="oracle", cfg=cfg)
+        assert [row.branch for row in full.rows] == ["oracle"]
+        params5 = FamilyParams(5, 0.1, 0.1, -0.2, 0.05)
+        reduced = dynamics_sweep(params5, [0.0, 0.2], method="oracle", cfg=cfg)
+        assert [row.branch for row in reduced.rows] == ["oracle[reduced]"] * 2
+        assert reduced.rows[0].value == pytest.approx(discord_symmetric(params5).value, abs=5e-3)
+
     def test_csv_format(self):
         series = dynamics_sweep(FIG3_4Q, [0.0, 0.1])
         lines = series.to_csv().strip().split("\n")

@@ -1,4 +1,6 @@
+import itertools
 import json
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -19,12 +21,14 @@ from discordium import (
     discord_symmetric,
     measured_conditional_entropy,
     minimize_discord,
+    minimize_family,
     minimize_reduced,
     partial_trace,
     realize,
     reduced_objective,
     von_neumann_entropy,
 )
+from discordium.oracle import _pauli_tensor, _reduced_structure, _reduced_terms
 from discordium.pauli import PAULI
 
 from conftest import sample_case1_family, sample_physical_family
@@ -36,10 +40,23 @@ FAST = OracleConfig(starts=10, seed=7)
 def all_ones_point(n):
     prefs = [""]
     for length in range(1, n - 1):
-        prefs.extend(
-            "".join(b) for b in __import__("itertools").product("01", repeat=length)
-        )
+        prefs.extend("".join(b) for b in itertools.product("01", repeat=length))
     return ReducedPoint({p: 1.0 for p in prefs})
+
+
+def random_full_rank(rng, n):
+    g = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+    m = g @ g.conj().T
+    return DensityMatrix(n, m / np.trace(m).real)
+
+
+def ensemble_entropy(rho, tree, k):
+    """Level-k entropy sum through the full-dimension ensemble."""
+    total = 0.0
+    for b in conditional_ensemble(rho, tree, k):
+        if not b.negligible:
+            total += b.probability * von_neumann_entropy(partial_trace(b.state, {k + 1}))
+    return total
 
 
 class TestMeasurementTree:
@@ -124,20 +141,33 @@ class TestConditionalEnsemble:
             conditional_ensemble(rho, Z_TREE3, 3)
 
 
+class TestPauliTensor:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_rebuilds_state(self, rng, n):
+        rho = random_full_rank(rng, n)
+        tensor = _pauli_tensor(rho)
+        assert tensor.shape == (4**n,) and tensor.dtype == float
+        rebuilt = sum(
+            t * reduce(np.kron, (PAULI[ch] for ch in word))
+            for t, word in zip(tensor, itertools.product("IXYZ", repeat=n))
+        ) / 2**n
+        assert np.max(np.abs(rebuilt - rho.entries)) <= 1e-14
+
+
 class TestMeasuredConditionalEntropy:
     def test_matches_ensemble_route(self, rng):
-        params = sample_physical_family(rng, 3)
-        rho = realize(build_symmetric_family(params))
-        tree = MeasurementTree.random(2, rng)
-        for k in (1, 2):
-            fast = measured_conditional_entropy(rho, tree, k)
-            slow = 0.0
-            for b in conditional_ensemble(rho, tree, k):
-                if b.negligible:
-                    continue
-                qubit = partial_trace(b.state, {k + 1})
-                slow += b.probability * von_neumann_entropy(qubit)
-            assert fast == pytest.approx(slow, abs=1e-10)
+        # random full-rank states, and pure GHZ whose z tree has zero-probability branches
+        for n in (2, 3, 4, 5):
+            ghz = build_noisy_ghz_dense(GhzParams(n, 1.0))
+            cases = [(random_full_rank(rng, n), MeasurementTree.random(n - 1, rng)) for _ in range(3)]
+            cases += [
+                (ghz, MeasurementTree.random(n - 1, rng)),
+                (ghz, MeasurementTree.uniform(n - 1, [0, 0, 1])),
+            ]
+            for rho, tree in cases:
+                for k in range(1, n):
+                    fast = measured_conditional_entropy(rho, tree, k)
+                    assert fast == pytest.approx(ensemble_entropy(rho, tree, k), abs=1e-12), (n, k)
 
     def test_family_z_tree_matches_reduced_g(self, rng):
         params = sample_physical_family(rng, 3)
@@ -258,7 +288,41 @@ class TestMinimizeDiscord:
         assert discord_objective(rho, out.best_tree) == pytest.approx(out.value, abs=1e-8)
 
 
+class TestMinimizeFamily:
+    def test_symmetric_past_full_cap_goes_reduced(self):
+        params = FamilyParams(5, 0.1, 0.1, -0.2, 0.05)
+        cfg = OracleConfig(starts=4, seed=2)
+        out = minimize_family(params, cfg)
+        assert isinstance(out.best_tree, ReducedPoint)
+        assert out.value == minimize_reduced(params, cfg).value
+
+    def test_other_states_go_full(self):
+        cfg = OracleConfig(starts=3, seed=2)
+        params = FamilyParams(3, 0.1, 0.1, -0.2, 0.3)
+        out = minimize_family(params, cfg)
+        assert isinstance(out.best_tree, MeasurementTree)
+        assert out.value == minimize_discord(realize(build_symmetric_family(params)), cfg).value
+        ghz = GhzParams(2, 0.5)
+        assert minimize_family(ghz, cfg).value == minimize_discord(build_noisy_ghz_dense(ghz), cfg).value
+
+
 class TestReducedObjective:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_batch_matches_rows(self, rng, n):
+        params = sample_physical_family(rng, n)
+        d = len(_reduced_structure(n)[0])
+        zs = rng.uniform(-1.0, 1.0, (40, d))
+        zs[::4] = 0.0
+        zs[1::4, 0] = 1.0
+        zs[2::4, -1] = -1.0
+        zs[3::4] = np.sign(zs[3::4])
+        batch = _reduced_terms(params, zs, False, "parity", None)
+        for i, z in enumerate(zs):
+            rows = _reduced_terms(params, z, False, "parity", None)
+            for level, term in enumerate(rows):
+                assert np.ndim(term) == 0
+                assert abs(batch[level][i] - term) <= 1e-15
+
     def test_g_values(self):
         params = FamilyParams(3, 0.1, 0.1, -0.2, 0.3)
         point0 = ReducedPoint({"": 0.0, "0": 1.0, "1": 1.0})

@@ -1,4 +1,5 @@
 import csv
+import json
 import os
 import subprocess
 import sys
@@ -8,13 +9,13 @@ import discordium
 from discordium import binary_h
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+ENV = dict(os.environ, PYTHONPATH=str(Path(discordium.__file__).resolve().parents[1]))
 
 
 def test_make_figures_smoke(tmp_path):
-    env = dict(os.environ, PYTHONPATH=str(Path(discordium.__file__).resolve().parents[1]))
     proc = subprocess.run(
         [sys.executable, str(SCRIPTS / "make_figures.py"), "--outdir", str(tmp_path), "--p-steps", "5"],
-        env=env,
+        env=ENV,
         capture_output=True,
         text=True,
         timeout=300,
@@ -37,3 +38,28 @@ def test_make_figures_smoke(tmp_path):
         assert all(abs(v - plateau) <= 1e-8 for v in before)
         assert all(v < plateau for p, v in series if p > p_star)
         assert f"N={n}: frozen_value=" in proc.stderr
+
+
+def test_arbitration_report_smoke(tmp_path):
+    out = tmp_path / "reports" / "case1.json"
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "arbitration_report.py"),
+         "--draws", "2", "--starts", "3", "--out", str(out)],
+        env=ENV,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert f"report written to {out}" in proc.stdout
+    report = json.loads(out.read_text())
+    assert set(report) == {
+        "draws", "seed", "parity_max_abs_err", "printed_max_abs_err",
+        "printed_agreement_count", "rows",
+    }
+    assert report["draws"] == 2 and len(report["rows"]) == 2
+    assert set(report["rows"][0]) == {
+        "c1", "c2", "c3", "s", "oracle", "parity", "printed",
+        "parity_abs_err", "printed_abs_err", "printed_agrees",
+    }
+    assert report["parity_max_abs_err"] <= 5e-3
