@@ -24,11 +24,12 @@ SOURCE_DIAGONAL = "closed_form_diagonal"
 
 
 def xlog2(values):
-    """Elementwise v*log2(v) with v <= 0 mapped to 0."""
+    """Elementwise v*log2(v) with finite v <= 0 mapped to 0; NaN and -inf give NaN."""
     arr = np.asarray(values, dtype=float)
     out = np.zeros_like(arr)
-    mask = arr > 0.0
-    out[mask] = arr[mask] * np.log2(arr[mask])
+    np.log2(arr, out=out, where=arr > 0.0)
+    # |v| keeps the product +0.0 where v <= 0, as the masked form gave
+    out *= np.abs(arr)
     return float(out) if out.ndim == 0 else out
 
 

@@ -19,6 +19,7 @@ from discordium import (
     conditional_ensemble,
     discord_objective,
     discord_symmetric,
+    family_dense,
     measured_conditional_entropy,
     minimize_discord,
     minimize_family,
@@ -28,7 +29,13 @@ from discordium import (
     reduced_objective,
     von_neumann_entropy,
 )
-from discordium.oracle import _pauli_tensor, _reduced_structure, _reduced_terms
+from discordium.oracle import (
+    _Chain,
+    _pauli_tensor,
+    _reduced_structure,
+    _reduced_terms,
+    _tree_directions,
+)
 from discordium.pauli import PAULI
 
 from conftest import sample_case1_family, sample_physical_family
@@ -193,6 +200,39 @@ class TestMeasuredConditionalEntropy:
         assert measured_conditional_entropy(rho, Z_TREE3, 2) == pytest.approx(0.0, abs=1e-12)
 
 
+class TestChainGradient:
+    def test_matches_central_differences(self, rng):
+        # random full-rank states, GHZ mixtures, and pure GHZ, whose final-level
+        # branches are pure so their lower eigenvalue sits under the floor
+        step = 1e-6
+        for n in (2, 3, 4):
+            states = [random_full_rank(rng, n) for _ in range(2)]
+            states += [build_noisy_ghz_dense(GhzParams(n, mu)) for mu in (0.4, 1.0)]
+            npar = 2 ** (n - 1) - 1
+            for rho in states:
+                chain = _Chain(rho, n - 1)
+                for _ in range(3):
+                    angles = np.empty(2 * npar)
+                    angles[0::2] = np.arccos(rng.uniform(-1.0, 1.0, npar))
+                    angles[1::2] = rng.uniform(0.0, 2 * np.pi, npar)
+                    value, grad = chain.value_and_grad(angles)
+                    for i, e in enumerate(np.eye(2 * npar) * step):
+                        up = chain.value_and_grad(angles + e)[0]
+                        down = chain.value_and_grad(angles - e)[0]
+                        assert grad[i] == pytest.approx((up - down) / (2 * step), abs=1e-7), (n, i)
+                    tree = MeasurementTree.from_angles(n - 1, angles)
+                    total = chain.at_directions(_tree_directions(tree, n - 1)).sum()
+                    assert value == pytest.approx(total, abs=1e-14)
+
+    def test_finite_at_zero_bloch_vector(self):
+        # maximally mixed: every branch has w = 0, and the gradient is exactly flat
+        chain = _Chain(DensityMatrix(3, np.eye(8) / 8), 2)
+        value, grad = chain.value_and_grad(np.array([0.3, 1.0, 2.0, -0.5, 1.2, 0.1]))
+        assert value == pytest.approx(2.0, abs=1e-14)
+        assert np.all(np.isfinite(grad))
+        assert np.max(np.abs(grad)) <= 1e-14
+
+
 class TestDiscordObjective:
     def test_maximally_mixed_any_tree(self, rng):
         rho = DensityMatrix(3, np.eye(8) / 8)
@@ -276,6 +316,22 @@ class TestMinimizeDiscord:
         assert a.value == b.value
         assert a.spread == b.spread
         assert a.starts_converged == b.starts_converged
+
+    def test_n2_pole_starts_converge(self, rng):
+        # the case-1 optimum is the theta = 0 pole, where phi is free
+        for _ in range(20):
+            params = sample_case1_family(rng, 2)
+            out = minimize_discord(family_dense(params), OracleConfig(starts=3))
+            assert out.starts_converged == 3, params
+            assert out.value == pytest.approx(discord_symmetric(params).value, abs=1e-9), params
+
+    def test_escapes_z_saddle(self):
+        # the only start is the +z tree, a saddle of the objective at 0.4212 bits
+        params = FamilyParams(2, 0.6, 0.1, 0.3, 0.0)
+        out = minimize_discord(family_dense(params), OracleConfig(starts=1))
+        closed = discord_symmetric(params).value
+        assert closed == pytest.approx(0.2090404733692019, abs=1e-15)
+        assert out.value == pytest.approx(closed, abs=1e-12)
 
     def test_cap(self):
         rho = DensityMatrix(5, np.eye(32) / 32)

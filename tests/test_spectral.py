@@ -99,6 +99,33 @@ class TestEntropy:
             von_neumann_entropy(rho)
 
 
+class TestXlog2:
+    @staticmethod
+    def masked(values):
+        """The boolean-mask form: zeros, with v log2 v written where v > 0."""
+        arr = np.asarray(values, dtype=float)
+        out = np.zeros_like(arr)
+        mask = arr > 0.0
+        out[mask] = arr[mask] * np.log2(arr[mask])
+        return out
+
+    def test_bitwise_equal_to_masked_form(self, rng):
+        edge = np.array([0.0, -0.0, -1.0, -5e-324, 5e-324, 1.0, 0.5, 3.0, 1e300, -1e300])
+        for arr in (edge, rng.uniform(-1.0, 2.0, (101, 16)), edge.reshape(2, 5)):
+            got = xlog2(arr)
+            assert got.shape == arr.shape
+            assert np.array_equal(got.view(np.int64), self.masked(arr).view(np.int64))
+
+    def test_zero_d_returns_float(self):
+        for v in (0.5, -0.0, -2.0, np.float64(0.25), np.array(3.0)):
+            got = xlog2(v)
+            assert type(got) is float
+            assert np.array_equal(np.float64(got).view(np.int64), self.masked(v).view(np.int64))
+
+    def test_nan_propagates(self):
+        assert np.isnan(xlog2(np.array([np.nan, 0.5]))[0])
+
+
 class TestClosedForm3q:
     def test_example_values(self):
         spec = closed_form_spectrum_3q(FamilyParams(3, 0.2, 0.2, 0.2, 0.1))
