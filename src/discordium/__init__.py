@@ -46,6 +46,7 @@ from .oracle import (
     minimize_discord,
     minimize_family,
     minimize_reduced,
+    oracle_reaches,
     reduced_objective,
 )
 from .pauli import (

@@ -10,6 +10,7 @@ deterministic for a fixed seed; floats carry 9 significant digits.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -21,8 +22,8 @@ from .analytic import (
     discord_ghz,
     discord_symmetric,
 )
-from .decoherence import detect_freeze_transition, dynamics_sweep
-from .oracle import OracleConfig, minimize_family, minimize_reduced
+from .decoherence import ChannelParams, detect_freeze_transition, dynamics_sweep
+from .oracle import OracleConfig, minimize_family, minimize_reduced, oracle_reaches
 from .pauli import (
     DENSE_CAP_ENV,
     DenseCapExceeded,
@@ -67,9 +68,7 @@ def _family_params(args):
 
 def _oracle_config(args) -> OracleConfig:
     cfg = OracleConfig.from_json(args.config) if args.config else OracleConfig()
-    if getattr(args, "seed", None) is not None:
-        cfg = OracleConfig(cfg.starts, cfg.max_iters, cfg.f_tol, args.seed, cfg.include_axes_starts)
-    return cfg
+    return cfg if args.seed is None else dataclasses.replace(cfg, seed=args.seed)
 
 
 def _analytic_result(params):
@@ -143,7 +142,7 @@ def _cmd_ghz_curve(args) -> int:
             params = GhzParams(n, float(mu))
             row = f"{n},{_fmt(float(mu))},{_fmt(discord_ghz(params).value)}"
             if args.oracle_check:
-                extra = _fmt(minimize_family(params, cfg).value) if n <= 3 else ""
+                extra = _fmt(minimize_family(params, cfg).value) if oracle_reaches(params) else ""
                 row += f",{extra}"
             lines.append(row)
     _write("\n".join(lines) + "\n", args.out)
@@ -159,7 +158,7 @@ def _cmd_dynamics(args) -> int:
         if args.t_max is None:
             raise ValueError("--gamma requires --t-max")
         times = np.linspace(0.0, args.t_max, args.p_steps)
-        grid = [1.0 - float(np.exp(-args.gamma * t)) for t in times]
+        grid = [ChannelParams.from_rate_time(args.gamma, t).p for t in times]
     else:
         grid = [float(p) for p in np.linspace(args.p_min, args.p_max, args.p_steps)]
     series = dynamics_sweep(params, grid, method=args.method, cfg=_oracle_config(args))

@@ -29,13 +29,14 @@ A reduced optimizer specialized to the symmetric family works in the z
 components of the tree directions only. For that family the transverse
 components enter solely through the final-level radicand, where they are
 maximized out exactly (the discord objective is monotone in that radicand),
-so the reduction loses nothing while extending tractable sizes.
+so the reduction loses nothing while extending tractable sizes to 8 qubits.
+It is maximized by batched coordinate line sweeps on narrowing windows.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import product
 from pathlib import Path
@@ -50,14 +51,20 @@ PROB_FLOOR = 1e-14
 GRAD_TOL = 1e-10
 SPREAD_FLAG = 1e-4
 FULL_ORACLE_CAP = 4
+REDUCED_ORACLE_CAP = 8
 
-AXIS_DIRECTIONS = (
-    np.array([0.0, 0.0, 1.0]),
-    np.array([1.0, 0.0, 0.0]),
-    np.array([0.0, 1.0, 0.0]),
-    np.array([0.0, 0.0, -1.0]),
-    np.array([-1.0, 0.0, 0.0]),
-    np.array([0.0, -1.0, 0.0]),
+# reduced search: points per line, sweeps per pass, least gain taken,
+# window shrink per pass, and the half-width that ends it
+GRID_POINTS = 101
+MAX_SWEEPS = 40
+SWEEP_GAIN = 1e-13
+WINDOW_SHRINK = 0.04
+WINDOW_MIN = 1e-10
+
+# (theta, phi) of the +z, +x, +y, -z, -x and -y directions
+AXIS_ANGLES = (
+    (0.0, 0.0), (np.pi / 2, 0.0), (np.pi / 2, np.pi / 2),
+    (np.pi, 0.0), (np.pi / 2, np.pi), (np.pi / 2, -np.pi / 2),
 )
 
 
@@ -132,7 +139,6 @@ class OracleConfig:
     max_iters: int = 2000
     f_tol: float = 1e-15
     seed: int = 0
-    include_axes_starts: bool = True
 
     def __post_init__(self):
         if self.starts < 1:
@@ -140,14 +146,9 @@ class OracleConfig:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "OracleConfig":
+        """Keys named like a field, cast to that field's type; other keys are ignored."""
         payload = json.loads(Path(path).read_text())
-        return cls(
-            starts=int(payload.get("starts", 64)),
-            max_iters=int(payload.get("max_iters", 2000)),
-            f_tol=float(payload.get("f_tol", 1e-15)),
-            seed=int(payload.get("seed", 0)),
-            include_axes_starts=bool(payload.get("include_axes_starts", True)),
-        )
+        return cls(**{f.name: type(f.default)(payload[f.name]) for f in fields(cls) if f.name in payload})
 
 
 @dataclass(frozen=True)
@@ -377,18 +378,7 @@ def discord_objective(rho: DensityMatrix, tree: MeasurementTree) -> float:
     return float(chain.sum()) - _unmeasured_term(rho)
 
 
-def _axis_angle_starts(npar: int) -> list[np.ndarray]:
-    starts = []
-    for v in AXIS_DIRECTIONS:
-        th = float(np.arccos(v[2]))
-        ph = float(np.arctan2(v[1], v[0]))
-        starts.append(np.array([th, ph] * npar))
-    return starts
-
-
-def minimize_discord(
-    rho: DensityMatrix, cfg: OracleConfig | None = None, n_cap: int = FULL_ORACLE_CAP
-) -> OracleResult:
+def minimize_discord(rho: DensityMatrix, cfg: OracleConfig | None = None) -> OracleResult:
     """Multi-start L-BFGS-B over measurement-tree angles, with the exact gradient.
 
     Each start is first moved by 5% of every nonzero angle and by 0.00025
@@ -404,25 +394,20 @@ def minimize_discord(
     n = rho.n_qubits
     if n < 2:
         raise ValueError("discord needs at least 2 qubits")
-    if n > n_cap:
-        raise ValueError(f"n_qubits={n} exceeds oracle cap {n_cap}")
+    if n > FULL_ORACLE_CAP:
+        raise ValueError(f"n_qubits={n} exceeds oracle cap {FULL_ORACLE_CAP}")
     npar = len(_prefixes(n - 1))
     chain = _Chain(rho, n - 1)
     base = _unmeasured_term(rho)
     seed_seq = np.random.SeedSequence(cfg.seed)
 
     def make_starts(count: int, with_axes: bool) -> list[np.ndarray]:
-        starts = _axis_angle_starts(npar)[:count] if with_axes else []
-        n_random = count - len(starts)
-        if n_random > 0:
-            for child in seed_seq.spawn(n_random):
-                rng = np.random.default_rng(child)
-                th = np.arccos(rng.uniform(-1.0, 1.0, npar))
-                ph = rng.uniform(0.0, 2 * np.pi, npar)
-                x0 = np.empty(2 * npar)
-                x0[0::2] = th
-                x0[1::2] = ph
-                starts.append(x0)
+        starts = [np.array(pair * npar) for pair in AXIS_ANGLES[:count]] if with_axes else []
+        for child in seed_seq.spawn(count - len(starts)):
+            rng = np.random.default_rng(child)
+            th = np.arccos(rng.uniform(-1.0, 1.0, npar))
+            ph = rng.uniform(0.0, 2 * np.pi, npar)
+            starts.append(np.column_stack((th, ph)).ravel())
         return starts
 
     def run_batch(starts: list[np.ndarray]):
@@ -438,7 +423,7 @@ def minimize_discord(
             outs.append((float(res.fun), res.x.copy(), bool(res.success)))
         return outs
 
-    results = run_batch(make_starts(cfg.starts, cfg.include_axes_starts))
+    results = run_batch(make_starts(cfg.starts, True))
     converged = [f for f, _, ok in results if ok]
     spread = float(max(converged) - min(converged)) if converged else float("nan")
     if converged and spread > SPREAD_FLAG:
@@ -548,61 +533,67 @@ def reduced_objective(
     return ReducedObjective(g, f, t, terms[-1], total)
 
 
-def minimize_reduced(params: FamilyParams, cfg: OracleConfig | None = None, n_cap: int = 6) -> OracleResult:
+def _narrowing_search(f, z0: np.ndarray) -> tuple[float, np.ndarray, bool]:
+    """Maximize f, batched over points of shape (..., d), on [0, 1]^d from z0.
+
+    Coordinate line sweeps of 101 points: the first pass on [0, 1], each later
+    one on a window re-centred on the current coordinate, clipped to [0, 1]
+    and 0.04 times as wide as the last, until its half-width is below 1e-10.
+    A point is taken if it gains more than 1e-13; a pass ends after a sweep
+    without a gain, or after 40 sweeps. Returns the best value, its point, and
+    whether no pass hit that limit.
+    """
+    z = np.array(z0, dtype=float)
+    best = float(f(z))
+    centre, half, converged = np.full(z.size, 0.5), 0.5, True
+    while half >= WINDOW_MIN:
+        for _ in range(MAX_SWEEPS):
+            improved = False
+            for i in range(z.size):
+                grid = np.linspace(max(centre[i] - half, 0.0), min(centre[i] + half, 1.0), GRID_POINTS)
+                line = np.tile(z, (GRID_POINTS, 1))
+                line[:, i] = grid
+                vals = f(line)
+                j = int(np.argmax(vals))
+                if vals[j] > best + SWEEP_GAIN:
+                    best = float(vals[j])
+                    z[i] = grid[j]
+                    improved = True
+            if not improved:
+                break
+        else:
+            converged = False
+        # later windows are centred on z itself, so they follow it as it moves
+        centre, half = z, half * WINDOW_SHRINK
+    return best, z, converged
+
+
+def minimize_reduced(params: FamilyParams, cfg: OracleConfig | None = None) -> OracleResult:
     """Symmetric-family discord by maximizing the reduced z-coordinate objective.
 
-    Coordinate-wise grid sweeps on [0, 1] (step 0.01, using evenness in each
-    coordinate; one batched objective call per grid line) followed by bounded
-    Powell refinement, from three deterministic and min(cfg.starts, 12) - 3
-    seeded random starting points. At most 12 starts are run whatever
-    cfg.starts says, and cfg.include_axes_starts is ignored.
+    `_narrowing_search` (on [0, 1] by evenness in each coordinate, one batched
+    objective call per grid line) runs from three deterministic and
+    min(cfg.starts, 12) - 3 seeded random starts: at most 12 whatever
+    cfg.starts says. cfg.max_iters and cfg.f_tol are not used. A start
+    converges when its search hits no sweep limit.
     """
     cfg = cfg or OracleConfig()
     n = params.n_qubits
     if n < 2:
         raise ValueError("discord needs at least 2 qubits")
-    if n > n_cap:
-        raise ValueError(f"n_qubits={n} exceeds reduced-oracle cap {n_cap}")
+    if n > REDUCED_ORACLE_CAP:
+        raise ValueError(f"n_qubits={n} exceeds reduced-oracle cap {REDUCED_ORACLE_CAP}")
     prefs, _ = _reduced_structure(n)
     d = len(prefs)
 
     def y_of(z: np.ndarray):
         return sum(_reduced_terms(params, z, False, "parity", None))
 
-    grid = np.linspace(0.0, 1.0, 101)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     starts = [np.ones(d), np.zeros(d), np.full(d, 0.5)]
-    for _ in range(max(0, min(cfg.starts, 12) - len(starts))):
-        starts.append(rng.uniform(0.0, 1.0, d))
+    starts += list(rng.uniform(0.0, 1.0, (max(0, min(cfg.starts, 12) - 3), d)))
 
-    finals = []
-    for idx, z0 in enumerate(starts):
-        z = z0.copy()
-        best = float(y_of(z))
-        for _ in range(40):
-            improved = False
-            for i in range(d):
-                line = np.tile(z, (len(grid), 1))
-                line[:, i] = grid
-                vals = y_of(line)
-                j = int(np.argmax(vals))
-                if vals[j] > best + 1e-13:
-                    best = vals[j]
-                    z[i] = grid[j]
-                    improved = True
-            if not improved:
-                break
-        res = _scipy_minimize(
-            lambda zz: -float(y_of(zz)),
-            z,
-            method="Powell",
-            bounds=[(0.0, 1.0)] * d,
-            options={"xtol": 1e-10, "ftol": 1e-12, "maxiter": cfg.max_iters},
-        )
-        val = -float(res.fun) if -float(res.fun) >= best else best
-        zbest = res.x if -float(res.fun) >= best else z
-        finals.append((val, np.clip(zbest, 0.0, 1.0), bool(res.success), idx))
-
+    finals = [(*_narrowing_search(y_of, z0), idx) for idx, z0 in enumerate(starts)]
     converged_vals = [v for v, _, ok, _ in finals if ok]
     spread = float(max(converged_vals) - min(converged_vals)) if converged_vals else float("nan")
     y_max, z_max, _, _ = max(finals, key=lambda t: (t[0], -t[3]))
@@ -622,3 +613,10 @@ def minimize_family(params, cfg: OracleConfig | None = None) -> OracleResult:
     if isinstance(params, FamilyParams) and params.n_qubits > FULL_ORACLE_CAP:
         return minimize_reduced(params, cfg)
     return minimize_discord(family_dense(params), cfg)
+
+
+def oracle_reaches(params) -> bool:
+    """Whether `minimize_family` can solve this family state: up to 8 qubits
+    for the symmetric family (reduced oracle), up to 4 for the others."""
+    cap = REDUCED_ORACLE_CAP if isinstance(params, FamilyParams) else FULL_ORACLE_CAP
+    return params.n_qubits <= cap

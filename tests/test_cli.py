@@ -220,6 +220,25 @@ class TestGhzCurveCommand:
             _, _, closed, oracle = line.split(",")
             assert float(oracle) == pytest.approx(float(closed), abs=5e-3)
 
+    def test_oracle_check_follows_oracle_reach(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"starts": 4}')
+        out_path = tmp_path / "c.csv"
+        code, _, _ = run(
+            ["ghz-curve", "--n-min", "4", "--n-max", "5", "--mu-steps", "2",
+             "--oracle-check", "--config", str(cfg), "--out", str(out_path)],
+            capsys,
+        )
+        assert code == 0
+        rows = [line.split(",") for line in out_path.read_text().strip().split("\n")[1:]]
+        assert [r[0] for r in rows] == ["4", "4", "5", "5"]
+        for n, mu, _, oracle in rows:
+            if n == "4":
+                closed = discord_ghz(GhzParams(4, float(mu))).value
+                assert float(oracle) == pytest.approx(closed, abs=1e-9)
+            else:
+                assert oracle == ""
+
 
 class TestDynamicsCommand:
     def test_fig3_csv_and_freeze_stderr(self, capsys, tmp_path):
@@ -250,6 +269,12 @@ class TestDynamicsCommand:
         for line, t in zip(lines, times):
             p = float(line.split(",")[0])
             assert p == pytest.approx(1.0 - np.exp(-0.5 * t), abs=1e-9)
+
+    def test_negative_rate_exit_2(self, capsys):
+        code, out, err = run(["dynamics"] + FIG3_ARGS + ["--gamma", "-1", "--t-max", "1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_stdout_when_no_out(self, capsys):
         code, out, _ = run(["dynamics"] + FIG3_ARGS + ["--p-steps", "2"], capsys)

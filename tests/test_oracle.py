@@ -24,13 +24,16 @@ from discordium import (
     minimize_discord,
     minimize_family,
     minimize_reduced,
+    oracle_reaches,
     partial_trace,
     realize,
     reduced_objective,
     von_neumann_entropy,
 )
+from discordium import oracle
 from discordium.oracle import (
     _Chain,
+    _narrowing_search,
     _pauli_tensor,
     _reduced_structure,
     _reduced_terms,
@@ -361,6 +364,12 @@ class TestMinimizeFamily:
         ghz = GhzParams(2, 0.5)
         assert minimize_family(ghz, cfg).value == minimize_discord(build_noisy_ghz_dense(ghz), cfg).value
 
+    def test_reach(self):
+        assert oracle_reaches(FamilyParams(8, 0.05, 0.05, -0.1, 0.0))
+        assert not oracle_reaches(FamilyParams(9, 0.05, 0.05, -0.1, 0.0))
+        assert oracle_reaches(GhzParams(4, 0.5))
+        assert not oracle_reaches(GhzParams(5, 0.5))
+
 
 class TestReducedObjective:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -492,7 +501,57 @@ class TestMinimizeReduced:
 
     def test_cap(self):
         with pytest.raises(ValueError):
-            minimize_reduced(FamilyParams(7, 0.05, 0.05, -0.1, 0.0), FAST)
+            minimize_reduced(FamilyParams(9, 0.05, 0.05, -0.1, 0.0), FAST)
+
+    def test_makes_no_scipy_call(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("minimize_reduced called scipy")
+
+        monkeypatch.setattr(oracle, "_scipy_minimize", refuse)
+        params = FamilyParams(5, 0.1, 0.1, -0.2, 0.05)
+        out = minimize_reduced(params, OracleConfig(starts=3, seed=1))
+        assert out.starts_converged == 3
+
+    # N = 4n+3 and a second 4n, where only this oracle reaches
+    @pytest.mark.parametrize("n,s_zero", [(7, False), (7, True), (8, False)])
+    def test_matches_closed_form_past_six(self, rng, n, s_zero):
+        if s_zero:
+            params = sample_physical_family(rng, n, s_zero=True)
+        else:
+            params = sample_case1_family(rng, n)
+        closed = discord_symmetric(params)
+        assert closed.branch.startswith("case2" if s_zero else "case1")
+        out = minimize_reduced(params, OracleConfig(starts=3, seed=1))
+        assert out.value == pytest.approx(closed.value, abs=1e-9)
+
+
+class TestNarrowingSearch:
+    # a coupled concave quadratic whose maximum is interior and off the 0.01 grid
+    CENTRE = np.array([0.3141592653, 0.7182818284, 0.4142135623])
+    CURVATURE = np.array([[2.0, 0.6, 0.3], [0.6, 1.5, -0.4], [0.3, -0.4, 1.0]])
+
+    def quadratic(self, z):
+        e = z - self.CENTRE
+        return 1.0 - np.einsum("...i,ij,...j->...", e, self.CURVATURE, e)
+
+    @pytest.mark.parametrize("z0", [0.0, 0.5, 1.0])
+    def test_reaches_interior_maximum(self, z0):
+        value, z, converged = _narrowing_search(self.quadratic, np.full(3, z0))
+        assert converged
+        assert abs(value - 1.0) <= 1e-12
+        assert np.max(np.abs(z - self.CENTRE)) <= 1e-6
+
+    def test_sweep_limit_not_converged(self):
+        # nearly collinear coupling: every sweep gains a little, 40 times over
+        curvature = np.array([[1.0, 0.999], [0.999, 1.0]])
+
+        def ridge(z):
+            e = z - self.CENTRE[:2]
+            return -np.einsum("...i,ij,...j->...", e, curvature, e)
+
+        _, z, converged = _narrowing_search(ridge, np.zeros(2))
+        assert not converged
+        assert np.all((z >= 0.0) & (z <= 1.0))
 
 
 class TestOracleConfig:
@@ -501,6 +560,11 @@ class TestOracleConfig:
         path.write_text(json.dumps({"starts": 16, "max_iters": 500, "f_tol": 1e-8, "seed": 42}))
         cfg = OracleConfig.from_json(path)
         assert cfg == OracleConfig(starts=16, max_iters=500, f_tol=1e-8, seed=42)
+
+    def test_from_json_ignores_unknown_keys(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"starts": 5, "include_axes_starts": False}))
+        assert OracleConfig.from_json(path) == OracleConfig(starts=5)
 
     def test_starts_positive(self):
         with pytest.raises(ValueError):
