@@ -191,9 +191,10 @@ def discord_diagonal_field(params: DiagonalFieldParams) -> DiscordResult:
 
 def discord_ghz(params: GhzParams) -> DiscordResult:
     """Closed-form discord of the noisy GHZ state."""
+    spectrum = ghz_spectrum(params)
     dim = 2**params.n_qubits
     mu = params.mu
     t1 = xlog2_scalar(1.0 - mu) / dim
     t2 = xlog2_scalar(1.0 + (dim - 1) * mu) / dim
     t3 = xlog2_scalar(1.0 + (dim // 2 - 1) * mu) / (dim // 2)
-    return DiscordResult(t1 + t2 - t3, "ghz", None, None, ghz_spectrum(params))
+    return DiscordResult(t1 + t2 - t3, "ghz", None, None, spectrum)

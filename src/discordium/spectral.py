@@ -23,6 +23,16 @@ SOURCE_GHZ = "closed_form_ghz"
 SOURCE_DIAGONAL = "closed_form_diagonal"
 
 
+MAX_FLOAT_QUBITS = 1023
+
+
+def _float_dim(n: int) -> float:
+    """2^N as a float; above 1023 qubits it overflows, which raises ValueError."""
+    if n > MAX_FLOAT_QUBITS:
+        raise ValueError(f"n_qubits={n}: 2^N overflows a float above {MAX_FLOAT_QUBITS} qubits")
+    return 2.0**n
+
+
 def xlog2(values):
     """Elementwise v*log2(v) with finite v <= 0 mapped to 0; NaN and -inf give NaN."""
     arr = np.asarray(values, dtype=float)
@@ -115,7 +125,7 @@ def symmetric_spectrum(params: FamilyParams) -> SpectrumResult:
     |z| is hypot(c1, c2) for odd N and |c1 + (-1)^(N/2+k) c2| for even N.
     """
     n, c1, c2, c3, s = params.n_qubits, params.c1, params.c2, params.c3, params.s
-    dim = 2.0**n
+    dim = _float_dim(n)
     values, mults = [], []
     for k in range(n // 2 + 1):
         e = c3 if k % 2 == 0 else -c3
@@ -179,9 +189,11 @@ def spectrum_4q_printed(params: FamilyParams) -> np.ndarray:
 def ghz_spectrum(params: GhzParams) -> SpectrumResult:
     """Noisy GHZ spectrum: (1 + (2^N - 1) mu)/2^N once and (1-mu)/2^N with
     multiplicity 2^N - 1."""
-    dim = 2**params.n_qubits
+    dim = _float_dim(params.n_qubits)
     mu = params.mu
-    return SpectrumResult(((1.0 + (dim - 1) * mu) / dim, (1.0 - mu) / dim), (1, dim - 1), SOURCE_GHZ)
+    return SpectrumResult(
+        ((1.0 + (dim - 1) * mu) / dim, (1.0 - mu) / dim), (1, 2**params.n_qubits - 1), SOURCE_GHZ
+    )
 
 
 def signed_field_sums(fields) -> np.ndarray:

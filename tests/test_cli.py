@@ -106,6 +106,22 @@ class TestDiscordCommand:
         assert err.startswith("error: unphysical parameters")
         assert "\n" not in err.strip()
 
+    @pytest.mark.parametrize(
+        "family_args",
+        [
+            ["--family", "symmetric", "--n", "1100", "--c3", "-0.1", "--s", "0.0001"],
+            ["--family", "ghz", "--n", "1100", "--mu", "0.5"],
+        ],
+        ids=["symmetric", "ghz"],
+    )
+    def test_past_float_range_exit_2(self, capsys, family_args):
+        # 2^N overflows a float above 1023 qubits
+        code, out, err = run(["discord"] + family_args, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: n_qubits=1100")
+        assert "\n" not in err.strip()
+
     def test_bad_range_exit_2(self, capsys):
         code, _, err = run(
             ["discord", "--family", "ghz", "--n", "2", "--mu", "1.5"], capsys

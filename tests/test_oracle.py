@@ -34,6 +34,7 @@ from discordium import oracle
 from discordium.oracle import (
     _Chain,
     _narrowing_search,
+    _ReducedLine,
     _pauli_tensor,
     _reduced_structure,
     _reduced_terms,
@@ -365,8 +366,8 @@ class TestMinimizeFamily:
         assert minimize_family(ghz, cfg).value == minimize_discord(build_noisy_ghz_dense(ghz), cfg).value
 
     def test_reach(self):
-        assert oracle_reaches(FamilyParams(8, 0.05, 0.05, -0.1, 0.0))
-        assert not oracle_reaches(FamilyParams(9, 0.05, 0.05, -0.1, 0.0))
+        assert oracle_reaches(FamilyParams(10, 0.05, 0.05, -0.1, 0.0))
+        assert not oracle_reaches(FamilyParams(11, 0.05, 0.05, -0.1, 0.0))
         assert oracle_reaches(GhzParams(4, 0.5))
         assert not oracle_reaches(GhzParams(5, 0.5))
 
@@ -501,7 +502,7 @@ class TestMinimizeReduced:
 
     def test_cap(self):
         with pytest.raises(ValueError):
-            minimize_reduced(FamilyParams(9, 0.05, 0.05, -0.1, 0.0), FAST)
+            minimize_reduced(FamilyParams(11, 0.05, 0.05, -0.1, 0.0), FAST)
 
     def test_makes_no_scipy_call(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -512,8 +513,10 @@ class TestMinimizeReduced:
         out = minimize_reduced(params, OracleConfig(starts=3, seed=1))
         assert out.starts_converged == 3
 
-    # N = 4n+3 and a second 4n, where only this oracle reaches
-    @pytest.mark.parametrize("n,s_zero", [(7, False), (7, True), (8, False)])
+    # N = 4n+3, a second 4n and a second 4n+1, where only this oracle reaches
+    @pytest.mark.parametrize(
+        "n,s_zero", [(7, False), (7, True), (8, False), (8, True), (9, False), (9, True)]
+    )
     def test_matches_closed_form_past_six(self, rng, n, s_zero):
         if s_zero:
             params = sample_physical_family(rng, n, s_zero=True)
@@ -523,6 +526,68 @@ class TestMinimizeReduced:
         assert closed.branch.startswith("case2" if s_zero else "case1")
         out = minimize_reduced(params, OracleConfig(starts=3, seed=1))
         assert out.value == pytest.approx(closed.value, abs=1e-9)
+
+    def test_reduction_matches_full_oracle_at_five(self, rng, monkeypatch):
+        # the full oracle optimizes every direction of the tree, so it checks
+        # independently that maximizing out the transverse components loses nothing
+        monkeypatch.setattr(oracle, "FULL_ORACLE_CAP", 5)
+        region_none = FamilyParams(5, 0.3, 0.2, 0.1, 0.05)
+        assert classify_region(region_none).region == "none"
+        cfg = OracleConfig(starts=4, seed=1)
+        for params in (sample_case1_family(rng, 5), region_none):
+            full = minimize_discord(family_dense(params), cfg)
+            assert full.value == pytest.approx(minimize_reduced(params, cfg).value, abs=1e-9)
+
+
+def random_moves(rng, line, z, count):
+    """Take `count` random grid points of random coordinate lines."""
+    for _ in range(count):
+        i = int(rng.integers(z.size))
+        grid = np.linspace(0.0, 1.0, 101)
+        line(z, i, grid)
+        j = int(rng.integers(grid.size))
+        z[i] = grid[j]
+        line.take(j)
+
+
+class TestReducedLine:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+    def test_lines_match_reduced_terms(self, rng, n):
+        d = len(_reduced_structure(n)[0])
+        for _ in range(2):
+            params = sample_physical_family(rng, n)
+            z = rng.uniform(0.0, 1.0, d)
+            line = _ReducedLine(params, z)
+            random_moves(rng, line, z, 5)
+            for i in range(d):
+                grid = np.sort(rng.uniform(0.0, 1.0, 101))
+                points = np.tile(z, (grid.size, 1))
+                points[:, i] = grid
+                full = sum(_reduced_terms(params, points, False, "parity", None))
+                assert np.max(np.abs(line(z, i, grid) - full)) <= 1e-15
+
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_taken_terms_match_fresh_cache(self, rng, n):
+        params = sample_physical_family(rng, n)
+        z = rng.uniform(0.0, 1.0, len(_reduced_structure(n)[0]))
+        line = _ReducedLine(params, z)
+        random_moves(rng, line, z, 20)
+        np.testing.assert_array_equal(line._terms, _ReducedLine(params, z)._terms)
+
+
+class PointLine:
+    """A line objective over a function of points of shape (..., d)."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __call__(self, z, i, grid):
+        points = np.tile(z, (grid.size, 1))
+        points[:, i] = grid
+        return self.f(points)
+
+    def take(self, j):
+        pass
 
 
 class TestNarrowingSearch:
@@ -536,7 +601,7 @@ class TestNarrowingSearch:
 
     @pytest.mark.parametrize("z0", [0.0, 0.5, 1.0])
     def test_reaches_interior_maximum(self, z0):
-        value, z, converged = _narrowing_search(self.quadratic, np.full(3, z0))
+        value, z, converged = _narrowing_search(PointLine(self.quadratic), np.full(3, z0))
         assert converged
         assert abs(value - 1.0) <= 1e-12
         assert np.max(np.abs(z - self.CENTRE)) <= 1e-6
@@ -549,7 +614,7 @@ class TestNarrowingSearch:
             e = z - self.CENTRE[:2]
             return -np.einsum("...i,ij,...j->...", e, curvature, e)
 
-        _, z, converged = _narrowing_search(ridge, np.zeros(2))
+        _, z, converged = _narrowing_search(PointLine(ridge), np.zeros(2))
         assert not converged
         assert np.all((z >= 0.0) & (z <= 1.0))
 

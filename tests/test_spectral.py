@@ -15,6 +15,7 @@ from discordium import (
     closed_form_spectrum_3q,
     closed_form_spectrum_4q,
     diagonal_field_spectrum,
+    discord_ghz,
     ghz_spectrum,
     hermitian_eigenvalues,
     realize,
@@ -271,6 +272,17 @@ class TestFamilySpectra:
             assert spec.values == ((1 + (2**n - 1) * 0.3) / 2**n, 0.7 / 2**n)
             assert spec.min_eigenvalue == 0.7 / 2**n
 
+    def test_float_range_limit(self):
+        # the closed forms use 2^N as a float, which overflows above 1023 qubits
+        symmetric_spectrum(FamilyParams(1023, 0.0, 0.0, -0.1, 1e-4))
+        ghz_spectrum(GhzParams(1023, 0.5))
+        for fn, params in (
+            (symmetric_spectrum, FamilyParams(1024, 0.0, 0.0, -0.1, 1e-4)),
+            (ghz_spectrum, GhzParams(1024, 0.5)),
+            (discord_ghz, GhzParams(1100, 0.5)),
+        ):
+            with pytest.raises(ValueError, match="overflows a float"):
+                fn(params)
 
     def test_ghz_spectrum_matches_dense(self):
         for n in (2, 3, 4):
