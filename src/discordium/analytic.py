@@ -23,7 +23,7 @@ Everything is evaluated in bits. Values carry region and branch provenance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, log2
 
 import numpy as np
 
@@ -194,7 +194,11 @@ def discord_ghz(params: GhzParams) -> DiscordResult:
     spectrum = ghz_spectrum(params)
     dim = 2**params.n_qubits
     mu = params.mu
+    x2 = 1.0 + (dim - 1) * mu
+    x3 = 1.0 + (dim // 2 - 1) * mu
+    # dividing by the power of two first is exact, and keeps x log2 x finite
+    # where x itself is near the float limit (up to 1023 qubits)
     t1 = xlog2_scalar(1.0 - mu) / dim
-    t2 = xlog2_scalar(1.0 + (dim - 1) * mu) / dim
-    t3 = xlog2_scalar(1.0 + (dim // 2 - 1) * mu) / (dim // 2)
+    t2 = x2 / dim * log2(x2)
+    t3 = x3 / (dim // 2) * log2(x3)
     return DiscordResult(t1 + t2 - t3, "ghz", None, None, spectrum)

@@ -30,10 +30,11 @@ components of the tree directions only. For that family the transverse
 components enter solely through the final-level radicand, where they are
 maximized out exactly (the discord objective is monotone in that radicand),
 so the reduction loses nothing while extending tractable sizes to 10 qubits.
-It is maximized by coordinate line sweeps on narrowing windows. The z of the
-prefix u enters only the branches that start with u, so each line
-re-evaluates those branches alone and adds the cached terms of the rest: a
-3-start solve takes about 0.7 s at 8 qubits and 4 s at 10.
+It is maximized by coordinate line sweeps on narrowing windows, stopped early
+once a narrowed pass leaves a vertex of [0, 1]^d unmoved. The z of the prefix
+u enters only the branches that start with u, so each line re-evaluates those
+branches alone and adds the cached terms of the rest: a 3-start solve takes
+about 0.26 s at 8 qubits and 1.3 s at 10.
 """
 
 from __future__ import annotations
@@ -617,14 +618,18 @@ def _narrowing_search(line, z0: np.ndarray) -> tuple[float, np.ndarray, bool]:
     one on a window re-centred on the current coordinate, clipped to [0, 1]
     and 0.04 times as wide as the last, until its half-width is below 1e-10.
     A point is taken if it gains more than 1e-13; a pass ends after a sweep
-    without a gain, or after 40 sweeps. Returns the best value, its point, and
-    whether no pass hit that limit.
+    without a gain, or after 40 sweeps. The search also ends after a narrowed
+    pass that takes no point while every coordinate is exactly 0 or 1: each
+    later window is nested inside the one just swept and clipped to the same
+    side of it, so only a finer grid could find a point there that this
+    one missed. Returns the best value, its point, and whether no pass hit
+    the sweep limit.
     """
     z = np.array(z0, dtype=float)
     best = float(line(z, 0, z[:1])[0])
     centre, half, converged = np.full(z.size, 0.5), 0.5, True
     while half >= WINDOW_MIN:
-        for _ in range(MAX_SWEEPS):
+        for sweep in range(MAX_SWEEPS):
             improved = False
             for i in range(z.size):
                 grid = np.linspace(max(centre[i] - half, 0.0), min(centre[i] + half, 1.0), GRID_POINTS)
@@ -639,6 +644,9 @@ def _narrowing_search(line, z0: np.ndarray) -> tuple[float, np.ndarray, bool]:
                 break
         else:
             converged = False
+        # a pass whose first sweep gains nothing took no point
+        if sweep == 0 and half < 0.5 and np.all((z == 0.0) | (z == 1.0)):
+            break
         # later windows are centred on z itself, so they follow it as it moves
         centre, half = z, half * WINDOW_SHRINK
     return best, z, converged
@@ -651,9 +659,11 @@ def minimize_reduced(params: FamilyParams, cfg: OracleConfig | None = None) -> O
     three deterministic and min(cfg.starts, 12) - 3 seeded random starts: at
     most 12 whatever cfg.starts says. Each line re-evaluates only the branches
     that the swept coordinate enters, against branch terms cached at the
-    current point, so a 3-start solve takes about 0.7 s at 8 qubits and the
-    cap is 10 qubits. cfg.max_iters and cfg.f_tol are not used. A
-    start converges when its search hits no sweep limit.
+    current point, and a start's search stops after a narrowed pass that
+    takes no point at a vertex (every z exactly 0 or 1); a 3-start solve
+    takes about 0.26 s at 8 qubits and the cap is 10 qubits. cfg.max_iters
+    and cfg.f_tol are not used. A start converges when its search hits no
+    sweep limit.
     """
     cfg = cfg or OracleConfig()
     n = params.n_qubits

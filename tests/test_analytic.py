@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -250,6 +251,20 @@ class TestDiscordGhz:
             mus = np.arange(0.0, 1.0 + 1e-12, 0.01)
             vals = [discord_ghz(GhzParams(n, float(m))).value for m in mus]
             assert all(b - a >= -1e-12 for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("n", range(1015, 1024))
+    def test_below_float_limit(self, n):
+        # exact rationals a = x2 / 2^N and b = x3 / 2^(N-1) regroup the value as
+        # t1 + a log2(x2 / x3) + (a - b) log2(x3), with no large cancelling terms
+        for mu in (0.0, 0.005, 0.13, 0.5, 0.505, 0.9, 1.0):
+            m = Fraction(mu)
+            x2, x3 = 1 + (2**n - 1) * m, 1 + (2 ** (n - 1) - 1) * m
+            a, b = x2 / 2**n, x3 / 2 ** (n - 1)
+            t1 = float(1 - m) * math.log2(1 - m) / 2**n if m < 1 else 0.0
+            expected = t1 + float(a) * math.log2(x2 / x3) + float(a - b) * math.log2(x3)
+            value = discord_ghz(GhzParams(n, mu)).value
+            # t2 and t3 are each about N/2 bits, so a few ulps of N
+            assert value == pytest.approx(expected, abs=4 * n * 2.0**-52), (n, mu)
 
 
 class TestDiscordDiagonalField:

@@ -122,6 +122,12 @@ class TestDiscordCommand:
         assert err.startswith("error: n_qubits=1100")
         assert "\n" not in err.strip()
 
+    def test_ghz_below_float_limit_finite(self, capsys):
+        code, out, _ = run(["discord", "--family", "ghz", "--n", "1020", "--mu", "0.5"], capsys)
+        assert code == 0
+        fields = dict(kv.split("=") for kv in out.split())
+        assert np.isfinite(float(fields["value_bits"]))
+
     def test_bad_range_exit_2(self, capsys):
         code, _, err = run(
             ["discord", "--family", "ghz", "--n", "2", "--mu", "1.5"], capsys

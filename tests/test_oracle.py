@@ -513,9 +513,11 @@ class TestMinimizeReduced:
         out = minimize_reduced(params, OracleConfig(starts=3, seed=1))
         assert out.starts_converged == 3
 
-    # N = 4n+3, a second 4n and a second 4n+1, where only this oracle reaches
+    # N = 4n+3, a second 4n, a second 4n+1 and a second 4n+2, where only this
+    # oracle reaches
     @pytest.mark.parametrize(
-        "n,s_zero", [(7, False), (7, True), (8, False), (8, True), (9, False), (9, True)]
+        "n,s_zero",
+        [(7, False), (7, True), (8, False), (8, True), (9, False), (9, True), (10, False), (10, True)],
     )
     def test_matches_closed_form_past_six(self, rng, n, s_zero):
         if s_zero:
@@ -576,12 +578,14 @@ class TestReducedLine:
 
 
 class PointLine:
-    """A line objective over a function of points of shape (..., d)."""
+    """A line objective over a function of points of shape (..., d); counts its calls."""
 
     def __init__(self, f):
         self.f = f
+        self.calls = 0
 
     def __call__(self, z, i, grid):
+        self.calls += 1
         points = np.tile(z, (grid.size, 1))
         points[:, i] = grid
         return self.f(points)
@@ -605,6 +609,16 @@ class TestNarrowingSearch:
         assert converged
         assert abs(value - 1.0) <= 1e-12
         assert np.max(np.abs(z - self.CENTRE)) <= 1e-6
+
+    def test_stops_at_vertex(self):
+        # one line call to start, two sweeps of the first pass (the second
+        # gains nothing), then one narrowed sweep that takes no point
+        line = PointLine(lambda z: z.sum(axis=-1))
+        value, z, converged = _narrowing_search(line, np.zeros(3))
+        assert converged
+        assert value == 3.0
+        np.testing.assert_array_equal(z, np.ones(3))
+        assert line.calls == 10
 
     def test_sweep_limit_not_converged(self):
         # nearly collinear coupling: every sweep gains a little, 40 times over
