@@ -18,9 +18,7 @@ from .analytic import (
 )
 from .decoherence import (
     ChannelParams,
-    DynamicsIntermediates,
     DynamicsSeries,
-    EvolvedDiscord,
     FreezeReport,
     KrausSet,
     SeriesRow,
@@ -28,7 +26,6 @@ from .decoherence import (
     apply_phase_flip_dense,
     detect_freeze_transition,
     dynamics_sweep,
-    evolved_discord,
     evolved_params,
     freeze_changepoint,
     phase_flip_kraus,

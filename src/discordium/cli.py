@@ -41,17 +41,6 @@ def _fmt(x: float) -> str:
     return f"{x:.9g}"
 
 
-def _add_family_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--family", choices=("symmetric", "diagonal", "ghz"), required=True)
-    parser.add_argument("--n", type=int, help="qubit count (symmetric, ghz)")
-    parser.add_argument("--c1", type=float, default=0.0)
-    parser.add_argument("--c2", type=float, default=0.0)
-    parser.add_argument("--c3", type=float, default=0.0)
-    parser.add_argument("--s", type=float, default=0.0)
-    parser.add_argument("--fields", type=str, help="comma-separated s_1,...,s_N (diagonal)")
-    parser.add_argument("--mu", type=float, help="GHZ mixedness in [0,1]")
-
-
 def _family_params(args):
     if args.family == "symmetric":
         if args.n is None:
@@ -206,56 +195,50 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = {"--out": dict(type=str, default=None), "--config": dict(type=str, default=None),
-              "--seed": dict(type=int, default=None)}
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--out", type=str, default=None)
+    common.add_argument("--config", type=str, default=None)
+    common.add_argument("--seed", type=int, default=None)
+    family = argparse.ArgumentParser(add_help=False, parents=[common])
+    family.add_argument("--family", choices=("symmetric", "diagonal", "ghz"), required=True)
+    family.add_argument("--n", type=int, help="qubit count (symmetric, ghz)")
+    family.add_argument("--c1", type=float, default=0.0)
+    family.add_argument("--c2", type=float, default=0.0)
+    family.add_argument("--c3", type=float, default=0.0)
+    family.add_argument("--s", type=float, default=0.0)
+    family.add_argument("--fields", type=str, help="comma-separated s_1,...,s_N (diagonal)")
+    family.add_argument("--mu", type=float, help="GHZ mixedness in [0,1]")
 
-    p = sub.add_parser("discord", help="discord of one state")
-    _add_family_args(p)
+    p = sub.add_parser("discord", parents=[family], help="discord of one state")
     p.add_argument("--method", choices=("analytic", "oracle", "reduced"), default="analytic")
     p.add_argument("--fallback", choices=("oracle",), default=None)
     p.add_argument("--format", choices=("text", "json"), default="text")
-    for flag, kw in common.items():
-        p.add_argument(flag, **kw)
     p.set_defaults(func=_cmd_discord)
 
-    p = sub.add_parser("spectrum", help="eigenvalues and entropy as JSON")
-    _add_family_args(p)
-    for flag, kw in common.items():
-        p.add_argument(flag, **kw)
+    p = sub.add_parser("spectrum", parents=[family], help="eigenvalues and entropy as JSON")
     p.set_defaults(func=_cmd_spectrum)
 
-    p = sub.add_parser("ghz-curve", help="GHZ discord curve dataset")
+    p = sub.add_parser("ghz-curve", parents=[common], help="GHZ discord curve dataset")
     p.add_argument("--n-min", type=int, default=2)
     p.add_argument("--n-max", type=int, default=6)
     p.add_argument("--mu-steps", type=int, default=101)
     p.add_argument("--oracle-check", action="store_true")
-    for flag, kw in common.items():
-        p.add_argument(flag, **kw)
     p.set_defaults(func=_cmd_ghz_curve)
 
-    p = sub.add_parser("dynamics", help="phase-flip dynamics sweep as CSV")
-    _add_family_args(p)
+    p = sub.add_parser("dynamics", parents=[family], help="phase-flip dynamics sweep as CSV")
     p.add_argument("--method", choices=("analytic", "oracle"), default="analytic")
     p.add_argument("--p-min", type=float, default=0.0)
     p.add_argument("--p-max", type=float, default=0.9)
     p.add_argument("--p-steps", type=int, default=91)
     p.add_argument("--gamma", type=float, default=None)
     p.add_argument("--t-max", type=float, default=None)
-    for flag, kw in common.items():
-        p.add_argument(flag, **kw)
     p.set_defaults(func=_cmd_dynamics)
 
-    p = sub.add_parser("validate", help="physicality report as JSON")
-    _add_family_args(p)
-    for flag, kw in common.items():
-        p.add_argument(flag, **kw)
+    p = sub.add_parser("validate", parents=[family], help="physicality report as JSON")
     p.set_defaults(func=_cmd_validate)
 
-    p = sub.add_parser("compare", help="analytic vs oracle agreement check")
-    _add_family_args(p)
+    p = sub.add_parser("compare", parents=[family], help="analytic vs oracle agreement check")
     p.add_argument("--tol", type=float, default=5e-3)
-    for flag, kw in common.items():
-        p.add_argument(flag, **kw)
     p.set_defaults(func=_cmd_compare)
 
     return parser

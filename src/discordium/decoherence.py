@@ -21,7 +21,7 @@ from functools import reduce
 
 import numpy as np
 
-from .analytic import DiscordResult, NoAnalyticCase, discord_symmetric
+from .analytic import NoAnalyticCase, discord_symmetric
 from .oracle import OracleConfig, ReducedPoint, minimize_family
 from .pauli import DensityMatrix, FamilyParams, PauliSum
 from .spectral import h_scalar
@@ -55,29 +55,10 @@ class KrausSet:
 
 
 @dataclass(frozen=True)
-class DynamicsIntermediates:
-    """Entropy-argument quantities of the evolved 3- and 4-qubit closed forms."""
-
-    zeta: float | None = None
-    eta: float | None = None
-    e: float | None = None
-    f: float | None = None
-    g: float | None = None
-
-
-@dataclass(frozen=True)
-class EvolvedDiscord:
-    result: DiscordResult
-    intermediates: DynamicsIntermediates | None
-    p: float
-
-
-@dataclass(frozen=True)
 class SeriesRow:
     p: float
     value: float
     branch: str
-    intermediates: DynamicsIntermediates | None = None
 
 
 @dataclass(frozen=True)
@@ -139,39 +120,9 @@ def apply_phase_flip_dense(rho: DensityMatrix, p: float) -> DensityMatrix:
 
 
 def evolved_params(params: FamilyParams, p: float) -> FamilyParams:
+    """Coefficients of the evolved state; `discord_symmetric` of them is its discord."""
     damp = (1.0 - p) ** params.n_qubits
     return FamilyParams(params.n_qubits, params.c1 * damp, params.c2 * damp, params.c3, params.s)
-
-
-def _intermediates(params: FamilyParams, p: float) -> DynamicsIntermediates | None:
-    c1, c2, c3, s = params.c1, params.c2, params.c3, params.s
-    if params.n_qubits == 3:
-        q6 = (1.0 - p) ** 6
-        return DynamicsIntermediates(
-            zeta=float(np.sqrt((c1**2 + c2**2) * q6 + (c3 - s) ** 2)),
-            eta=float(np.sqrt((c1**2 + c2**2) * q6 + (c3 + 3 * s) ** 2)),
-        )
-    if params.n_qubits == 4:
-        q4 = (1.0 - p) ** 4
-        q8 = q4 * q4
-        return DynamicsIntermediates(
-            e=float((c1 + c2) * q4 + c3),
-            f=float(np.sqrt((c1 - c2) ** 2 * q8 + 4 * s**2)),
-            g=float(np.sqrt((c1 + c2) ** 2 * q8 + 16 * s**2)),
-        )
-    return None
-
-
-def evolved_discord(params: FamilyParams, p: float) -> EvolvedDiscord:
-    """Closed-form discord of the channel-evolved symmetric family state.
-
-    Evaluates the analytic branch on the evolved coefficients and carries the
-    3-/4-qubit entropy-argument intermediates. Raises NoAnalyticCase when the
-    evolved coefficients leave both analytic regions.
-    """
-    ev = evolved_params(params, p)
-    result = discord_symmetric(ev)
-    return EvolvedDiscord(result, _intermediates(params, p), p)
 
 
 def dynamics_sweep(
@@ -193,17 +144,16 @@ def dynamics_sweep(
     rows = []
     for p in grid:
         ev = evolved_params(params, p)
-        inter = _intermediates(params, p)
         if method == "analytic":
             try:
                 res = discord_symmetric(ev)
-                rows.append(SeriesRow(p, res.value, res.branch, inter))
+                rows.append(SeriesRow(p, res.value, res.branch))
             except NoAnalyticCase:
-                rows.append(SeriesRow(p, float("nan"), "none", inter))
+                rows.append(SeriesRow(p, float("nan"), "none"))
         elif method == "oracle":
             out = minimize_family(ev, cfg)
             branch = "oracle[reduced]" if isinstance(out.best_tree, ReducedPoint) else "oracle"
-            rows.append(SeriesRow(p, out.value, branch, inter))
+            rows.append(SeriesRow(p, out.value, branch))
         else:
             raise ValueError(f"unknown method {method!r}")
     return DynamicsSeries(rows)

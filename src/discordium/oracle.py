@@ -52,6 +52,8 @@ from .pauli import PAULI, DensityMatrix, FamilyParams, family_dense, partial_tra
 from .spectral import h_scalar, symmetric_spectrum, von_neumann_entropy, xlog2
 
 PROB_FLOOR = 1e-14
+# L-BFGS-B's ftol and projected-gradient tolerance in the full oracle
+F_TOL = 1e-15
 GRAD_TOL = 1e-10
 SPREAD_FLAG = 1e-4
 FULL_ORACLE_CAP = 4
@@ -141,7 +143,6 @@ class MeasurementTree:
 class OracleConfig:
     starts: int = 64
     max_iters: int = 2000
-    f_tol: float = 1e-15
     seed: int = 0
 
     def __post_init__(self):
@@ -150,9 +151,19 @@ class OracleConfig:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "OracleConfig":
-        """Keys named like a field, cast to that field's type; other keys are ignored."""
+        """Keys named like a field, cast to that field's type; other keys are ignored.
+        A payload that is not an object, or a value that does not cast, raises ValueError."""
         payload = json.loads(Path(path).read_text())
-        return cls(**{f.name: type(f.default)(payload[f.name]) for f in fields(cls) if f.name in payload})
+        if not isinstance(payload, dict):
+            raise ValueError(f"{path}: oracle config must be a JSON object, got {type(payload).__name__}")
+        kwargs = {}
+        for f in fields(cls):
+            if f.name in payload:
+                try:
+                    kwargs[f.name] = type(f.default)(payload[f.name])
+                except (TypeError, ValueError):
+                    raise ValueError(f"{path}: {f.name} must be a number, got {payload[f.name]!r}") from None
+        return cls(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -388,7 +399,7 @@ def minimize_discord(rho: DensityMatrix, cfg: OracleConfig | None = None) -> Ora
     Each start is first moved by 5% of every nonzero angle and by 0.00025
     where an angle is 0, since the axis trees are stationary points by
     symmetry and a gradient method would stop on them. L-BFGS-B runs with
-    ftol=cfg.f_tol, a projected-gradient tolerance of 1e-10 and at most
+    ftol=1e-15, a projected-gradient tolerance of 1e-10 and at most
     cfg.max_iters iterations; a start converges when it reports success.
     Deterministic given cfg.seed: every start has its own spawned substream
     and the reduction takes the minimum with ties broken by start index.
@@ -422,7 +433,7 @@ def minimize_discord(rho: DensityMatrix, cfg: OracleConfig | None = None) -> Ora
                 np.where(x0 != 0.0, 1.05 * x0, 0.00025),
                 method="L-BFGS-B",
                 jac=True,
-                options={"ftol": cfg.f_tol, "gtol": GRAD_TOL, "maxiter": cfg.max_iters},
+                options={"ftol": F_TOL, "gtol": GRAD_TOL, "maxiter": cfg.max_iters},
             )
             outs.append((float(res.fun), res.x.copy(), bool(res.success)))
         return outs
@@ -444,54 +455,42 @@ def minimize_discord(rho: DensityMatrix, cfg: OracleConfig | None = None) -> Ora
 
 
 @lru_cache(maxsize=None)
-def _reduced_structure(n: int):
-    """Per-level ancestor-index and sign arrays for the z-coordinate objective."""
-    prefs = _prefixes(n - 1)
-    index = {p: i for i, p in enumerate(prefs)}
+def _tree_levels(n: int) -> list:
+    """(ancestors, signs, parity) of the branches of each level m = 1..n-1.
+
+    Branch b of level m has the outcomes of the m bits of b, first outcome
+    most significant. Its length-t ancestor is prefix (1 << t) - 1 + (b >> (m - t))
+    in prefix order, with outcome sign 1 - 2 * bit (m - 1 - t) of b there; the
+    arrays have shape (2^m, m), (2^m, m) and (2^m,).
+    """
     levels = []
     for m in range(1, n):
-        branches = ["".join(b) for b in product("01", repeat=m)]
-        anc = np.array([[index[u[:t]] for t in range(m)] for u in branches])
-        sign = np.array([[-1.0 if u[t] == "1" else 1.0 for t in range(m)] for u in branches])
-        parity = np.array([1.0 if u.count("1") % 2 == 0 else -1.0 for u in branches])
-        last = np.array([1.0 if u[-1] == "0" else -1.0 for u in branches])
-        parent = [u[:-1] for u in branches]
-        levels.append((anc, sign, parity, last, parent))
-    return prefs, levels
+        b, t = np.arange(1 << m)[:, None], np.arange(m)
+        sign = 1.0 - 2.0 * ((b >> (m - 1 - t)) & 1)
+        levels.append(((1 << t) - 1 + (b >> (m - t)), sign, sign.prod(axis=1)))
+    return levels
 
 
-def _branch_gains(
-    params: FamilyParams,
-    m: int,
-    zm: np.ndarray,
-    block: slice = slice(None),
-    envelope: bool = False,
-    cross_sign: str = "parity",
-    phi_by_parent: dict[str, float] | None = None,
-) -> np.ndarray:
-    """H_y(x) - H_y(0) of the branches `block` of level m, one per branch.
+def _branch_gains(params: FamilyParams, zm, sign, eps, phi=None, envelope: bool = False) -> np.ndarray:
+    """H_y(x) - H_y(0) of branches of one level, one per branch.
 
     zm holds each branch's ancestor z values, shape (..., B, m) with column t
-    the z of its length-t prefix; y = s sum_t (+-) z_t, and x = s below the
-    final level and the square root of the final-level radicand there.
+    the z of its length-t prefix, and sign their outcome signs, shape (B, m);
+    y = s sum_t sign_t z_t. x = s below the final level; there it is the
+    square root of the radicand s^2 + 2 eps s c3 P3 + phi, with eps the
+    branch's cross-term sign and phi, unless given, the envelope or the
+    attainable maximum (see `reduced_objective`).
     """
     n, s, c3 = params.n_qubits, params.s, params.c3
-    _, sign, parity, last, parent = _reduced_structure(n)[1][m - 1]
-    y = (sign[block] * (s * zm)).sum(axis=-1)
-    if m < n - 1:
+    y = (sign * (s * zm)).sum(axis=-1)
+    if zm.shape[-1] < n - 1:
         x = s
     else:
         c = max(abs(params.c1), abs(params.c2))
         p3 = zm.prod(axis=-1)
-        eps = parity[block] if cross_sign == "parity" else last[block]
-        if cross_sign not in ("parity", "printed"):
-            raise ValueError(f"unknown cross_sign {cross_sign!r}")
-        if phi_by_parent is not None:
-            phi = np.array([phi_by_parent[w] for w in parent[block]])
-        elif envelope:
-            phi = c * c * (1.0 - p3 * p3) + (c3 * p3) ** 2
-        else:
-            phi = c * c * (1.0 - zm * zm).prod(axis=-1) + (c3 * p3) ** 2
+        if phi is None:
+            transverse = 1.0 - p3 * p3 if envelope else (1.0 - zm * zm).prod(axis=-1)
+            phi = c * c * transverse + (c3 * p3) ** 2
         rad = s * s + 2.0 * eps * s * c3 * p3 + phi
         x = np.sqrt(np.maximum(rad, 0.0))
     one_y = 1.0 + y
@@ -499,20 +498,17 @@ def _branch_gains(
     return h[0] + h[1] - 2.0 * h[2]
 
 
-def _reduced_terms(
-    params: FamilyParams,
-    zvec: np.ndarray,
-    envelope: bool,
-    cross_sign: str,
-    phi_by_parent: dict[str, float] | None,
-) -> list:
-    """Per-level terms for z vectors of shape (..., d), one value per leading index."""
-    _, levels = _reduced_structure(params.n_qubits)
-    return [
-        _branch_gains(params, m, zvec[..., anc], slice(None), envelope, cross_sign, phi_by_parent).sum(axis=-1)
-        / 2 ** (m + 1)
-        for m, (anc, *_) in enumerate(levels, start=1)
-    ]
+def _branch_terms(params: FamilyParams, zvec, envelope=False, cross_sign="parity", phi=None) -> list:
+    """Weighted terms of every branch for z vectors of shape (..., d), one (..., 2^m) array per level m.
+
+    The final level's cross-term sign is the branch's outcome parity, or its
+    last outcome for the printed pattern.
+    """
+    terms = []
+    for m, (anc, sign, parity) in enumerate(_tree_levels(params.n_qubits), start=1):
+        eps = parity if cross_sign == "parity" else sign[:, -1]
+        terms.append(_branch_gains(params, zvec[..., anc], sign, eps, phi, envelope) / 2 ** (m + 1))
+    return terms
 
 
 def reduced_objective(
@@ -530,20 +526,25 @@ def reduced_objective(
     envelope c^2 (1 - P3^2) + (c3 P3)^2 when envelope=True, or the tight
     attainable maximum c^2 prod(1 - z^2) + (c3 P3)^2.
     """
+    if cross_sign not in ("parity", "printed"):
+        raise ValueError(f"unknown cross_sign {cross_sign!r}")
     n = params.n_qubits
-    prefs, _ = _reduced_structure(n)
+    prefs = _prefixes(n - 1)
     if set(point.z3) != set(prefs):
         raise ValueError(f"point must supply z values for exactly the prefixes {prefs}")
     zvec = np.array([float(point.z3[p]) for p in prefs])
     if np.any(np.abs(zvec) > 1.0 + 1e-12):
         raise ValueError("z coordinates must lie in [-1, 1]")
-    if point.phi is not None:
-        for w, val in point.phi.items():
+    phi = point.phi
+    if phi is not None:
+        for w, val in phi.items():
             if len(w) != n - 2:
                 raise ValueError("phi keys must be final-level parent prefixes")
             if val < -1e-12:
                 raise ValueError("phi values must be nonnegative")
-    terms = [float(t) for t in _reduced_terms(params, zvec, envelope, cross_sign, point.phi)]
+        # each final-level branch reads the value at its parent prefix
+        phi = np.array([phi[prefs[j]] for j in _tree_levels(n)[-1][0][:, -1]])
+    terms = [float(t.sum(axis=-1)) for t in _branch_terms(params, zvec, envelope, cross_sign, phi)]
     total = float(sum(terms))
     g = terms[0] if n >= 3 else None
     f = terms[1] if n >= 3 else None
@@ -558,19 +559,20 @@ def _coordinate_reach(n: int):
     The coordinate at prefix u (length t) enters only levels m > t, and there
     only the 2^(m-t) branches that start with u: one contiguous block per
     level, whose ancestor column t holds that coordinate. Entry i is
-    ([(m, t, block, ancestor indices)], block slots, other slots), with
-    level m's branches at flat slots 2^m - 2 .. 2^(m+1) - 3.
+    ([(m, t, ancestors, signs, parity) of each block], block slots, other
+    slots), with level m's branches at flat slots 2^m - 2 .. 2^(m+1) - 3.
     """
-    _, levels = _reduced_structure(n)
+    levels = _tree_levels(n)
     out = []
     for i in range(2 ** (n - 1) - 1):
         t = (i + 1).bit_length() - 1
         k = i + 1 - (1 << t)
-        blocks = []
+        blocks, slots = [], []
         for m in range(t + 1, n):
             block = slice(k << (m - t), (k + 1) << (m - t))
-            blocks.append((m, t, block, levels[m - 1][0][block]))
-        slots = np.concatenate([np.arange(b.start, b.stop) + (1 << m) - 2 for m, _, b, _ in blocks])
+            blocks.append((m, t, *(a[block] for a in levels[m - 1])))
+            slots.append(np.arange(block.start, block.stop) + (1 << m) - 2)
+        slots = np.concatenate(slots)
         out.append((blocks, slots, np.setdiff1d(np.arange(2**n - 2), slots)))
     return out
 
@@ -587,20 +589,17 @@ class _ReducedLine:
     def __init__(self, params: FamilyParams, z: np.ndarray):
         self._params = params
         self._reach = _coordinate_reach(params.n_qubits)
-        _, levels = _reduced_structure(params.n_qubits)
-        self._terms = np.concatenate(
-            [_branch_gains(params, m, z[anc]) / 2 ** (m + 1) for m, (anc, *_) in enumerate(levels, start=1)]
-        )
+        self._terms = np.concatenate(_branch_terms(params, z))
         self._last = None
 
     def __call__(self, z: np.ndarray, i: int, grid: np.ndarray) -> np.ndarray:
         blocks, slots, rest = self._reach[i]
         parts = []
-        for m, t, block, anc in blocks:
+        for m, t, anc, sign, parity in blocks:
             zm = np.empty((grid.size, *anc.shape))
             zm[:] = z[anc]
             zm[:, :, t] = grid[:, None]
-            parts.append(_branch_gains(self._params, m, zm, block) / 2 ** (m + 1))
+            parts.append(_branch_gains(self._params, zm, sign, parity) / 2 ** (m + 1))
         self._last = (slots, np.concatenate(parts, axis=-1))
         return self._terms[rest].sum() + self._last[1].sum(axis=-1)
 
@@ -662,8 +661,7 @@ def minimize_reduced(params: FamilyParams, cfg: OracleConfig | None = None) -> O
     current point, and a start's search stops after a narrowed pass that
     takes no point at a vertex (every z exactly 0 or 1); a 3-start solve
     takes about 0.26 s at 8 qubits and the cap is 10 qubits. cfg.max_iters
-    and cfg.f_tol are not used. A start converges when its search hits no
-    sweep limit.
+    is not used. A start converges when its search hits no sweep limit.
     """
     cfg = cfg or OracleConfig()
     n = params.n_qubits
@@ -671,7 +669,7 @@ def minimize_reduced(params: FamilyParams, cfg: OracleConfig | None = None) -> O
         raise ValueError("discord needs at least 2 qubits")
     if n > REDUCED_ORACLE_CAP:
         raise ValueError(f"n_qubits={n} exceeds reduced-oracle cap {REDUCED_ORACLE_CAP}")
-    prefs, _ = _reduced_structure(n)
+    prefs = _prefixes(n - 1)
     d = len(prefs)
 
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))

@@ -260,9 +260,9 @@ def family_dense(params) -> DensityMatrix:
     return build_noisy_ghz_dense(params)
 
 
-def realize(psum: PauliSum, cap: int | None = None) -> DensityMatrix:
-    """Dense realization (1/2^N) sum_P w(P) P via Kronecker products."""
-    cap = dense_cap() if cap is None else cap
+def realize(psum: PauliSum) -> DensityMatrix:
+    """Dense realization (1/2^N) sum_P w(P) P via Kronecker products, up to `dense_cap()` qubits."""
+    cap = dense_cap()
     n = psum.n_qubits
     if n > cap:
         raise DenseCapExceeded(f"n_qubits={n} exceeds dense cap {cap}")

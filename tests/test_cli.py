@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -72,6 +73,17 @@ class TestDiscordCommand:
         )
         assert code == 0
         assert "branch=oracle[fallback]" in out
+
+    def test_config_not_an_object_exit_2(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1]")
+        code, out, err = run(
+            ["discord", "--family", "ghz", "--n", "2", "--mu", "0.5",
+             "--method", "oracle", "--config", str(cfg)],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: {cfg}: oracle config must be a JSON object, got list\n"
 
     def test_unphysical_exit_2(self, capsys):
         code, _, err = run(
@@ -356,3 +368,69 @@ class TestCompareCommand:
             capsys,
         )
         assert code == 1
+
+
+# Output of the README commands and of seeded oracle runs, byte for byte. "{out}"
+# becomes a file in tmp_path whose text is appended to stdout, and "{cfg}" an
+# oracle config of 4 starts; text of 400 characters or more is pinned by digest.
+# The zero-discord oracle command is left out: it prints -4.44e-16, not 0.
+PINNED = [
+    (["discord", "--family", "symmetric", "--n", "3", "--c1", "0.1", "--c2", "0.1",
+      "--c3", "-0.2", "--s", "0.3", "--method", "analytic"],
+     0, "value_bits=0.0164342785 branch=case1[parity]\n", ""),
+    (["discord", "--family", "symmetric", "--n", "3", "--c1", "0.4", "--c2", "0.3",
+      "--c3", "0.2", "--s", "0.1", "--fallback", "oracle"],
+     0, "value_bits=0.106463752 branch=oracle[fallback]\n", ""),
+    (["spectrum", "--family", "ghz", "--n", "3", "--mu", "0.5"],
+     0, '{"eigenvalues": [0.5625, 0.0625, 0.0625, 0.0625, 0.0625, 0.0625, 0.0625, 0.0625], '
+        '"entropy_bits": 2.216917186688699}\n', ""),
+    (["ghz-curve", "--n-min", "2", "--n-max", "6", "--mu-steps", "101", "--out", "{out}"],
+     0, "sha256:818cc0faa0890898fa7b10a82648055a20d057150355c23eac7d29eb37f4b12a", ""),
+    (["dynamics", *FIG3_ARGS, "--p-steps", "91", "--out", "{out}"],
+     0, "sha256:627cef1b8d81bd2a6b023af13cf2f6ab3bc28bb8875550b07e0ca6337d167820",
+     "freeze: frozen_value=0.0290494055 p_star=0.300072898\n"),
+    (["validate", "--family", "symmetric", "--n", "2", "--c1", "1", "--c2", "1", "--c3", "1"],
+     2, '{"hermitian": true, "trace_deviation": 0.0, "min_eigenvalue": -0.5, "is_physical": false}\n', ""),
+    (["compare", "--family", "ghz", "--n", "2", "--mu", "0.5", "--tol", "5e-3"],
+     0, "analytic=0.262483184 oracle=0.262483184 diff=0 tol=0.005\n", ""),
+    (["discord", "--family", "symmetric", "--n", "6", "--c1", "0.1", "--c2", "-0.05",
+      "--c3", "0.2", "--s", "0.1", "--method", "oracle", "--seed", "7"],
+     0, "value_bits=0.00805239874 branch=oracle\n", ""),
+    (["discord", "--family", "symmetric", "--n", "5", "--c1", "0.3", "--c2", "0.2",
+      "--c3", "0.25", "--s", "0.1", "--method", "reduced", "--seed", "3", "--format", "json"],
+     0, '{"value_bits": 0.08397605242656092, "branch": "reduced"}\n', ""),
+    (["dynamics", "--family", "symmetric", "--n", "3", "--c1", "0.3", "--c2", "0.2",
+      "--c3", "-0.1", "--s", "0.1", "--method", "oracle", "--p-steps", "3", "--seed", "2",
+      "--config", "{cfg}"],
+     0, "p,discord_bits,branch\n0,0.0385250005,oracle\n0.45,0.00263285954,oracle\n"
+        "0.9,9.50564074e-08,oracle\n", ""),
+    (["dynamics", "--family", "symmetric", "--n", "5", "--c1", "0.3", "--c2", "0.2",
+      "--c3", "0.25", "--s", "0.1", "--method", "oracle", "--p-steps", "2", "--p-max", "0.5",
+      "--config", "{cfg}"],
+     0, "p,discord_bits,branch\n0,0.0839760524,oracle[reduced]\n"
+        "0.5,9.58305491e-05,oracle[reduced]\n", ""),
+    (["compare", "--family", "symmetric", "--n", "5", "--c1", "0.2", "--c2", "0.1",
+      "--c3", "-0.3", "--s", "0.05", "--seed", "1"],
+     0, "analytic=0.0377792352 oracle=0.0377792352 diff=0 tol=0.005\n", ""),
+    (["discord", "--family", "symmetric", "--n", "3", "--c1", "0.4", "--c2", "0.3",
+      "--c3", "0.2", "--s", "0.1"],
+     3, "", "error: no closed form for c=(0.4,0.3,0.2) s=0.1; "
+            "rerun with --method oracle or --fallback oracle\n"),
+    (["discord", "--family", "symmetric", "--n", "2", "--c1", "1", "--c2", "1", "--c3", "1"],
+     2, "", "error: unphysical parameters: min eigenvalue -5.000e-01\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err", PINNED, ids=[f"{i:02d}-{case[0][0]}" for i, case in enumerate(PINNED)]
+)
+def test_pinned_output(argv, code, out, err, capsys, tmp_path):
+    out_path, cfg_path = tmp_path / "out.txt", tmp_path / "cfg.json"
+    cfg_path.write_text('{"starts": 4}')
+    argv = [a.replace("{out}", str(out_path)).replace("{cfg}", str(cfg_path)) for a in argv]
+    got_code, got_out, got_err = run(argv, capsys)
+    if out_path.exists():
+        got_out += out_path.read_text()
+    if len(got_out) >= 400:
+        got_out = "sha256:" + hashlib.sha256(got_out.encode()).hexdigest()
+    assert (got_code, got_out, got_err) == (code, out, err)

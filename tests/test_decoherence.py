@@ -17,7 +17,6 @@ from discordium import (
     detect_freeze_transition,
     discord_symmetric,
     dynamics_sweep,
-    evolved_discord,
     evolved_params,
     freeze_changepoint,
     phase_flip_kraus,
@@ -117,38 +116,24 @@ class TestWeightRule:
 class TestEvolvedDiscord:
     def test_p_zero_matches_static(self, rng):
         params = sample_physical_family(rng, 3, s_zero=True)
-        ev = evolved_discord(params, 0.0)
-        assert ev.result.value == pytest.approx(discord_symmetric(params).value, abs=1e-12)
+        ev = discord_symmetric(evolved_params(params, 0.0))
+        assert ev.value == pytest.approx(discord_symmetric(params).value, abs=1e-12)
 
     def test_3q_s_zero_closed_form(self):
         # (3/8)H(zeta) + (1/8)H(eta) - H(C)/2 with zeta = eta at s = 0
         params = FIG3_3Q
         p = 0.2
-        ev = evolved_discord(params, p)
+        ev = discord_symmetric(evolved_params(params, p))
         q6 = (1 - p) ** 6
         zeta = np.sqrt((params.c1**2 + params.c2**2) * q6 + params.c3**2)
         C = max(abs(params.c1) * (1 - p) ** 3, abs(params.c2) * (1 - p) ** 3, abs(params.c3))
         expected = (3 / 8) * binary_h(zeta) + (1 / 8) * binary_h(zeta) - 0.5 * binary_h(C)
-        assert ev.result.value == pytest.approx(expected, abs=1e-11)
-        assert ev.intermediates.zeta == pytest.approx(zeta, abs=1e-12)
-        assert ev.intermediates.eta == pytest.approx(zeta, abs=1e-12)
+        assert ev.value == pytest.approx(expected, abs=1e-11)
 
     def test_4q_frozen_value(self):
         for p in (0.0, 0.1, 0.2, 0.29):
-            ev = evolved_discord(FIG3_4Q, p)
-            assert ev.result.value == pytest.approx(0.5 * binary_h(0.2), abs=1e-9)
-            assert ev.intermediates.f >= 0.0
-            assert ev.intermediates.g >= 0.0
-
-    def test_intermediates_definitions(self):
-        p = 0.35
-        ev = evolved_discord(FIG3_4Q, p)
-        q4 = (1 - p) ** 4
-        q8 = q4 * q4
-        c1, c2, c3 = FIG3_4Q.c1, FIG3_4Q.c2, FIG3_4Q.c3
-        assert ev.intermediates.e == pytest.approx((c1 + c2) * q4 + c3, abs=1e-12)
-        assert ev.intermediates.f == pytest.approx(np.sqrt((c1 - c2) ** 2 * q8), abs=1e-12)
-        assert ev.intermediates.g == pytest.approx(np.sqrt((c1 + c2) ** 2 * q8), abs=1e-12)
+            ev = discord_symmetric(evolved_params(FIG3_4Q, p))
+            assert ev.value == pytest.approx(0.5 * binary_h(0.2), abs=1e-9)
 
     def test_evolved_params_scaling(self):
         ev = evolved_params(FamilyParams(4, 0.4, -0.2, 0.3, 0.1), 0.3)

@@ -4,6 +4,8 @@ from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from discordium import (
     DensityMatrix,
@@ -35,10 +37,11 @@ from discordium.oracle import (
     _Chain,
     _narrowing_search,
     _ReducedLine,
+    _branch_terms,
     _pauli_tensor,
-    _reduced_structure,
-    _reduced_terms,
+    _prefixes,
     _tree_directions,
+    _tree_levels,
 )
 from discordium.pauli import PAULI
 
@@ -281,6 +284,25 @@ class TestDiscordObjective:
             out.value, abs=1e-9
         )
 
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 4),
+        case=st.sampled_from(["case1", "case2"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_no_tree_beats_closed_form(self, seed, n, case):
+        # discord is the minimum over trees, so every tree bounds it from above
+        rng = np.random.default_rng(seed)
+        if case == "case1":
+            params = sample_case1_family(rng, n)
+        else:
+            params = sample_physical_family(rng, n, s_zero=True)
+        rho = family_dense(params)
+        closed = discord_symmetric(params).value
+        for _ in range(5):
+            tree = MeasurementTree.random(n - 1, rng)
+            assert discord_objective(rho, tree) >= closed - 1e-9
+
 
 class TestMinimizeDiscord:
     def test_ghz_closed_form(self):
@@ -376,18 +398,28 @@ class TestReducedObjective:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_batch_matches_rows(self, rng, n):
         params = sample_physical_family(rng, n)
-        d = len(_reduced_structure(n)[0])
+        d = len(_prefixes(n - 1))
         zs = rng.uniform(-1.0, 1.0, (40, d))
         zs[::4] = 0.0
         zs[1::4, 0] = 1.0
         zs[2::4, -1] = -1.0
         zs[3::4] = np.sign(zs[3::4])
-        batch = _reduced_terms(params, zs, False, "parity", None)
+        batch = _branch_terms(params, zs)
         for i, z in enumerate(zs):
-            rows = _reduced_terms(params, z, False, "parity", None)
-            for level, term in enumerate(rows):
-                assert np.ndim(term) == 0
-                assert abs(batch[level][i] - term) <= 1e-15
+            rows = _branch_terms(params, z)
+            for level, terms in enumerate(rows):
+                assert terms.shape == (2 ** (level + 1),)
+                assert np.max(np.abs(batch[level][i] - terms)) <= 1e-15
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_tree_levels_match_outcome_strings(self, n):
+        # the outcome strings of every branch, read directly
+        index = {p: i for i, p in enumerate(_prefixes(n - 1))}
+        for m, (anc, sign, parity) in enumerate(_tree_levels(n), start=1):
+            branches = ["".join(b) for b in itertools.product("01", repeat=m)]
+            np.testing.assert_array_equal(anc, [[index[u[:t]] for t in range(m)] for u in branches])
+            np.testing.assert_array_equal(sign, [[1.0 - 2.0 * int(c) for c in u] for u in branches])
+            np.testing.assert_array_equal(parity, [(-1.0) ** u.count("1") for u in branches])
 
     def test_g_values(self):
         params = FamilyParams(3, 0.1, 0.1, -0.2, 0.3)
@@ -555,7 +587,7 @@ def random_moves(rng, line, z, count):
 class TestReducedLine:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
     def test_lines_match_reduced_terms(self, rng, n):
-        d = len(_reduced_structure(n)[0])
+        d = len(_prefixes(n - 1))
         for _ in range(2):
             params = sample_physical_family(rng, n)
             z = rng.uniform(0.0, 1.0, d)
@@ -565,13 +597,13 @@ class TestReducedLine:
                 grid = np.sort(rng.uniform(0.0, 1.0, 101))
                 points = np.tile(z, (grid.size, 1))
                 points[:, i] = grid
-                full = sum(_reduced_terms(params, points, False, "parity", None))
+                full = sum(t.sum(axis=-1) for t in _branch_terms(params, points))
                 assert np.max(np.abs(line(z, i, grid) - full)) <= 1e-15
 
     @pytest.mark.parametrize("n", [3, 5, 7])
     def test_taken_terms_match_fresh_cache(self, rng, n):
         params = sample_physical_family(rng, n)
-        z = rng.uniform(0.0, 1.0, len(_reduced_structure(n)[0]))
+        z = rng.uniform(0.0, 1.0, len(_prefixes(n - 1)))
         line = _ReducedLine(params, z)
         random_moves(rng, line, z, 20)
         np.testing.assert_array_equal(line._terms, _ReducedLine(params, z)._terms)
@@ -636,14 +668,27 @@ class TestNarrowingSearch:
 class TestOracleConfig:
     def test_from_json(self, tmp_path):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"starts": 16, "max_iters": 500, "f_tol": 1e-8, "seed": 42}))
+        path.write_text(json.dumps({"starts": 16, "max_iters": 500, "seed": 42}))
         cfg = OracleConfig.from_json(path)
-        assert cfg == OracleConfig(starts=16, max_iters=500, f_tol=1e-8, seed=42)
+        assert cfg == OracleConfig(starts=16, max_iters=500, seed=42)
 
     def test_from_json_ignores_unknown_keys(self, tmp_path):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"starts": 5, "include_axes_starts": False}))
+        path.write_text(json.dumps({"starts": 5, "include_axes_starts": False, "f_tol": 1e-8}))
         assert OracleConfig.from_json(path) == OracleConfig(starts=5)
+
+    @pytest.mark.parametrize("payload", [None, "seed", [1], {"starts": [3]}])
+    def test_from_json_rejects_non_scalar_object(self, tmp_path, payload):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="cfg.json"):
+            OracleConfig.from_json(path)
+
+    def test_from_json_names_the_key(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"seed": 1, "starts": "many"}))
+        with pytest.raises(ValueError, match="starts must be a number"):
+            OracleConfig.from_json(path)
 
     def test_starts_positive(self):
         with pytest.raises(ValueError):

@@ -160,12 +160,14 @@ class TestRealize:
                 b = build_noisy_ghz_dense(params).entries
                 assert np.max(np.abs(a - b)) <= 1e-12
 
-    def test_cap_error(self):
+    def test_cap_error(self, monkeypatch):
+        monkeypatch.delenv("DISCORDIUM_DENSE_CAP", raising=False)
         ps = PauliSum(9, {"I" * 9: 1.0})
         with pytest.raises(DenseCapExceeded):
             realize(ps)
+        monkeypatch.setenv("DISCORDIUM_DENSE_CAP", "2")
         with pytest.raises(DenseCapExceeded):
-            realize(PauliSum(3, {"III": 1.0}), cap=2)
+            realize(PauliSum(3, {"III": 1.0}))
 
     def test_cap_env_override(self, monkeypatch):
         monkeypatch.setenv("DISCORDIUM_DENSE_CAP", "2")
