@@ -24,6 +24,7 @@ from discordium import (
     realize,
     symmetric_spectrum,
 )
+from discordium.spectral import PHYSICAL_TOL
 
 AGREE_TOL = 5e-3
 
@@ -38,7 +39,7 @@ def sample_case1(rng, n: int = 3, max_tries: int = 10000) -> FamilyParams:
         if abs(s) < 1e-3:
             continue
         params = FamilyParams(n, c1, c2, c3, s)
-        if symmetric_spectrum(params).min_eigenvalue >= -1e-10:
+        if symmetric_spectrum(params).min_eigenvalue >= -PHYSICAL_TOL:
             return params
     raise RuntimeError("rejection sampling failed")
 

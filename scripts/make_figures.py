@@ -8,48 +8,41 @@ Writes into --outdir (default ./figures):
   fig3_4q.csv   p,discord_bits,branch for the 4-qubit sweep (plateau + decay)
   fig3_even.csv n,p,discord_bits,branch for the freezing sweep at N = 4, 8, 12, 16
 
-The 4-qubit and even-N sweep parameters sit in the freezing regime (s=0,
-c2=c1*c3 for N divisible by 4, c1=5/6, c3=-0.2); the detected transition
-points are written to stderr.
+The first four are written by the `discordium ghz-curve` and `discordium
+dynamics` commands. The 4-qubit and even-N sweep parameters sit in the
+freezing regime (s=0, c2=c1*c3 for N divisible by 4, c1=5/6, c3=-0.2); the
+detected transition points are written to stderr.
 """
 
 import argparse
+import contextlib
 import csv
+import io
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from discordium import (
-    FamilyParams,
-    GhzParams,
-    detect_freeze_transition,
-    discord_ghz,
-    dynamics_sweep,
-)
+from discordium import FamilyParams, detect_freeze_transition, dynamics_sweep
+from discordium.cli import main as cli_main
 
 C1, C3 = 5 / 6, -0.2
 
 
-def write_ghz_curve(path: Path, n_range, mu_steps: int) -> None:
-    lines = ["n,mu,discord_bits"]
-    for n in n_range:
-        for mu in np.linspace(0.0, 1.0, mu_steps):
-            value = discord_ghz(GhzParams(n, float(mu))).value
-            lines.append(f"{n},{mu:.9g},{value:.9g}")
-    path.write_text("\n".join(lines) + "\n")
+def run_cli(path: Path, argv) -> None:
+    """Run one `discordium` command writing to path; its stderr lines are labelled with the file name."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli_main([str(a) for a in argv] + ["--out", str(path)])
+    for line in err.getvalue().splitlines():
+        sys.stderr.write(f"{path.name}: {line.removeprefix('freeze: ')}\n")
+    if code != 0:
+        raise SystemExit(code)
 
 
-def write_dynamics(path: Path, n: int, p_steps: int) -> None:
-    params = FamilyParams(n, C1, C1 * C3, C3, 0.0)
-    grid = [float(p) for p in np.linspace(0.0, 0.9, p_steps)]
-    series = dynamics_sweep(params, grid)
-    path.write_text(series.to_csv())
-    report = detect_freeze_transition(params)
-    if report.frozen:
-        sys.stderr.write(
-            f"{path.name}: frozen_value={report.frozen_value:.9g} p_star={report.p_star:.9g}\n"
-        )
+def dynamics_argv(n: int, p_steps: int) -> list:
+    return ["dynamics", "--family", "symmetric", "--n", n, "--c1", repr(C1), "--c2", repr(C1 * C3),
+            "--c3", repr(C3), "--p-steps", p_steps]
 
 
 def write_freezing(path: Path, ns, p_steps: int) -> None:
@@ -76,10 +69,11 @@ def main() -> int:
     args = parser.parse_args()
 
     args.outdir.mkdir(parents=True, exist_ok=True)
-    write_ghz_curve(args.outdir / "fig1.csv", range(2, 7), args.mu_steps)
-    write_ghz_curve(args.outdir / "fig2.csv", range(2, 11), args.mu_steps)
-    write_dynamics(args.outdir / "fig3_3q.csv", 3, args.p_steps)
-    write_dynamics(args.outdir / "fig3_4q.csv", 4, args.p_steps)
+    for name, n_max in (("fig1.csv", 6), ("fig2.csv", 10)):
+        argv = ["ghz-curve", "--n-min", 2, "--n-max", n_max, "--mu-steps", args.mu_steps]
+        run_cli(args.outdir / name, argv)
+    run_cli(args.outdir / "fig3_3q.csv", dynamics_argv(3, args.p_steps))
+    run_cli(args.outdir / "fig3_4q.csv", dynamics_argv(4, args.p_steps))
     write_freezing(args.outdir / "fig3_even.csv", (4, 8, 12, 16), args.p_steps)
     print(f"wrote 5 datasets to {args.outdir}/")
     return 0

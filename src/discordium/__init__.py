@@ -54,7 +54,6 @@ from .pauli import (
     GhzParams,
     PauliSum,
     PauliWord,
-    ValidationReport,
     build_diagonal_field,
     build_noisy_ghz_dense,
     build_noisy_ghz_pauli,
@@ -62,7 +61,6 @@ from .pauli import (
     family_dense,
     partial_trace,
     realize,
-    validate_state,
 )
 from .spectral import (
     SpectrumResult,

@@ -49,13 +49,15 @@ import numpy as np
 from scipy.optimize import minimize as _scipy_minimize
 
 from .pauli import PAULI, DensityMatrix, FamilyParams, family_dense, partial_trace
-from .spectral import h_scalar, symmetric_spectrum, von_neumann_entropy, xlog2
+from .spectral import h_scalar, require_physical, symmetric_spectrum, von_neumann_entropy, xlog2
 
 PROB_FLOOR = 1e-14
 # L-BFGS-B's ftol and projected-gradient tolerance in the full oracle
 F_TOL = 1e-15
 GRAD_TOL = 1e-10
 SPREAD_FLAG = 1e-4
+# a minimum within ZERO_CLAMP of 0 is reported as 0.0; one further below stays visible
+ZERO_CLAMP = 1e-12
 FULL_ORACLE_CAP = 4
 REDUCED_ORACLE_CAP = 10
 
@@ -190,6 +192,10 @@ class OracleResult:
     best_tree: MeasurementTree | ReducedPoint | None
     starts_converged: int
     spread: float
+
+
+def _clamp_zero(value: float) -> float:
+    return 0.0 if abs(value) <= ZERO_CLAMP else value
 
 
 @dataclass(frozen=True)
@@ -448,7 +454,7 @@ def minimize_discord(rho: DensityMatrix, cfg: OracleConfig | None = None) -> Ora
 
     best_fun, best_x, _ = min(results, key=lambda t: t[0])
     tree = MeasurementTree.from_angles(n - 1, best_x)
-    return OracleResult(best_fun - base, tree, sum(1 for _, _, ok in results if ok), spread)
+    return OracleResult(_clamp_zero(best_fun - base), tree, sum(1 for _, _, ok in results if ok), spread)
 
 
 # --- reduced optimizer for the symmetric family ---------------------------
@@ -542,6 +548,9 @@ def reduced_objective(
                 raise ValueError("phi keys must be final-level parent prefixes")
             if val < -1e-12:
                 raise ValueError("phi values must be nonnegative")
+        missing = [w for w in prefs if len(w) == n - 2 and w not in phi]
+        if missing:
+            raise ValueError(f"phi lacks the final-level parent prefix {missing[0]!r}")
         # each final-level branch reads the value at its parent prefix
         phi = np.array([phi[prefs[j]] for j in _tree_levels(n)[-1][0][:, -1]])
     terms = [float(t.sum(axis=-1)) for t in _branch_terms(params, zvec, envelope, cross_sign, phi)]
@@ -683,16 +692,22 @@ def minimize_reduced(params: FamilyParams, cfg: OracleConfig | None = None) -> O
 
     value = symmetric_spectrum(params).sum_xlog2() + n - 0.5 * h_scalar(params.s) - y_max
     point = ReducedPoint({p: float(z_max[i]) for i, p in enumerate(prefs)})
-    return OracleResult(value, point, sum(1 for _, _, ok, _ in finals if ok), spread)
+    return OracleResult(_clamp_zero(value), point, sum(1 for _, _, ok, _ in finals if ok), spread)
 
 
 def minimize_family(params, cfg: OracleConfig | None = None) -> OracleResult:
     """Oracle discord of a family state, the one place that picks the oracle.
 
-    A symmetric-family state above the full oracle's 4-qubit cap goes to
-    `minimize_reduced` (its best_tree is a ReducedPoint); every other state
-    is realized densely and goes to `minimize_discord`.
+    A state beyond `oracle_reaches`, or unphysical by `require_physical`,
+    raises ValueError before anything is built. A symmetric-family state
+    above the full oracle's 4-qubit cap goes to `minimize_reduced` (its
+    best_tree is a ReducedPoint); every other state is realized densely and
+    goes to `minimize_discord`.
     """
+    if not oracle_reaches(params):
+        cap = REDUCED_ORACLE_CAP if isinstance(params, FamilyParams) else FULL_ORACLE_CAP
+        raise ValueError(f"n_qubits={params.n_qubits} exceeds oracle cap {cap}")
+    require_physical(params)
     if isinstance(params, FamilyParams) and params.n_qubits > FULL_ORACLE_CAP:
         return minimize_reduced(params, cfg)
     return minimize_discord(family_dense(params), cfg)

@@ -177,14 +177,6 @@ class DensityMatrix:
         return 2**self.n_qubits
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    hermitian: bool
-    trace_deviation: float
-    min_eigenvalue: float
-    is_physical: bool
-
-
 def _single_site_word(n: int, site: int, letter: str) -> str:
     # site is 0-based here
     return "I" * site + letter + "I" * (n - site - 1)
@@ -271,17 +263,6 @@ def realize(psum: PauliSum) -> DensityMatrix:
     for word, w in psum.terms.items():
         arr += w * reduce(np.kron, (PAULI[ch] for ch in word))
     return DensityMatrix(n, arr / dim)
-
-
-def validate_state(rho: DensityMatrix, tol: float = 1e-10) -> ValidationReport:
-    """Physicality report: Hermiticity, trace deviation, smallest eigenvalue."""
-    arr = rho.entries
-    herm_dev = float(np.max(np.abs(arr - arr.conj().T)))
-    hermitian = herm_dev <= tol
-    trace_dev = float(abs(np.trace(arr) - 1.0))
-    min_eig = float(np.linalg.eigvalsh(arr)[0]) if hermitian else float("nan")
-    is_physical = hermitian and trace_dev <= tol and min_eig >= -tol
-    return ValidationReport(hermitian, trace_dev, min_eig, is_physical)
 
 
 def partial_trace(rho: DensityMatrix, keep: set[int] | list[int] | tuple[int, ...]) -> DensityMatrix:

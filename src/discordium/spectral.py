@@ -24,6 +24,8 @@ SOURCE_DIAGONAL = "closed_form_diagonal"
 
 
 MAX_FLOAT_QUBITS = 1023
+# an eigenvalue below -PHYSICAL_TOL, or a trace off 1 by more, is unphysical
+PHYSICAL_TOL = 1e-10
 
 
 def _float_dim(n: int) -> float:
@@ -219,7 +221,7 @@ def family_spectrum(params) -> SpectrumResult:
 
 
 def require_physical(params) -> None:
-    """Raise ValueError when the family's closed-form spectrum has an eigenvalue below -1e-10."""
+    """Raise ValueError when the family's closed-form spectrum has an eigenvalue below -PHYSICAL_TOL."""
     min_eig = family_spectrum(params).min_eigenvalue
-    if min_eig < -1e-10:
+    if min_eig < -PHYSICAL_TOL:
         raise ValueError(f"unphysical parameters: min eigenvalue {min_eig:.3e}")

@@ -4,12 +4,15 @@ import json
 import numpy as np
 import pytest
 
+import discordium
 from discordium import (
+    DiagonalFieldParams,
     FamilyParams,
     GhzParams,
     build_symmetric_family,
     discord_ghz,
     discord_symmetric,
+    family_dense,
     realize,
 )
 from discordium.cli import main
@@ -24,6 +27,20 @@ def run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def refuse_dense(monkeypatch):
+    """Make each dense builder raise in every module that binds it."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense builder called")
+
+    modules = [discordium] + [getattr(discordium, m) for m in
+                              ("analytic", "cli", "decoherence", "oracle", "pauli", "spectral")]
+    for module in modules:
+        for name in ("realize", "build_noisy_ghz_dense", "family_dense"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
 
 
 class TestDiscordCommand:
@@ -117,6 +134,13 @@ class TestDiscordCommand:
         assert code == 2
         assert err.startswith("error: unphysical parameters")
         assert "\n" not in err.strip()
+
+    def test_oracle_past_reach_builds_nothing(self, capsys, monkeypatch):
+        refuse_dense(monkeypatch)
+        code, out, err = run(
+            ["discord", "--family", "ghz", "--n", "12", "--mu", "0.5", "--method", "oracle"], capsys
+        )
+        assert (code, out, err) == (2, "", "error: n_qubits=12 exceeds oracle cap 4\n")
 
     @pytest.mark.parametrize(
         "family_args",
@@ -335,15 +359,57 @@ class TestValidateCommand:
         assert payload["is_physical"] is False
         assert payload["min_eigenvalue"] == pytest.approx(-0.5, abs=1e-10)
 
-    def test_dense_cap_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("DISCORDIUM_DENSE_CAP", "2")
-        code, _, err = run(
-            ["validate", "--family", "symmetric", "--n", "3",
-             "--c1", "0.1", "--c2", "0.1", "--c3", "0.1"],
-            capsys,
-        )
-        assert code == 2
-        assert "cap" in err
+    @pytest.mark.parametrize(
+        "family_args",
+        [
+            ["--family", "symmetric", "--n", "9", "--c3", "0.1"],
+            ["--family", "ghz", "--n", "16", "--mu", "0.5"],
+            ["--family", "diagonal", "--fields", ",".join(["0.05"] * 12)],
+        ],
+        ids=["symmetric", "ghz", "diagonal"],
+    )
+    def test_past_dense_cap(self, capsys, family_args):
+        code, out, err = run(["validate", *family_args], capsys)
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["is_physical"] is True
+        assert payload["trace_deviation"] <= 1e-12
+
+    def test_builds_no_dense_matrix(self, capsys, monkeypatch):
+        refuse_dense(monkeypatch)
+        for family_args in (
+            ["--family", "symmetric", "--n", "5", "--c1", "0.3", "--c2", "0.2", "--c3", "0.25",
+             "--s", "0.1"],
+            ["--family", "diagonal", "--fields", "0.2,-0.1,0.3"],
+            ["--family", "ghz", "--n", "3", "--mu", "1"],
+        ):
+            code, out, _ = run(["validate", *family_args], capsys)
+            assert code == 0
+            assert json.loads(out)["is_physical"] is True
+        pinned = next(case for case in PINNED if case[0][0] == "validate")
+        assert run(pinned[0], capsys) == pinned[1:]
+
+    @pytest.mark.parametrize(
+        "params, family_args",
+        [
+            (FamilyParams(3, 0.9, 0.9, 0.9),
+             ["--family", "symmetric", "--n", "3", "--c1", "0.9", "--c2", "0.9", "--c3", "0.9"]),
+            (FamilyParams(4, 0.3, -0.2, 0.1, 0.2),
+             ["--family", "symmetric", "--n", "4", "--c1", "0.3", "--c2", "-0.2", "--c3", "0.1",
+              "--s", "0.2"]),
+            (DiagonalFieldParams((0.7, -0.5, 0.4)), ["--family", "diagonal", "--fields", "0.7,-0.5,0.4"]),
+            (GhzParams(4, 0.3), ["--family", "ghz", "--n", "4", "--mu", "0.3"]),
+        ],
+        ids=["symmetric-unphysical", "symmetric", "diagonal-unphysical", "ghz"],
+    )
+    def test_matches_dense_spectrum(self, params, family_args, capsys):
+        code, out, _ = run(["validate", *family_args], capsys)
+        payload = json.loads(out)
+        min_eig = np.linalg.eigvalsh(family_dense(params).entries).min()
+        assert payload["min_eigenvalue"] == pytest.approx(min_eig, abs=1e-12)
+        assert payload["trace_deviation"] <= 1e-12
+        assert payload["is_physical"] is bool(min_eig >= -1e-10)
+        assert code == (0 if payload["is_physical"] else 2)
 
 
 class TestCompareCommand:
@@ -373,7 +439,6 @@ class TestCompareCommand:
 # Output of the README commands and of seeded oracle runs, byte for byte. "{out}"
 # becomes a file in tmp_path whose text is appended to stdout, and "{cfg}" an
 # oracle config of 4 starts; text of 400 characters or more is pinned by digest.
-# The zero-discord oracle command is left out: it prints -4.44e-16, not 0.
 PINNED = [
     (["discord", "--family", "symmetric", "--n", "3", "--c1", "0.1", "--c2", "0.1",
       "--c3", "-0.2", "--s", "0.3", "--method", "analytic"],
@@ -418,6 +483,8 @@ PINNED = [
             "rerun with --method oracle or --fallback oracle\n"),
     (["discord", "--family", "symmetric", "--n", "2", "--c1", "1", "--c2", "1", "--c3", "1"],
      2, "", "error: unphysical parameters: min eigenvalue -5.000e-01\n"),
+    (["discord", "--family", "diagonal", "--fields", "0.2,-0.1,0.3", "--method", "oracle"],
+     0, "value_bits=0 branch=oracle\n", ""),
 ]
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from discordium import (
     DensityMatrix,
+    DiagonalFieldParams,
     FamilyParams,
     GhzParams,
     MeasurementTree,
@@ -321,6 +322,12 @@ class TestMinimizeDiscord:
         out = minimize_discord(realize(build_symmetric_family(params)), FAST)
         assert out.value == pytest.approx(discord_symmetric(params).value, abs=5e-3)
 
+    def test_zero_minimum_reported_as_zero(self):
+        # the diagonal-field state has zero discord; roundoff gave -2.2e-16 before the clamp
+        out = minimize_discord(family_dense(DiagonalFieldParams((0.2, -0.1, 0.3))), FAST)
+        assert out.value == 0.0 and np.copysign(1.0, out.value) == 1.0
+        assert oracle._clamp_zero(-1e-12) == 0.0 and oracle._clamp_zero(-1.1e-12) == -1.1e-12
+
     def test_product_state_zero(self):
         factors = [0.5 * (np.eye(2) + s * PAULI["Z"]) for s in (0.4, -0.3, 0.2)]
         arr = np.kron(np.kron(factors[0], factors[1]), factors[2])
@@ -386,6 +393,19 @@ class TestMinimizeFamily:
         assert out.value == minimize_discord(realize(build_symmetric_family(params)), cfg).value
         ghz = GhzParams(2, 0.5)
         assert minimize_family(ghz, cfg).value == minimize_discord(build_noisy_ghz_dense(ghz), cfg).value
+
+    @pytest.mark.parametrize("params", [FamilyParams(5, 0.9, 0.9, 0.9, 0.5), FamilyParams(3, 0.9, 0.9, 0.9)])
+    def test_refuses_unphysical(self, params, monkeypatch):
+        monkeypatch.setattr(oracle, "family_dense", lambda p: pytest.fail("family_dense called"))
+        with pytest.raises(ValueError, match="unphysical"):
+            minimize_family(params, FAST)
+
+    def test_past_reach_builds_nothing(self, monkeypatch):
+        monkeypatch.setattr(oracle, "family_dense", lambda p: pytest.fail("family_dense called"))
+        with pytest.raises(ValueError, match="exceeds oracle cap 4"):
+            minimize_family(GhzParams(12, 0.5), FAST)
+        with pytest.raises(ValueError, match="exceeds oracle cap 10"):
+            minimize_family(FamilyParams(11, 0.05, 0.05, -0.1, 0.0), FAST)
 
     def test_reach(self):
         assert oracle_reaches(FamilyParams(10, 0.05, 0.05, -0.1, 0.0))
@@ -493,6 +513,11 @@ class TestReducedObjective:
         with pytest.raises(ValueError):
             reduced_objective(params, ReducedPoint({"": 1.5, "0": 1.0, "1": 1.0}))
 
+    def test_phi_missing_prefix_named(self):
+        params = FamilyParams(3, 0.1, 0.1, -0.2, 0.3)
+        with pytest.raises(ValueError, match="final-level parent prefix '1'"):
+            reduced_objective(params, ReducedPoint({"": 0.5, "0": 1.0, "1": 1.0}, {"0": 0.1}))
+
 
 class TestMinimizeReduced:
     def test_case1_maximizer_at_ones(self):
@@ -535,6 +560,28 @@ class TestMinimizeReduced:
     def test_cap(self):
         with pytest.raises(ValueError):
             minimize_reduced(FamilyParams(11, 0.05, 0.05, -0.1, 0.0), FAST)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 6),
+        s_zero=st.booleans(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_local_unitary_invariance(self, seed, n, s_zero):
+        # Z on qubit 1 negates X..X and Y..Y and keeps every Z word: (c1, c2) -> (-c1, -c2)
+        params = sample_physical_family(np.random.default_rng(seed), n, s_zero=s_zero)
+        flipped = FamilyParams(n, -params.c1, -params.c2, params.c3, params.s)
+        z1 = np.kron(PAULI["Z"], np.eye(2 ** (n - 1)))
+        rho = realize(build_symmetric_family(params)).entries
+        assert np.max(np.abs(z1 @ rho @ z1 - realize(build_symmetric_family(flipped)).entries)) <= 1e-15
+        region = classify_region(params).region
+        assert classify_region(flipped).region == region
+        if region != "none":
+            value = discord_symmetric(params).value
+            assert discord_symmetric(flipped).value == pytest.approx(value, abs=1e-12)
+        cfg = OracleConfig(starts=3, seed=seed)
+        value = minimize_reduced(params, cfg).value
+        assert minimize_reduced(flipped, cfg).value == pytest.approx(value, abs=1e-12)
 
     def test_makes_no_scipy_call(self, monkeypatch):
         def refuse(*args, **kwargs):

@@ -18,9 +18,9 @@ from discordium import (
     build_symmetric_family,
     partial_trace,
     realize,
-    validate_state,
 )
 from discordium.pauli import PAULI
+from discordium.spectral import PHYSICAL_TOL
 
 from conftest import sample_physical_family
 
@@ -87,7 +87,7 @@ class TestBuilders:
         assert len(ps.terms) == 8
         for word in ("ZIII", "IZII", "IIZI", "IIIZ"):
             assert ps.weight(word) == 0.05
-        assert validate_state(realize(ps)).is_physical
+        assert np.linalg.eigvalsh(realize(ps).entries).min() >= -PHYSICAL_TOL
 
     def test_symmetric_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -184,26 +184,6 @@ class TestRealize:
                 term = np.kron(term, PAULI[ch])
             manual += w * term
         assert np.max(np.abs(realize(ps).entries - manual / 8)) <= 1e-14
-
-
-class TestValidate:
-    def test_maximally_mixed_physical(self):
-        rho = DensityMatrix(3, np.eye(8) / 8)
-        report = validate_state(rho)
-        assert report.is_physical
-        assert report.hermitian
-        assert report.trace_deviation <= 1e-12
-
-    def test_unphysical_family(self):
-        rho = realize(build_symmetric_family(FamilyParams(2, 1.0, 1.0, 1.0, 0.0)))
-        report = validate_state(rho)
-        assert not report.is_physical
-        assert report.min_eigenvalue == pytest.approx(-0.5, abs=1e-12)
-
-    def test_pure_ghz_physical(self):
-        report = validate_state(build_noisy_ghz_dense(GhzParams(3, 1.0)))
-        assert report.is_physical
-        assert report.min_eigenvalue >= -1e-12
 
 
 class TestPartialTrace:
