@@ -24,7 +24,7 @@ from discordium import (
     realize,
     symmetric_spectrum,
 )
-from discordium.spectral import PHYSICAL_TOL
+from discordium.spectral import physicality
 
 AGREE_TOL = 5e-3
 
@@ -39,7 +39,7 @@ def sample_case1(rng, n: int = 3, max_tries: int = 10000) -> FamilyParams:
         if abs(s) < 1e-3:
             continue
         params = FamilyParams(n, c1, c2, c3, s)
-        if symmetric_spectrum(params).min_eigenvalue >= -PHYSICAL_TOL:
+        if physicality(params)[2]:
             return params
     raise RuntimeError("rejection sampling failed")
 

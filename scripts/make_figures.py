@@ -15,9 +15,7 @@ detected transition points are written to stderr.
 """
 
 import argparse
-import contextlib
 import csv
-import io
 import sys
 from pathlib import Path
 
@@ -30,12 +28,8 @@ C1, C3 = 5 / 6, -0.2
 
 
 def run_cli(path: Path, argv) -> None:
-    """Run one `discordium` command writing to path; its stderr lines are labelled with the file name."""
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err):
-        code = cli_main([str(a) for a in argv] + ["--out", str(path)])
-    for line in err.getvalue().splitlines():
-        sys.stderr.write(f"{path.name}: {line.removeprefix('freeze: ')}\n")
+    """Run one `discordium` command writing to path; a nonzero exit code stops the script."""
+    code = cli_main([str(a) for a in argv] + ["--out", str(path)])
     if code != 0:
         raise SystemExit(code)
 

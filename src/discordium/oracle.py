@@ -698,18 +698,16 @@ def minimize_reduced(params: FamilyParams, cfg: OracleConfig | None = None) -> O
 def minimize_family(params, cfg: OracleConfig | None = None) -> OracleResult:
     """Oracle discord of a family state, the one place that picks the oracle.
 
-    A state beyond `oracle_reaches`, or unphysical by `require_physical`,
-    raises ValueError before anything is built. A symmetric-family state
-    above the full oracle's 4-qubit cap goes to `minimize_reduced` (its
-    best_tree is a ReducedPoint); every other state is realized densely and
-    goes to `minimize_discord`.
+    Unphysical states raise ValueError first. A symmetric-family state above
+    the full oracle's 4-qubit cap goes to `minimize_reduced` (its best_tree is
+    a ReducedPoint); any other state past that cap is refused before it is
+    realized, and the rest go densely to `minimize_discord`.
     """
-    if not oracle_reaches(params):
-        cap = REDUCED_ORACLE_CAP if isinstance(params, FamilyParams) else FULL_ORACLE_CAP
-        raise ValueError(f"n_qubits={params.n_qubits} exceeds oracle cap {cap}")
     require_physical(params)
     if isinstance(params, FamilyParams) and params.n_qubits > FULL_ORACLE_CAP:
         return minimize_reduced(params, cfg)
+    if params.n_qubits > FULL_ORACLE_CAP:
+        raise ValueError(f"n_qubits={params.n_qubits} exceeds oracle cap {FULL_ORACLE_CAP}")
     return minimize_discord(family_dense(params), cfg)
 
 

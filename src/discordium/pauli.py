@@ -45,10 +45,7 @@ class DenseCapExceeded(ValueError):
 
 def dense_cap() -> int:
     """Current dense-realization qubit cap (env DISCORDIUM_DENSE_CAP or 8)."""
-    raw = os.environ.get(DENSE_CAP_ENV)
-    if raw is None:
-        return DENSE_CAP_DEFAULT
-    cap = int(raw)
+    cap = int(os.environ.get(DENSE_CAP_ENV, DENSE_CAP_DEFAULT))
     if cap < 1:
         raise ValueError(f"{DENSE_CAP_ENV} must be >= 1, got {cap}")
     return cap
@@ -236,10 +233,8 @@ def build_noisy_ghz_dense(params: GhzParams) -> DensityMatrix:
     dim = 2**n
     arr = np.zeros((dim, dim), dtype=complex)
     np.fill_diagonal(arr, (1.0 - mu) / dim)
-    arr[0, 0] += mu / 2
-    arr[-1, -1] += mu / 2
-    arr[0, -1] += mu / 2
-    arr[-1, 0] += mu / 2
+    # mu/2 on the four corners: mu |GHZ><GHZ|
+    arr[np.ix_((0, -1), (0, -1))] += mu / 2
     return DensityMatrix(n, arr)
 
 

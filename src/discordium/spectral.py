@@ -24,7 +24,7 @@ SOURCE_DIAGONAL = "closed_form_diagonal"
 
 
 MAX_FLOAT_QUBITS = 1023
-# an eigenvalue below -PHYSICAL_TOL, or a trace off 1 by more, is unphysical
+# unphysical: 2^N times the minimum eigenvalue below -PHYSICAL_TOL, or a trace off 1 by more
 PHYSICAL_TOL = 1e-10
 
 
@@ -220,8 +220,25 @@ def family_spectrum(params) -> SpectrumResult:
     return ghz_spectrum(params)
 
 
+def physicality(params) -> tuple[float, float, bool]:
+    """(trace deviation, minimum eigenvalue, physical) of a family state in O(N).
+
+    The verdict reads 2^N times the minimum, the unscaled block value, so it
+    does not shift with N. Diagonal states list nothing: trace 1, minimum (1 - sum|s_i|)/2^N.
+    """
+    dim = _float_dim(params.n_qubits)
+    if isinstance(params, DiagonalFieldParams):
+        trace, min_eig = 1.0, (1.0 - math.fsum(abs(s) for s in params.fields)) / dim
+    else:
+        spectrum = family_spectrum(params)
+        trace = math.fsum(m * v for v, m in zip(spectrum.values, spectrum.multiplicities))
+        min_eig = spectrum.min_eigenvalue
+    trace_dev = abs(trace - 1.0)
+    return trace_dev, min_eig, trace_dev <= PHYSICAL_TOL and min_eig * dim >= -PHYSICAL_TOL
+
+
 def require_physical(params) -> None:
-    """Raise ValueError when the family's closed-form spectrum has an eigenvalue below -PHYSICAL_TOL."""
-    min_eig = family_spectrum(params).min_eigenvalue
-    if min_eig < -PHYSICAL_TOL:
+    """Raise ValueError when `physicality` judges the family state unphysical."""
+    _, min_eig, physical = physicality(params)
+    if not physical:
         raise ValueError(f"unphysical parameters: min eigenvalue {min_eig:.3e}")

@@ -4,8 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from discordium import FamilyParams, symmetric_spectrum
-from discordium.spectral import PHYSICAL_TOL
+from discordium import FamilyParams
+from discordium.spectral import physicality
 
 RNG_SEED = 20240817
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -33,6 +33,6 @@ def sample_physical_family(rng, n, s_zero=False, max_tries=10000) -> FamilyParam
         c1, c2, c3 = rng.uniform(-1.0, 1.0, 3)
         s = 0.0 if s_zero else float(rng.uniform(-1.0, 1.0))
         params = FamilyParams(n, float(c1), float(c2), float(c3), s)
-        if symmetric_spectrum(params).min_eigenvalue >= -PHYSICAL_TOL:
+        if physicality(params)[2]:
             return params
     raise RuntimeError("rejection sampling failed")

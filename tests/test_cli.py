@@ -389,6 +389,36 @@ class TestValidateCommand:
         pinned = next(case for case in PINNED if case[0][0] == "validate")
         assert run(pinned[0], capsys) == pinned[1:]
 
+    @pytest.mark.parametrize("command", ["validate", "discord"])
+    def test_unphysical_past_float_precision(self, capsys, command):
+        # the block value 1 - 0.9*sqrt(3) is -6.5e-11 once divided by 2^33
+        code, out, err = run([command, "--family", "symmetric", "--n", "33",
+                              "--c1", "0.9", "--c2", "0.9", "--c3", "0.9"], capsys)
+        assert code == 2
+        if command == "validate":
+            payload = json.loads(out)
+            assert payload["is_physical"] is False
+            assert payload["min_eigenvalue"] == pytest.approx((1 - 0.9 * np.sqrt(3)) / 2**33, rel=1e-12)
+        else:
+            assert err.startswith("error: unphysical parameters") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("n_fields", [2, 40])
+    def test_diagonal_lists_no_spectrum(self, capsys, monkeypatch, n_fields):
+        def refuse(*args, **kwargs):
+            raise AssertionError("2^N diagonal spectrum listed")
+
+        for name in ("diagonal_field_spectrum", "signed_field_sums"):
+            monkeypatch.setattr(discordium.spectral, name, refuse)
+        physical = ",".join([repr(0.9 / n_fields)] * n_fields)
+        code, out, _ = run(["validate", "--family", "diagonal", "--fields", physical], capsys)
+        assert code == 0
+        assert json.loads(out)["min_eigenvalue"] == pytest.approx(0.1 / 2**n_fields, rel=1e-12)
+        # a total field strength 2e-10 past 1 is unphysical at every N
+        over = ",".join(["0.5", repr(0.5 + 2e-10)] + ["0"] * (n_fields - 2))
+        code, out, _ = run(["validate", "--family", "diagonal", "--fields", over], capsys)
+        assert code == 2
+        assert json.loads(out)["is_physical"] is False
+
     @pytest.mark.parametrize(
         "params, family_args",
         [

@@ -404,7 +404,7 @@ class TestMinimizeFamily:
         monkeypatch.setattr(oracle, "family_dense", lambda p: pytest.fail("family_dense called"))
         with pytest.raises(ValueError, match="exceeds oracle cap 4"):
             minimize_family(GhzParams(12, 0.5), FAST)
-        with pytest.raises(ValueError, match="exceeds oracle cap 10"):
+        with pytest.raises(ValueError, match="exceeds reduced-oracle cap 10"):
             minimize_family(FamilyParams(11, 0.05, 0.05, -0.1, 0.0), FAST)
 
     def test_reach(self):
