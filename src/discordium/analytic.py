@@ -25,19 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb, log2
 
-import numpy as np
-
 from .pauli import DiagonalFieldParams, FamilyParams, GhzParams
-from .spectral import (
-    SpectrumResult,
-    diagonal_field_spectrum,
-    ghz_spectrum,
-    h_scalar,
-    signed_field_sums,
-    symmetric_spectrum,
-    xlog2,
-    xlog2_scalar,
-)
+from .spectral import SpectrumResult, ghz_spectrum, h_scalar, symmetric_spectrum, xlog2_scalar
 
 REGION_CASE1 = "case1"
 REGION_CASE2_S0 = "case2_s0"
@@ -167,26 +156,17 @@ def discord_symmetric(params: FamilyParams) -> DiscordResult:
 
 
 def discord_diagonal_field(params: DiagonalFieldParams) -> DiscordResult:
-    """Discord of the diagonal-field family.
+    """Discord of the diagonal-field family: 0 for every field vector, in O(1).
 
-    The state is diagonal in the computational basis, hence classically
-    correlated; the closed form cancels to zero term by term. Both sides are
-    evaluated (spectrum sum and H sum) rather than returning a literal 0.
+    The state is diagonal in the computational basis. Measuring every qubit
+    along z leaves it unchanged, so the measured conditional-entropy chain
+    equals S(rho) - S(rho_A1) and the discord, a minimum over measurements
+    that is never negative, is 0. Term by term, the 2^N spectrum sum and the
+    all-z chain's H sum are the same sum (the tests keep it as a reference).
     """
-    n = params.n_qubits
-    if n < 2:
+    if params.n_qubits < 2:
         raise ValueError("discord needs at least 2 qubits")
-    spectrum = diagonal_field_spectrum(params)
-    # sum_b lambda_b log2 lambda_b + N == (1/2^N) sum_b xlog2(2^N lambda_b), and
-    # 2^N lambda_b = 1 + y_b with y_b the signed field sum of branch b; this
-    # grouping keeps the clamping of marginally negative branches symmetric
-    # with the H sum over the first N-1 fields below
-    entropy_side = float(np.sum(xlog2(np.array(spectrum.values) * 2**n)))
-    y = signed_field_sums(params.fields[:-1])
-    x = abs(params.fields[-1])
-    hsum = float(np.sum(xlog2(1.0 + y + x) + xlog2(1.0 + y - x)))
-    value = (entropy_side - hsum) / 2**n
-    return DiscordResult(value, "diagonal-field", None, None, spectrum)
+    return DiscordResult(0.0, "diagonal-field")
 
 
 def discord_ghz(params: GhzParams) -> DiscordResult:

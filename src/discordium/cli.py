@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
+import re
 import sys
 
 import numpy as np
@@ -33,6 +35,11 @@ from .pauli import (
     dense_cap,
 )
 from .spectral import family_spectrum, physicality, require_physical
+
+
+# a word that starts like a negative number; argparse before 3.13 reads one in
+# exponent form ("-5e-05") as an option string rather than as an option's value
+_NEGATIVE_NUMBER = re.compile(r"-\.?\d")
 
 
 def _fmt(x: float) -> str:
@@ -181,6 +188,19 @@ def _cmd_compare(args) -> int:
     return 0 if diff <= args.tol else 1
 
 
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Write `--c1 -5e-05` as `--c1=-5e-05`, which argparse reads as the value
+    on every Python version; no option of this CLI starts like a number."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and _NEGATIVE_NUMBER.match(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="discordium",
@@ -238,9 +258,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = _attach_negative_values(sys.argv[1:] if argv is None else list(argv))
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help and 2 on a usage error
+        return exc.code
+    try:
         return args.func(args)
     except NoAnalyticCase as exc:
         sys.stderr.write(f"error: {exc}; rerun with --method oracle or --fallback oracle\n")

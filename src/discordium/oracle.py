@@ -46,7 +46,6 @@ from itertools import product
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import minimize as _scipy_minimize
 
 from .pauli import PAULI, DensityMatrix, FamilyParams, family_dense, partial_trace
 from .spectral import h_scalar, require_physical, symmetric_spectrum, von_neumann_entropy, xlog2
@@ -397,6 +396,15 @@ def discord_objective(rho: DensityMatrix, tree: MeasurementTree) -> float:
         raise ValueError("tree size does not match the state")
     chain = _Chain(rho, n - 1).at_directions(_tree_directions(tree, n - 1))
     return float(chain.sum()) - _unmeasured_term(rho)
+
+
+def _scipy_minimize(*args, **kwargs):
+    """scipy.optimize.minimize, imported on the first full-oracle solve, since
+    the import costs several times what a whole closed-form command does.
+    Callers look it up by module name, so a test or tracer can replace it."""
+    from scipy.optimize import minimize
+
+    return minimize(*args, **kwargs)
 
 
 def minimize_discord(rho: DensityMatrix, cfg: OracleConfig | None = None) -> OracleResult:

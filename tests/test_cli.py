@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from discordium import (
     discord_ghz,
     discord_symmetric,
     family_dense,
+    minimize_family,
     realize,
 )
 from discordium.cli import main
@@ -178,6 +183,11 @@ class TestDiscordCommand:
         assert code == 0
         fields = dict(kv.split("=") for kv in out.split())
         assert abs(float(fields["value_bits"])) <= 1e-10
+
+    def test_diagonal_family_in_linear_time(self, capsys):
+        # 2^30 branches would not fit in memory
+        code, out, _ = run(["discord", "--family", "diagonal", "--fields", ",".join(["0.01"] * 30)], capsys)
+        assert (code, out) == (0, "value_bits=0 branch=diagonal-field\n")
 
     def test_reduced_method(self, capsys):
         code, out, _ = run(
@@ -464,6 +474,81 @@ class TestCompareCommand:
             capsys,
         )
         assert code == 1
+
+
+class TestArgumentParsing:
+    def test_negative_exponent_value(self, capsys):
+        head, tail = ["discord", "--family", "symmetric", "--n", "3"], ["--c3", "-0.3", "--s", "0.01"]
+        spaced = run([*head, "--c1", "-5e-05", *tail], capsys)
+        attached = run([*head, "--c1=-5e-05", *tail], capsys)
+        assert spaced == attached
+        assert spaced[0] == 0 and spaced[1].startswith("value_bits=")
+
+    def test_usage_error_returns_2(self, capsys):
+        code, out, err = run(["discord", "--bogus"], capsys)
+        assert (code, out) == (2, "")
+        assert "error:" in err
+
+    def test_seed_does_not_leak(self, capsys, monkeypatch):
+        seeds = []
+
+        def spy(params, cfg=None):
+            seeds.append(cfg.seed)
+            return minimize_family(params, cfg)
+
+        monkeypatch.setattr(discordium.cli, "minimize_family", spy)
+        argv = ["discord", "--family", "ghz", "--n", "2", "--mu", "0.5", "--method", "oracle",
+                "--format", "json"]
+        default = run(argv, capsys)
+        seeded = run([*argv, "--seed", "7"], capsys)
+        assert run(argv, capsys) == default
+        assert seeded[0] == 0
+        assert seeds == [0, 7, 0]
+
+
+ANALYTIC_COMMANDS = [
+    ["discord", "--family", "symmetric", "--n", "3", "--c1", "0.1", "--c2", "0.1", "--c3", "-0.2",
+     "--s", "0.3"],
+    ["discord", "--family", "ghz", "--n", "5", "--mu", "0.4"],
+    ["discord", "--family", "diagonal", "--fields", "0.2,-0.1,0.3"],
+    ["dynamics", *FIG3_ARGS, "--p-steps", "5"],
+    ["ghz-curve", "--n-min", "2", "--n-max", "3", "--mu-steps", "3"],
+    ["validate", "--family", "ghz", "--n", "3", "--mu", "0.5"],
+    ["spectrum", "--family", "ghz", "--n", "3", "--mu", "0.5"],
+]
+ORACLE_COMMAND = ["discord", "--family", "ghz", "--n", "2", "--mu", "0.5", "--method", "oracle"]
+COLD_START = """
+import contextlib, io, json, sys
+from discordium.cli import main
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return [code, out.getvalue(), err.getvalue()]
+
+analytic = [run(argv) for argv in json.loads(sys.argv[1])]
+scipy_after_analytic = "scipy" in sys.modules
+oracle = run(json.loads(sys.argv[2]))
+print(json.dumps([analytic, scipy_after_analytic, oracle, "scipy" in sys.modules]))
+"""
+
+
+def test_scipy_loads_with_the_first_oracle_solve(capsys):
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_START, json.dumps(ANALYTIC_COMMANDS), json.dumps(ORACLE_COMMAND)],
+        env=dict(os.environ, PYTHONPATH=str(Path(discordium.__file__).resolve().parents[1])),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    analytic, scipy_after_analytic, oracle, scipy_after_oracle = json.loads(proc.stdout)
+    assert analytic == [list(run(argv, capsys)) for argv in ANALYTIC_COMMANDS]
+    assert all(code == 0 for code, _, _ in analytic)
+    assert not scipy_after_analytic
+    assert oracle == [0, "value_bits=0.262483184 branch=oracle\n", ""]
+    assert scipy_after_oracle
 
 
 # Output of the README commands and of seeded oracle runs, byte for byte. "{out}"

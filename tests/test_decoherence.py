@@ -19,6 +19,7 @@ from discordium import (
     dynamics_sweep,
     evolved_params,
     freeze_changepoint,
+    minimize_reduced,
     phase_flip_kraus,
     realize,
 )
@@ -189,6 +190,20 @@ class TestDynamicsSweep:
         )
         for ra, ro in zip(series_a.rows, series_o.rows):
             assert ro.value == pytest.approx(ra.value, abs=5e-3)
+
+    def test_oracle_fills_analytic_none_rows(self):
+        params = FamilyParams(3, 0.5, 0.1, -0.3, 0.05)
+        grid = np.linspace(0.0, 0.6, 7)
+        analytic = dynamics_sweep(params, grid)
+        assert [row.branch for row in analytic.rows] == ["none"] * 2 + ["case1[parity]"] * 5
+        cfg = OracleConfig(starts=4)
+        oracle = dynamics_sweep(params, grid, method="oracle", cfg=cfg)
+        for ra, ro in zip(analytic.rows, oracle.rows):
+            assert np.isfinite(ro.value) and ro.value >= -1e-12
+            if ra.branch != "none":
+                assert ro.value == pytest.approx(ra.value, abs=1e-9)
+            reduced = minimize_reduced(evolved_params(params, ro.p), cfg)
+            assert ro.value == pytest.approx(reduced.value, abs=1e-9)
 
     def test_oracle_method_labels_route(self):
         cfg = OracleConfig(starts=3, seed=3)
