@@ -188,6 +188,15 @@ def _cmd_compare(args) -> int:
     return 0 if diff <= args.tol else 1
 
 
+class _UsageError(Exception):
+    """A command line that argparse rejects; main reports it as one error line."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _UsageError(message)
+
+
 def _attach_negative_values(argv: list[str]) -> list[str]:
     """Write `--c1 -5e-05` as `--c1=-5e-05`, which argparse reads as the value
     on every Python version; no option of this CLI starts like a number."""
@@ -202,7 +211,7 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="discordium",
         description="Multipartite quantum discord: closed forms, oracle, dynamics.",
     )
@@ -261,8 +270,11 @@ def main(argv=None) -> int:
     argv = _attach_negative_values(sys.argv[1:] if argv is None else list(argv))
     try:
         args = _build_parser().parse_args(argv)
-    except SystemExit as exc:  # argparse exits 0 after --help and 2 on a usage error
+    except SystemExit as exc:  # argparse exits 0 after --help
         return exc.code
+    except _UsageError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 2
     try:
         return args.func(args)
     except NoAnalyticCase as exc:

@@ -21,9 +21,11 @@ count.
 
 Each level is a linear map followed by 2x2 entropies, so one backward pass
 through the same contractions gives the exact gradient of the chain in the
-tree's (theta, phi) angles. `minimize_discord` runs L-BFGS-B on it from
-several starts, each moved slightly off the axis trees, which are stationary
-points by symmetry.
+tree's (theta, phi) angles. Every evaluation takes a leading start axis, so
+`minimize_discord` runs all its starts in lockstep: a dense BFGS per start,
+each with its own strong-Wolfe line search, and one batched chain
+evaluation per step for every start still running. The starts are moved
+slightly off the axis trees, which are stationary points by symmetry.
 
 A reduced optimizer specialized to the symmetric family works in the z
 components of the tree directions only. For that family the transverse
@@ -40,6 +42,7 @@ about 0.26 s at 8 qubits and 1.3 s at 10.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import product
@@ -47,13 +50,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .pauli import PAULI, DensityMatrix, FamilyParams, family_dense, partial_trace
+from .pauli import PAULI, DensityMatrix, FamilyParams, family_dense
 from .spectral import h_scalar, require_physical, symmetric_spectrum, von_neumann_entropy, xlog2
 
 PROB_FLOOR = 1e-14
-# L-BFGS-B's ftol and projected-gradient tolerance in the full oracle
+# the full oracle's stopping tests: relative decrease of f and largest gradient
+# component, as L-BFGS-B's ftol and pgtol
 F_TOL = 1e-15
 GRAD_TOL = 1e-10
+# strong-Wolfe constants of L-BFGS-B's line search, and its trials per search
+WOLFE_C1 = 1e-3
+WOLFE_C2 = 0.9
+SEARCH_EVALS = 20
 SPREAD_FLAG = 1e-4
 # a minimum within ZERO_CLAMP of 0 is reported as 0.0; one further below stays visible
 ZERO_CLAMP = 1e-12
@@ -147,13 +155,15 @@ class OracleConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.starts < 1:
-            raise ValueError("starts must be >= 1")
+        for name, least in (("starts", 1), ("max_iters", 1), ("seed", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
 
     @classmethod
     def from_json(cls, path: str | Path) -> "OracleConfig":
         """Keys named like a field, cast to that field's type; other keys are ignored.
-        A payload that is not an object, or a value that does not cast, raises ValueError."""
+        A payload that is not an object, a value that does not cast, or one out
+        of its field's range raises ValueError naming the file."""
         payload = json.loads(Path(path).read_text())
         if not isinstance(payload, dict):
             raise ValueError(f"{path}: oracle config must be a JSON object, got {type(payload).__name__}")
@@ -164,7 +174,10 @@ class OracleConfig:
                     kwargs[f.name] = type(f.default)(payload[f.name])
                 except (TypeError, ValueError):
                     raise ValueError(f"{path}: {f.name} must be a number, got {payload[f.name]!r}") from None
-        return cls(**kwargs)
+        try:
+            return cls(**kwargs)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -205,10 +218,20 @@ class EnsembleBranch:
     negligible: bool
 
 
-_PAULI_STACK = np.array([PAULI[c] for c in "IXYZ"])
+# row 2i + j, column a: s_a[j, i], so a (.., 4) block of rho[i, j] entries times it gives Tr[. s_a]
+_PAULI_COLUMNS = np.array([PAULI[c].T.ravel() for c in "IXYZ"]).T
 _PLUS_MINUS = np.array([1.0, -1.0])
 _BLOCH_NORM = np.array([0.0, 1.0, 1.0, 1.0])
 _LN2 = np.log(2.0)
+# (1, r) times these gives the +- outcome projector rows (1, +-r)/2
+_HALF_SIGNS = 0.5 * np.array([[1.0, 1.0, 1.0, 1.0], [1.0, -1.0, -1.0, -1.0]])
+# From E = (1, cos theta, cos phi, sin theta, sin phi, 0) of a prefix,
+# E[A] * E[B] * SIGN gives (1, r), dr/dtheta and dr/dphi as (0, .) rows.
+_TRIG_A = np.array([[0, 3, 3, 1], [5, 1, 1, 3], [5, 3, 3, 5]])
+_TRIG_B = np.array([[0, 2, 4, 0], [0, 2, 4, 0], [0, 4, 2, 0]])
+_TRIG_SIGN = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, -1.0], [1.0, -1.0, 1.0, 1.0]])
+# (K (L + 1/ln 2), K lam/p) of a row's two eigenvalues, times this, gives (de/dp, de/d|w|)
+_ROW_GRAD = np.array([[-0.5, -0.5], [-0.5, 0.5], [1.0 / _LN2, 0.0], [1.0 / _LN2, 0.0]])
 
 
 def _pauli_tensor(rho: DensityMatrix) -> np.ndarray:
@@ -217,124 +240,117 @@ def _pauli_tensor(rho: DensityMatrix) -> np.ndarray:
     for _ in range(rho.n_qubits):
         a, d = acc.shape[0], acc.shape[1] // 2
         # sum_{i,j} rho[(i, .), (j, .)] s_a[j, i] over the leading qubit
-        acc = np.tensordot(acc.reshape(a, 2, d, 2, d), _PAULI_STACK, axes=([1, 3], [2, 1]))
-        acc = np.moveaxis(acc, 3, 1).reshape(4 * a, d, d)
+        acc = acc.reshape(a, 2, d, 2, d).transpose(0, 2, 4, 1, 3).reshape(a, d * d, 4) @ _PAULI_COLUMNS
+        acc = acc.transpose(0, 2, 1).reshape(4 * a, d, d)
     return np.ascontiguousarray(acc.reshape(-1).real)
 
 
 class _Chain:
     """The measured conditional-entropy chain of one state, levels 1..levels.
 
-    Built once per state and evaluated for many trees. Row o of `_halves[j]`
-    holds the outcome-o projector (I +- r.s)/2 of prefix j in Pauli
-    coordinates, (1, +-r_x, +-r_y, +-r_z)/2; the buffers are reused by every
-    evaluation, and `_inputs` keeps each level's branch tensor for the
-    backward pass of `value_and_grad`.
+    Built once per state and evaluated for many trees at once: every
+    evaluation takes a leading start axis of k trees, and all of them share
+    the Pauli tensor. Row o of a prefix's projector block is the outcome-o
+    projector (I +- r.s)/2 in Pauli coordinates, (1, +-r_x, +-r_y, +-r_z)/2;
+    `_inputs` keeps each level's branch tensors for the backward pass of
+    `value_and_grad`.
     """
 
     def __init__(self, rho: DensityMatrix, levels: int):
-        self._tensor = _pauli_tensor(rho)
-        self._halves = np.full((2**levels - 1, 2, 4), 0.5)
-        self._plus = self._halves[:, 0, 1:]
-        self._minus = self._halves[:, 1, 1:]
-        self._rows = np.empty((2 ** (levels + 1) - 2, 4))
-        self._steps = [
-            (self._halves[(1 << m) - 1 : (2 << m) - 1], 1 << m, self._rows[(2 << m) - 2 : (4 << m) - 2])
-            for m in range(levels)
-        ]
+        self.tensor = _pauli_tensor(rho)
+        self._levels = levels
+        self._halves = self._rows = None
         self._inputs = [None] * levels
 
     def at_directions(self, directions: np.ndarray) -> np.ndarray:
-        """Branch entropies for unit Bloch vectors, one row per prefix in prefix order."""
-        self._plus[:] = directions
-        self._propagate()
-        lam, log_ratio, _, _ = self._eigen_terms()
-        return -(lam * log_ratio).sum(axis=1)
+        """Branch entropies of one tree of unit Bloch vectors, one row per prefix
+        in prefix order: the one-start case of the evaluation."""
+        directions = np.asarray(directions, dtype=float)
+        self._propagate(np.column_stack((np.ones(len(directions)), directions))[None])
+        lam, _, log_ratio, _, _ = self._eigen_terms()
+        return -(lam * log_ratio).sum(axis=-1)[0]
 
-    def value_and_grad(self, angles: np.ndarray) -> tuple[float, np.ndarray]:
-        """Chain sum and its exact gradient for (theta, phi) pairs in prefix order.
+    def value_and_grad(self, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Chain sums and their exact gradients for k trees of (theta, phi) pairs.
 
-        A row (p, w) has entropy e = -sum_+- lam log2(lam/p) with
-        lam = (p +- |w|)/2, so de/dp = log2 p - (log2 lam+ + log2 lam-)/2 and
-        de/dw = -(atanh(x)/x) w / (p ln 2) with x = |w|/p, finite at w = 0.
-        A floored branch or eigenvalue adds 0 to the value and the gradient;
-        with only lam+ kept, its own term's derivatives are used. The row
-        gradients are then carried back through each level's contraction
-        W' = H W into the projector rows (1, +-r)/2, and from r to the angles.
+        angles has shape (k, 2P), each row one tree's pairs in prefix order;
+        the values have shape (k,) and the gradients (k, 2P). A row (p, w)
+        has entropy e = -sum_+- lam log2(lam/p) with lam = (p +- |w|)/2.
+        With K_+- = 1 for a kept eigenvalue and 0 otherwise, and
+        L = log2(lam/p), de/dp = sum_+- K (lam/(p ln 2) - (L + 1/ln 2)/2) and
+        de/dw = -sum_+- (+-K) (L + 1/ln 2)/2 w/|w|; with both kept these are
+        -(L_+ + L_-)/2 and -(atanh(x)/x) w/(p ln 2), x = |w|/p, and the w
+        term is 0 at w = 0. A floored branch or eigenvalue adds 0 to the
+        value and the gradient. The row gradients are then carried back
+        through each level's contraction W' = H W into the projector rows
+        (1, +-r)/2, and from r to the angles.
         """
-        ct, st = np.cos(angles[0::2]), np.sin(angles[0::2])
-        cp, sp = np.cos(angles[1::2]), np.sin(angles[1::2])
-        np.multiply(st, cp, out=self._plus[:, 0])
-        np.multiply(st, sp, out=self._plus[:, 1])
-        self._plus[:, 2] = ct
-        self._propagate()
-        lam, log_ratio, keep, norm = self._eigen_terms()
-        value = -float((lam * log_ratio).sum())
+        k, npar = angles.shape[0], angles.shape[1] // 2
+        trig = np.empty((k, npar, 6))
+        trig[..., ::5] = (1.0, 0.0)
+        np.cos(angles.reshape(k, npar, 2), out=trig[..., 1:3])
+        np.sin(angles.reshape(k, npar, 2), out=trig[..., 3:5])
+        # (1, r), dr/dtheta and dr/dphi of every prefix
+        rows_and_jac = trig[..., _TRIG_A] * trig[..., _TRIG_B] * _TRIG_SIGN
+        self._propagate(rows_and_jac[:, :, 0])
+        lam, ratio, log_ratio, keep, norm = self._eigen_terms()
+        value = -(lam * log_ratio).sum(axis=(1, 2))
 
         q = self._rows
-        p = q[:, 0]
-        both = keep[:, 1]
-        # rows with both eigenvalues kept: de/dp, and coef = -(de/d|w|)/|w|
-        x = np.divide(norm, p, out=np.zeros_like(norm), where=both)
-        atanh_ratio = np.divide(np.arctanh(x), x, out=np.ones_like(x), where=x > 0.0)
-        coef = np.divide(atanh_ratio, p * _LN2, out=np.zeros_like(x), where=both)
-        dp = np.where(both, -0.5 * (log_ratio[:, 0] + log_ratio[:, 1]), 0.0)
-        upper = np.flatnonzero(keep[:, 0] & ~both)
-        if upper.size:
-            # only lam+ = (p + |w|)/2 kept, which needs |w| > 0
-            half = 0.5 * (log_ratio[upper, 0] + 1.0 / _LN2)
-            dp[upper] = lam[upper, 0] / (p[upper] * _LN2) - half
-            coef[upper] = half / norm[upper]
-        grad_rows = q * -coef[:, None]
-        grad_rows[:, 0] = dp
+        d_row = np.concatenate((keep * (log_ratio + 1.0 / _LN2), keep * ratio), axis=-1) @ _ROW_GRAD
+        # where |w| = 0 so is w, and the row's w gradient is 0
+        grad_rows = q * (d_row[..., 1] / np.maximum(norm, 1e-300))[..., None]
+        grad_rows[..., 0] = d_row[..., 0]
 
-        grad_halves = np.empty_like(self._halves)
-        g_out = np.zeros((2 * self._steps[-1][1], self._inputs[-1].shape[2]))
-        for m in range(len(self._steps) - 1, -1, -1):
-            halves, b, _ = self._steps[m]
-            w_in = self._inputs[m]
-            width = w_in.shape[2]
-            g_out[:, :: width // 4] += grad_rows[(2 << m) - 2 : (4 << m) - 2]
-            g_out = g_out.reshape(b, 2, width)
-            np.matmul(g_out, w_in.transpose(0, 2, 1), out=grad_halves[(1 << m) - 1 : (2 << m) - 1])
-            if m:
-                g_out = np.matmul(halves.transpose(0, 2, 1), g_out).reshape(b, -1)
+        halves = self._halves
+        grad_halves = np.empty_like(halves)
+        g_out = grad_rows[:, (1 << self._levels) - 2 :]
+        for level in range(self._levels - 1, -1, -1):
+            b = 1 << level
+            w_in = self._inputs[level]
+            width = w_in.shape[-1]
+            if level < self._levels - 1:
+                g_out[..., :: width // 4] += grad_rows[:, 2 * b - 2 : 4 * b - 2]
+            g_out = g_out.reshape(k, b, 2, width)
+            np.matmul(g_out, w_in.swapaxes(-1, -2), out=grad_halves[:, b - 1 : 2 * b - 1])
+            if level:
+                g_out = np.matmul(halves[:, b - 1 : 2 * b - 1].swapaxes(-1, -2), g_out).reshape(k, b, -1)
 
-        grad_r = 0.5 * (grad_halves[:, 0, 1:] - grad_halves[:, 1, 1:])
-        grad = np.empty_like(angles)
-        grad[0::2] = (grad_r[:, 0] * cp + grad_r[:, 1] * sp) * ct - grad_r[:, 2] * st
-        grad[1::2] = (grad_r[:, 1] * cp - grad_r[:, 0] * sp) * st
-        return value, grad
+        grad_plus = (grad_halves * _HALF_SIGNS).sum(axis=-2)
+        grad = rows_and_jac[:, :, 1:] @ grad_plus[..., None]
+        return value, grad.reshape(k, 2 * npar)
 
-    def _propagate(self) -> None:
-        """Fill every level's rows from the tree in `_plus`, keeping the branch tensors.
+    def _propagate(self, plus: np.ndarray) -> None:
+        """Fill every level's rows for k trees given as (1, r) rows, shape (k, P, 4).
 
-        Level m holds 2^m branches (rows 2^m - 2 .. 2^(m+1) - 3). Measuring
-        with outcome +- maps a branch tensor W to (W[0] +- r.W[1:])/2, one
-        batched contraction per level.
+        Level m holds 2^m branches per tree (rows 2^m - 2 .. 2^(m+1) - 3).
+        Measuring with outcome +- maps a branch tensor W to (W[0] +- r.W[1:])/2,
+        one batched contraction per level for all trees.
         """
-        np.multiply(self._plus, 0.5, out=self._plus)
-        np.negative(self._plus, out=self._minus)
-        w = self._tensor
-        for m, (halves, b, rows) in enumerate(self._steps):
-            w = self._inputs[m] = w.reshape(b, 4, -1)
-            w = np.matmul(halves, w).reshape(2 * b, -1)
+        k = plus.shape[0]
+        halves = self._halves = plus[:, :, None, :] * _HALF_SIGNS
+        rows = self._rows = np.empty((k, (2 << self._levels) - 2, 4))
+        w = self.tensor.reshape(1, 1, -1)
+        for m in range(self._levels):
+            b = 1 << m
+            w = self._inputs[m] = w.reshape(w.shape[0], b, 4, -1)
+            w = np.matmul(halves[:, b - 1 : 2 * b - 1], w).reshape(k, 2 * b, -1)
             # next qubit's (p, w_x, w_y, w_z), identity on every later qubit
-            rows[:] = w[:, :: w.shape[1] // 4]
+            rows[:, 2 * b - 2 : 4 * b - 2] = w[..., :: w.shape[-1] // 4]
 
     def _eigen_terms(self):
-        """Each row's eigenvalues (p +- |w|)/2, log2(lam/p), the keep mask and |w|.
+        """Each row's eigenvalues (p +- |w|)/2, lam/p, log2(lam/p), the keep mask and |w|.
 
         Branches with p < 1e-14 and eigenvalues at or below 1e-14 are not
-        kept; their log ratio is 0.
+        kept; their ratio is 1 and their log ratio 0.
         """
         q = self._rows
-        p = q[:, :1]
+        p = q[..., :1]
         norm = np.sqrt((q * q) @ _BLOCH_NORM)
-        lam = 0.5 * (p + norm[:, None] * _PLUS_MINUS)
+        lam = 0.5 * (p + norm[..., None] * _PLUS_MINUS)
         keep = (lam > PROB_FLOOR) & (p >= PROB_FLOOR)
         ratio = np.divide(lam, p, out=np.ones_like(lam), where=keep)
-        return lam, np.log2(ratio), keep, norm
+        return lam, ratio, np.log2(ratio), keep, norm
 
 
 def _tree_directions(tree: MeasurementTree, levels: int) -> np.ndarray:
@@ -342,8 +358,13 @@ def _tree_directions(tree: MeasurementTree, levels: int) -> np.ndarray:
     return np.array([tree.directions[p] for p in _prefixes(levels)])
 
 
-def _unmeasured_term(rho: DensityMatrix) -> float:
-    return von_neumann_entropy(rho) - von_neumann_entropy(partial_trace(rho, {1}))
+def _unmeasured_term(rho: DensityMatrix, chain: _Chain) -> float:
+    """S(rho) - S(rho_A1), with rho_A1 = (T0 I + t.s)/2 read off the chain's
+    Pauli tensor (identity on every later qubit), so its eigenvalues are
+    (T0 +- |t|)/2."""
+    first = chain.tensor[:: chain.tensor.size // 4]
+    lam = 0.5 * (first[0] + np.sqrt(first[1:] @ first[1:]) * _PLUS_MINUS)
+    return von_neumann_entropy(rho) + float(xlog2(lam).sum())
 
 
 def conditional_ensemble(rho: DensityMatrix, tree: MeasurementTree, k: int) -> list[EnsembleBranch]:
@@ -394,8 +415,8 @@ def discord_objective(rho: DensityMatrix, tree: MeasurementTree) -> float:
     n = rho.n_qubits
     if tree.n_measured != n - 1:
         raise ValueError("tree size does not match the state")
-    chain = _Chain(rho, n - 1).at_directions(_tree_directions(tree, n - 1))
-    return float(chain.sum()) - _unmeasured_term(rho)
+    chain = _Chain(rho, n - 1)
+    return float(chain.at_directions(_tree_directions(tree, n - 1)).sum()) - _unmeasured_term(rho, chain)
 
 
 def _scipy_minimize(*args, **kwargs):
@@ -407,17 +428,192 @@ def _scipy_minimize(*args, **kwargs):
     return minimize(*args, **kwargs)
 
 
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return (a * b).sum(axis=-1)
+
+
+class _SearchStarts:
+    """Per-start state of `_lockstep_bfgs`, one row per start still running.
+
+    Each start has its point x, value f, the roundoff allowance
+    slack = F_TOL * max(|f|, 1), gradient g, dense inverse-Hessian estimate
+    (the identity until its first update, `fresh`), accepted steps,
+    direction p with slope0 = g.p, and trial step. A start whose line search
+    has made tries > 0 trials without accepting one also has the bracket ends
+    lo and hi as (step, value, slope) rows; hi's step is inf until the
+    minimum is bracketed.
+    """
+
+    def __init__(self, ids, x, f, g):
+        k, d = x.shape
+        self.ids, self.x, self.f, self.g = ids, x, f, g
+        self.slack = F_TOL * np.maximum(np.abs(f), 1.0)
+        self.hess = np.tile(np.eye(d), (k, 1, 1))
+        self.fresh = np.ones(k, dtype=bool)
+        self.iters = np.zeros(k, dtype=int)
+        self.p, self.slope0 = -g, -_rowdot(g, g)
+        self.step = 1.0 / np.sqrt(-self.slope0)
+        self.lo, self.hi, self.tries = np.empty((k, 3)), np.empty((k, 3)), np.zeros(k, dtype=int)
+
+    def sufficient(self, ft: np.ndarray) -> np.ndarray:
+        """The sufficient-decrease test, passed also by a rise within the slack."""
+        return ft <= self.f + self.slack + WOLFE_C1 * self.step * self.slope0
+
+    def search(self, ft: np.ndarray, slope: np.ndarray, sufficient: np.ndarray, curvature: np.ndarray):
+        """Line-search update of the rows that reject their trial or are inside a search.
+
+        Returns the accepted rows as a mask, and the rows whose search failed.
+        A trial inside a search is also rejected when it is no lower than the
+        bracket's low end. A rejected trial becomes the high end if it fails
+        sufficient decrease or is no lower than the low end; otherwise it
+        becomes the low end, and the old low end the high one where the new
+        slope points back to it (Nocedal and Wright, algorithms 3.5 and 3.6).
+        """
+        accept = sufficient & curvature
+        failed = np.zeros_like(accept)
+        inside = self.tries > 0
+        for i in np.flatnonzero(~accept | inside).tolist():
+            if inside[i]:
+                lo, hi = self.lo[i].tolist(), self.hi[i].tolist()
+            else:
+                lo, hi = [0.0, float(self.f[i]), float(self.slope0[i])], [math.inf, 0.0, 0.0]
+            trial = [float(self.step[i]), float(ft[i]), float(slope[i])]
+            if not sufficient[i] or (inside[i] and trial[1] >= lo[1]):
+                hi = trial
+            elif curvature[i]:
+                continue
+            else:
+                if (trial[2] > 0.0) == (hi[0] > lo[0]):
+                    hi = lo
+                lo = trial
+            accept[i] = False
+            self.lo[i], self.hi[i], self.step[i] = lo, hi, _next_step(lo, hi)
+            self.tries[i] += 1
+            failed[i] = self.tries[i] >= SEARCH_EVALS
+        return accept, failed
+
+    def advance(self, rows, trial, ft, gt, max_iters: int):
+        """Move the rows to their accepted trial points, update their BFGS
+        estimates and start their next line search. Returns whether each row
+        converged, and whether it stops."""
+        s, y = trial[rows] - self.x[rows], gt[rows] - self.g[rows]
+        sy = _rowdot(s, y)
+        h, fresh = self.hess[rows], self.fresh[rows]
+        if fresh.any():
+            # the first update scales the identity by s.y / y.y (Nocedal and Wright, eq. 6.20)
+            h = h * np.where(fresh, sy / _rowdot(y, y), 1.0)[:, None, None]
+            self.fresh[rows] = False
+        hy = (h @ y[:, :, None])[:, :, 0]
+        rho = 1.0 / sy
+        # H' = H + v s^T + s v^T is the BFGS inverse update; s.y > 0 after a strong-Wolfe step
+        v = (0.5 * rho * (1.0 + rho * _rowdot(y, hy)))[:, None] * s - rho[:, None] * hy
+        vs = v[:, :, None] * s[:, None, :]
+        h = self.hess[rows] = h + vs + vs.transpose(0, 2, 1)
+
+        f_old, f_new, g_new = self.f[rows], ft[rows], gt[rows]
+        slack = F_TOL * np.maximum(np.abs(f_new), 1.0)
+        # f_old - f_new <= F_TOL * max(|f_old|, |f_new|, 1)
+        converged = (np.abs(g_new).max(axis=1) <= GRAD_TOL) | (f_old - f_new <= np.maximum(self.slack[rows], slack))
+        self.x[rows], self.f[rows], self.g[rows], self.slack[rows] = trial[rows], f_new, g_new, slack
+        self.iters[rows] += 1
+        p = self.p[rows] = -(h @ g_new[:, :, None])[:, :, 0]
+        self.slope0[rows] = _rowdot(p, g_new)
+        self.step[rows] = 1.0
+        self.tries[rows] = 0
+        return converged, converged | (self.iters[rows] >= max_iters)
+
+    def keep(self, mask) -> None:
+        for name, value in vars(self).items():
+            setattr(self, name, value[mask])
+
+
+def _next_step(lo: list[float], hi: list[float]) -> float:
+    """Next trial step of a line search from its bracket ends (step, value, slope).
+
+    A bracketed search takes the minimizer of the cubic through both ends'
+    values and slopes (Nocedal and Wright, eq. 3.59) where it lies inside the
+    bracket, at least 1e-4 of its width from either end, and the midpoint
+    otherwise; an unbracketed one takes four times its last step.
+    """
+    a, fa, da = lo
+    b, fb, db = hi
+    if math.isinf(b):
+        return 4.0 * a
+    d1 = da + db - 3.0 * (fa - fb) / (a - b)
+    rad = d1 * d1 - da * db
+    if rad >= 0.0:
+        d2 = math.copysign(math.sqrt(rad), b - a)
+        denom = db - da + 2.0 * d2
+        if denom != 0.0:
+            cubic = b - (b - a) * (db + d2 - d1) / denom
+            margin = 1e-4 * abs(b - a)
+            if min(a, b) + margin <= cubic <= max(a, b) - margin:
+                return cubic
+    return 0.5 * (a + b)
+
+
+def _lockstep_bfgs(fun, x0, *, n_starts: int, max_iters: int, **_):
+    """BFGS from n_starts points at once; a custom method for `scipy.optimize.minimize`.
+
+    fun maps a (k, d) array of points to their k values and (k, d)
+    gradients; x0 holds the starts' points one after another. Each start
+    runs its own dense BFGS with a strong-Wolfe line search (c1 = 1e-3 and
+    c2 = 0.9, as in L-BFGS-B's; first trial step 1/|g|, later ones 1), and
+    every step evaluates the trial points of all running starts in one call.
+    A start succeeds when max|g| <= GRAD_TOL, or when an accepted step lowers
+    f by at most F_TOL * max(|f_old|, |f|, 1) (L-BFGS-B's two tests); it
+    fails after max_iters accepted steps, or after SEARCH_EVALS trials
+    without one, keeping its last accepted point. The result holds x (the
+    final points, flattened), fun, success and nit per start, and nfev, the
+    number of calls to fun.
+    """
+    from scipy.optimize import OptimizeResult
+
+    x = np.array(x0, dtype=float).reshape(n_starts, -1)
+    f, g = fun(x)
+    nfev = 1
+    out_x, out_f, nit = x.copy(), f.copy(), np.zeros(n_starts, dtype=int)
+    success = np.abs(g).max(axis=1) <= GRAD_TOL
+    run = None if success.all() else _SearchStarts(*(a[~success] for a in (np.arange(n_starts), x, f, g)))
+    searching = False
+    while run is not None and run.ids.size:
+        trial = run.x + run.step[:, None] * run.p
+        ft, gt = fun(trial)
+        nfev += 1
+        slope = _rowdot(gt, run.p)
+        sufficient, curvature = run.sufficient(ft), np.abs(slope) <= -WOLFE_C2 * run.slope0
+        if searching or not (sufficient & curvature).all():
+            # some start rejects its trial, or is inside a line search
+            accept, finished = run.search(ft, slope, sufficient, curvature)
+            rows = np.flatnonzero(accept)
+            converged = np.zeros_like(accept)
+            converged[rows], finished[rows] = run.advance(rows, trial, ft, gt, max_iters)
+            searching = bool(run.tries.any())
+        else:
+            converged, finished = run.advance(slice(None), trial, ft, gt, max_iters)
+        if finished.any():
+            success[run.ids[converged]] = True
+            ids = run.ids[finished]
+            out_x[ids], out_f[ids], nit[ids] = run.x[finished], run.f[finished], run.iters[finished]
+            run.keep(~finished)
+    return OptimizeResult(x=out_x.ravel(), fun=out_f, success=success, nit=nit, nfev=nfev)
+
+
 def minimize_discord(rho: DensityMatrix, cfg: OracleConfig | None = None) -> OracleResult:
-    """Multi-start L-BFGS-B over measurement-tree angles, with the exact gradient.
+    """Multi-start lockstep BFGS over measurement-tree angles, with the exact gradient.
 
     Each start is first moved by 5% of every nonzero angle and by 0.00025
     where an angle is 0, since the axis trees are stationary points by
-    symmetry and a gradient method would stop on them. L-BFGS-B runs with
-    ftol=1e-15, a projected-gradient tolerance of 1e-10 and at most
-    cfg.max_iters iterations; a start converges when it reports success.
-    Deterministic given cfg.seed: every start has its own spawned substream
-    and the reduction takes the minimum with ties broken by start index.
-    A spread above 1e-4 across converged starts doubles the start count once.
+    symmetry and a gradient method would stop on them. The cfg.starts starts
+    and the cfg.starts restart starts run together in one `_lockstep_bfgs`
+    call, each step one batched chain evaluation: a start converges when
+    max|g| <= 1e-10 or a step lowers the value by at most 1e-15 relative, and
+    stops unconverged after cfg.max_iters steps or a failed line search. The
+    restart starts count only if the converged first starts spread by more
+    than 1e-4; no start's path depends on another's, so this equals running
+    them after the first ones. Deterministic given cfg.seed: every random
+    start has its own spawned substream, and the reduction takes the minimum
+    with ties broken by start index.
     """
     cfg = cfg or OracleConfig()
     n = rho.n_qubits
@@ -427,38 +623,35 @@ def minimize_discord(rho: DensityMatrix, cfg: OracleConfig | None = None) -> Ora
         raise ValueError(f"n_qubits={n} exceeds oracle cap {FULL_ORACLE_CAP}")
     npar = len(_prefixes(n - 1))
     chain = _Chain(rho, n - 1)
-    base = _unmeasured_term(rho)
+    base = _unmeasured_term(rho, chain)
     seed_seq = np.random.SeedSequence(cfg.seed)
 
-    def make_starts(count: int, with_axes: bool) -> list[np.ndarray]:
-        starts = [np.array(pair * npar) for pair in AXIS_ANGLES[:count]] if with_axes else []
-        for child in seed_seq.spawn(count - len(starts)):
-            rng = np.random.default_rng(child)
-            th = np.arccos(rng.uniform(-1.0, 1.0, npar))
-            ph = rng.uniform(0.0, 2 * np.pi, npar)
-            starts.append(np.column_stack((th, ph)).ravel())
-        return starts
+    def make_starts(count: int, with_axes: bool) -> np.ndarray:
+        axes = [pair * npar for pair in AXIS_ANGLES[:count]] if with_axes else []
+        # per start, npar draws of uniform(-1, 1) for cos(theta), then npar of uniform(0, 2 pi) for phi
+        u = np.array([np.random.default_rng(child).random(2 * npar) for child in seed_seq.spawn(count - len(axes))])
+        u = u.reshape(-1, 2 * npar)
+        drawn = np.empty_like(u)
+        drawn[:, 0::2] = np.arccos(-1.0 + 2.0 * u[:, :npar])
+        drawn[:, 1::2] = 2 * np.pi * u[:, npar:]
+        return np.concatenate((np.array(axes).reshape(-1, 2 * npar), drawn))
 
-    def run_batch(starts: list[np.ndarray]):
-        outs = []
-        for x0 in starts:
-            res = _scipy_minimize(
-                chain.value_and_grad,
-                np.where(x0 != 0.0, 1.05 * x0, 0.00025),
-                method="L-BFGS-B",
-                jac=True,
-                options={"ftol": F_TOL, "gtol": GRAD_TOL, "maxiter": cfg.max_iters},
-            )
-            outs.append((float(res.fun), res.x.copy(), bool(res.success)))
-        return outs
-
-    results = run_batch(make_starts(cfg.starts, True))
-    converged = [f for f, _, ok in results if ok]
+    x0 = np.concatenate((make_starts(cfg.starts, True), make_starts(cfg.starts, False)))
+    res = _scipy_minimize(
+        chain.value_and_grad,
+        np.where(x0 != 0.0, 1.05 * x0, 0.00025).ravel(),
+        method=_lockstep_bfgs,
+        options={"n_starts": len(x0), "max_iters": cfg.max_iters},
+    )
+    results = list(zip(res.fun.tolist(), res.x.reshape(len(x0), -1), res.success.tolist()))
+    first = results[: cfg.starts]
+    converged = [f for f, _, ok in first if ok]
     spread = float(max(converged) - min(converged)) if converged else float("nan")
     if converged and spread > SPREAD_FLAG:
-        results += run_batch(make_starts(cfg.starts, False))
         converged = [f for f, _, ok in results if ok]
         spread = float(max(converged) - min(converged))
+    else:
+        results = first
 
     best_fun, best_x, _ = min(results, key=lambda t: t[0])
     tree = MeasurementTree.from_angles(n - 1, best_x)

@@ -487,7 +487,46 @@ class TestArgumentParsing:
     def test_usage_error_returns_2(self, capsys):
         code, out, err = run(["discord", "--bogus"], capsys)
         assert (code, out) == (2, "")
-        assert "error:" in err
+        assert err.startswith("error:") and err.count("\n") == 1 and err.endswith("\n")
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["nope"],
+        ["discord", "--family", "ghz", "--n", "2", "--mu", "0.5", "--bogus"],
+        ["discord", "--family", "ghz", "--n", "two", "--mu", "0.5"],
+    ])
+    def test_usage_errors_are_one_line(self, argv, capsys):
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1 and err.endswith("\n")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["discord", "--help"]])
+    def test_help_exits_0(self, argv, capsys):
+        code, out, err = run(argv, capsys)
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: discordium")
+
+    @pytest.mark.parametrize("payload, message", [
+        ({"max_iters": -5}, "max_iters must be >= 1, got -5"),
+        ({"max_iters": 0}, "max_iters must be >= 1, got 0"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+    ])
+    def test_config_out_of_range_exit_2(self, payload, message, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(payload))
+        code, out, err = run(
+            ["discord", "--family", "symmetric", "--n", "3", "--c1", "0.4", "--c2", "0.3",
+             "--c3", "0.2", "--s", "0.1", "--fallback", "oracle", "--config", str(cfg)],
+            capsys,
+        )
+        assert (code, out, err) == (2, "", f"error: {cfg}: {message}\n")
+
+    def test_negative_seed_flag_exit_2(self, capsys):
+        code, out, err = run(
+            ["discord", "--family", "ghz", "--n", "2", "--mu", "0.5", "--method", "oracle", "--seed", "-1"],
+            capsys,
+        )
+        assert (code, out, err) == (2, "", "error: seed must be >= 0, got -1\n")
 
     def test_seed_does_not_leak(self, capsys, monkeypatch):
         seeds = []

@@ -208,7 +208,64 @@ class TestMeasuredConditionalEntropy:
         assert measured_conditional_entropy(rho, Z_TREE3, 2) == pytest.approx(0.0, abs=1e-12)
 
 
+def lbfgsb_reference(rho, cfg):
+    """The full oracle's value with one scipy L-BFGS-B run per start: the same
+    starts, offset, tolerances and restart rule, and the unmeasured term from a
+    dense partial trace."""
+    from scipy.optimize import minimize
+
+    n = rho.n_qubits
+    npar = 2 ** (n - 1) - 1
+    chain = _Chain(rho, n - 1)
+    seed_seq = np.random.SeedSequence(cfg.seed)
+
+    def starts(count, with_axes):
+        out = [np.array(pair * npar) for pair in oracle.AXIS_ANGLES[:count]] if with_axes else []
+        for child in seed_seq.spawn(count - len(out)):
+            rng = np.random.default_rng(child)
+            th = np.arccos(rng.uniform(-1.0, 1.0, npar))
+            ph = rng.uniform(0.0, 2 * np.pi, npar)
+            out.append(np.column_stack((th, ph)).ravel())
+        return out
+
+    def solve(x0):
+        res = minimize(
+            lambda a: tuple(v[0] for v in chain.value_and_grad(a[None])),
+            np.where(x0 != 0.0, 1.05 * x0, 0.00025),
+            method="L-BFGS-B",
+            jac=True,
+            options={"ftol": oracle.F_TOL, "gtol": oracle.GRAD_TOL, "maxiter": cfg.max_iters},
+        )
+        return float(res.fun), bool(res.success)
+
+    results = [solve(x0) for x0 in starts(cfg.starts, True)]
+    converged = [f for f, ok in results if ok]
+    if converged and max(converged) - min(converged) > oracle.SPREAD_FLAG:
+        results += [solve(x0) for x0 in starts(cfg.starts, False)]
+    base = von_neumann_entropy(rho) - von_neumann_entropy(partial_trace(rho, {1}))
+    return min(f for f, _ in results) - base
+
+
 class TestChainGradient:
+    def test_batch_matches_single_starts(self, rng):
+        # pure GHZ has floored branches and eigenvalues; the maximally mixed state has w = 0
+        for n in (2, 3, 4):
+            npar = 2 ** (n - 1) - 1
+            states = [random_full_rank(rng, n), build_noisy_ghz_dense(GhzParams(n, 1.0)),
+                      DensityMatrix(n, np.eye(2**n) / 2**n)]
+            for rho in states:
+                chain = _Chain(rho, n - 1)
+                for k in range(1, 7):
+                    angles = np.empty((k, 2 * npar))
+                    angles[:, 0::2] = np.arccos(rng.uniform(-1.0, 1.0, (k, npar)))
+                    angles[:, 1::2] = rng.uniform(0.0, 2 * np.pi, (k, npar))
+                    values, grads = chain.value_and_grad(angles)
+                    assert values.shape == (k,) and grads.shape == (k, 2 * npar)
+                    for row, value, grad in zip(angles, values, grads):
+                        one_value, one_grad = chain.value_and_grad(row[None])
+                        assert abs(value - one_value[0]) <= 1e-15, (n, k)
+                        assert np.max(np.abs(grad - one_grad[0])) <= 1e-15, (n, k)
+
     def test_matches_central_differences(self, rng):
         # random full-rank states, GHZ mixtures, and pure GHZ, whose final-level
         # branches are pure so their lower eigenvalue sits under the floor
@@ -223,10 +280,10 @@ class TestChainGradient:
                     angles = np.empty(2 * npar)
                     angles[0::2] = np.arccos(rng.uniform(-1.0, 1.0, npar))
                     angles[1::2] = rng.uniform(0.0, 2 * np.pi, npar)
-                    value, grad = chain.value_and_grad(angles)
+                    value, grad = (a[0] for a in chain.value_and_grad(angles[None]))
                     for i, e in enumerate(np.eye(2 * npar) * step):
-                        up = chain.value_and_grad(angles + e)[0]
-                        down = chain.value_and_grad(angles - e)[0]
+                        up = chain.value_and_grad((angles + e)[None])[0][0]
+                        down = chain.value_and_grad((angles - e)[None])[0][0]
                         assert grad[i] == pytest.approx((up - down) / (2 * step), abs=1e-7), (n, i)
                     tree = MeasurementTree.from_angles(n - 1, angles)
                     total = chain.at_directions(_tree_directions(tree, n - 1)).sum()
@@ -235,7 +292,7 @@ class TestChainGradient:
     def test_finite_at_zero_bloch_vector(self):
         # maximally mixed: every branch has w = 0, and the gradient is exactly flat
         chain = _Chain(DensityMatrix(3, np.eye(8) / 8), 2)
-        value, grad = chain.value_and_grad(np.array([0.3, 1.0, 2.0, -0.5, 1.2, 0.1]))
+        value, grad = (a[0] for a in chain.value_and_grad(np.array([[0.3, 1.0, 2.0, -0.5, 1.2, 0.1]])))
         assert value == pytest.approx(2.0, abs=1e-14)
         assert np.all(np.isfinite(grad))
         assert np.max(np.abs(grad)) <= 1e-14
@@ -375,6 +432,63 @@ class TestMinimizeDiscord:
         rho = realize(build_symmetric_family(FamilyParams(3, 0.1, 0.1, -0.2, 0.3)))
         out = minimize_discord(rho, FAST)
         assert discord_objective(rho, out.best_tree) == pytest.approx(out.value, abs=1e-8)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_matches_lbfgsb_reference(self, n):
+        rng = np.random.default_rng(1000 + n)
+        cfg = OracleConfig(starts=3, seed=5)
+        for rho in (family_dense(sample_case1_family(rng, n)), random_full_rank(rng, n)):
+            assert minimize_discord(rho, cfg).value == pytest.approx(lbfgsb_reference(rho, cfg), abs=1e-12)
+
+    @pytest.mark.parametrize("rho", [
+        build_noisy_ghz_dense(GhzParams(2, 0.6)),
+        DensityMatrix(2, np.eye(4) / 4),
+        DensityMatrix(3, np.eye(8) / 8),
+    ], ids=["ghz2", "mixed2", "mixed3"])
+    def test_flat_objective_one_evaluation(self, rho, monkeypatch):
+        real, calls = oracle._scipy_minimize, []
+
+        def spy(*args, **kwargs):
+            calls.append(real(*args, **kwargs))
+            return calls[-1]
+
+        monkeypatch.setattr(oracle, "_scipy_minimize", spy)
+        out = minimize_discord(rho, OracleConfig(starts=4, seed=2))
+        [res] = calls
+        assert res.nfev == 1 and res.success.all()
+        assert out.starts_converged == 4 and out.spread == 0.0
+
+
+class TestLockstepBfgs:
+    @staticmethod
+    def bowl(x):
+        # f = sum_i (i + 1) (x_i - 1)^2 per row, minimum 0 at x = 1
+        w = np.arange(1.0, x.shape[1] + 1.0)
+        return (w * (x - 1.0) ** 2).sum(axis=1), 2.0 * w * (x - 1.0)
+
+    def test_converges_per_start(self):
+        x0 = np.array([[0.0, 0.0, 0.0], [3.0, -2.0, 0.5], [1.0, 1.0, 1.0]])
+        res = oracle._lockstep_bfgs(self.bowl, x0.ravel(), n_starts=3, max_iters=100)
+        assert res.success.tolist() == [True, True, True]
+        assert np.allclose(res.x.reshape(3, 3), 1.0, atol=1e-9)
+        # the last start sits on the minimum and stops at the first evaluation
+        assert res.nit[2] == 0 and res.nfev >= 1 + res.nit.max()
+
+    def test_iteration_limit_not_converged(self):
+        res = oracle._lockstep_bfgs(self.bowl, np.array([3.0, -2.0, 0.5]), n_starts=1, max_iters=1)
+        assert res.success.tolist() == [False] and res.nit.tolist() == [1]
+
+    def test_failed_line_search_keeps_last_point(self):
+        # a gradient of the wrong sign: no trial ever decreases f enough
+        def uphill(x):
+            f, g = self.bowl(x)
+            return f, -g
+
+        x0 = np.array([3.0, -2.0, 0.5])
+        res = oracle._lockstep_bfgs(uphill, x0, n_starts=1, max_iters=100)
+        assert res.success.tolist() == [False] and res.nit.tolist() == [0]
+        assert res.nfev == 1 + oracle.SEARCH_EVALS
+        assert np.array_equal(res.x, x0) and res.fun[0] == self.bowl(x0[None])[0][0]
 
 
 class TestMinimizeFamily:
@@ -740,3 +854,19 @@ class TestOracleConfig:
     def test_starts_positive(self):
         with pytest.raises(ValueError):
             OracleConfig(starts=0)
+
+    @pytest.mark.parametrize("field, value", [("starts", 0), ("max_iters", 0), ("max_iters", -5), ("seed", -1)])
+    def test_out_of_range_names_the_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be >= "):
+            OracleConfig(**{field: value})
+
+    @pytest.mark.parametrize("payload, message", [
+        ({"max_iters": -5}, "max_iters must be >= 1"),
+        ({"seed": -1}, "seed must be >= 0"),
+        ({"starts": 0, "seed": 3}, "starts must be >= 1"),
+    ])
+    def test_from_json_out_of_range_names_file_and_field(self, tmp_path, payload, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=f"cfg.json: {message}"):
+            OracleConfig.from_json(path)
