@@ -107,6 +107,16 @@ class TestDiscordCommand:
         assert (code, out) == (2, "")
         assert err == f"error: {cfg}: oracle config must be a JSON object, got list\n"
 
+    def test_config_infinity_exit_2(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"starts": Infinity}')
+        code, out, err = run(
+            ["discord", "--family", "ghz", "--n", "2", "--mu", "0.5",
+             "--method", "oracle", "--config", str(cfg)],
+            capsys,
+        )
+        assert (code, out, err) == (2, "", f"error: {cfg}: starts must be a number, got inf\n")
+
     def test_unphysical_exit_2(self, capsys):
         code, _, err = run(
             ["discord", "--family", "symmetric", "--n", "2",
@@ -573,21 +583,43 @@ print(json.dumps([analytic, scipy_after_analytic, oracle, "scipy" in sys.modules
 """
 
 
-def test_scipy_loads_with_the_first_oracle_solve(capsys):
+REDUCED_COMMANDS = [
+    ["discord", "--family", "symmetric", "--n", "5", "--c1", "0.3", "--c2", "0.2", "--c3", "0.25",
+     "--s", "0.1", "--method", "reduced", "--seed", "3"],
+    ["dynamics", "--family", "symmetric", "--n", "5", "--c1", "0.3", "--c2", "0.2", "--c3", "0.25",
+     "--s", "0.1", "--method", "oracle", "--p-steps", "2", "--p-max", "0.5"],
+]
+
+
+def cold_start(first, then):
+    """Run the commands `first`, then the command `then`, in a fresh interpreter;
+    their (code, out, err), and whether scipy was loaded after each part."""
     proc = subprocess.run(
-        [sys.executable, "-c", COLD_START, json.dumps(ANALYTIC_COMMANDS), json.dumps(ORACLE_COMMAND)],
+        [sys.executable, "-c", COLD_START, json.dumps(first), json.dumps(then)],
         env=dict(os.environ, PYTHONPATH=str(Path(discordium.__file__).resolve().parents[1])),
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    analytic, scipy_after_analytic, oracle, scipy_after_oracle = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_scipy_loads_with_the_first_oracle_solve(capsys):
+    analytic, scipy_after_analytic, oracle, scipy_after_oracle = cold_start(ANALYTIC_COMMANDS, ORACLE_COMMAND)
     assert analytic == [list(run(argv, capsys)) for argv in ANALYTIC_COMMANDS]
     assert all(code == 0 for code, _, _ in analytic)
     assert not scipy_after_analytic
     assert oracle == [0, "value_bits=0.262483184 branch=oracle\n", ""]
     assert scipy_after_oracle
+
+
+def test_reduced_oracle_loads_no_scipy(capsys):
+    first, then = REDUCED_COMMANDS
+    [reduced], scipy_after_reduced, dynamics, scipy_after_dynamics = cold_start([first], then)
+    assert [reduced, dynamics] == [list(run(argv, capsys)) for argv in REDUCED_COMMANDS]
+    assert reduced[0] == dynamics[0] == 0
+    assert not scipy_after_reduced and not scipy_after_dynamics
 
 
 # Output of the README commands and of seeded oracle runs, byte for byte. "{out}"
@@ -617,7 +649,7 @@ PINNED = [
      0, "value_bits=0.00805239874 branch=oracle\n", ""),
     (["discord", "--family", "symmetric", "--n", "5", "--c1", "0.3", "--c2", "0.2",
       "--c3", "0.25", "--s", "0.1", "--method", "reduced", "--seed", "3", "--format", "json"],
-     0, '{"value_bits": 0.08397605242656092, "branch": "reduced"}\n', ""),
+     0, '{"value_bits": 0.08397605242656099, "branch": "reduced"}\n', ""),
     (["dynamics", "--family", "symmetric", "--n", "3", "--c1", "0.3", "--c2", "0.2",
       "--c3", "-0.1", "--s", "0.1", "--method", "oracle", "--p-steps", "3", "--seed", "2",
       "--config", "{cfg}"],
@@ -630,7 +662,7 @@ PINNED = [
         "0.5,9.58305491e-05,oracle[reduced]\n", ""),
     (["compare", "--family", "symmetric", "--n", "5", "--c1", "0.2", "--c2", "0.1",
       "--c3", "-0.3", "--s", "0.05", "--seed", "1"],
-     0, "analytic=0.0377792352 oracle=0.0377792352 diff=0 tol=0.005\n", ""),
+     0, "analytic=0.0377792352 oracle=0.0377792352 diff=2.63677968e-16 tol=0.005\n", ""),
     (["discord", "--family", "symmetric", "--n", "3", "--c1", "0.4", "--c2", "0.3",
       "--c3", "0.2", "--s", "0.1"],
      3, "", "error: no closed form for c=(0.4,0.3,0.2) s=0.1; "

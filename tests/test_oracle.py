@@ -36,11 +36,10 @@ from discordium import (
 from discordium import oracle
 from discordium.oracle import (
     _Chain,
-    _narrowing_search,
-    _ReducedLine,
     _branch_terms,
     _pauli_tensor,
     _prefixes,
+    _reduced_value_and_grad,
     _tree_directions,
     _tree_levels,
 )
@@ -591,46 +590,26 @@ class TestReducedObjective:
         total = res.Y + 0.5 * binary_h(params.s)
         assert total == pytest.approx(max_w(params, "parity"), abs=1e-11)
 
-    def test_printed_cross_sign_matches_printed_pattern(self, rng):
-        from discordium import max_w
-
-        params = sample_case1_family(rng, 3)
-        res = reduced_objective(params, all_ones_point(3), cross_sign="printed")
-        total = res.Y + 0.5 * binary_h(params.s)
-        assert total == pytest.approx(max_w(params, "printed"), abs=1e-11)
-
-    def test_monotone_in_phi(self, rng):
-        # Y never decreases when a final-level radicand auxiliary grows
-        params = FamilyParams(3, 0.15, 0.1, -0.3, 0.2)
-        for _ in range(100):
-            z = {"": float(rng.uniform(0, 1)), "0": float(rng.uniform(0, 1)),
-                 "1": float(rng.uniform(0, 1))}
-            phi0 = {w: float(rng.uniform(0, 0.05)) for w in ("0", "1")}
-            base = reduced_objective(params, ReducedPoint(z, phi0)).Y
-            for w in ("0", "1"):
-                bumped = dict(phi0)
-                bumped[w] = phi0[w] + 1e-4
-                up = reduced_objective(params, ReducedPoint(z, bumped)).Y
-                assert up >= base - 1e-12
-
-    def test_envelope_dominates_tight(self, rng):
-        params = FamilyParams(3, 0.15, 0.1, -0.3, 0.2)
-        for _ in range(20):
-            z = {k: float(rng.uniform(0, 1)) for k in ("", "0", "1")}
-            point = ReducedPoint(z)
-            tight = reduced_objective(params, point, envelope=False).Y
-            loose = reduced_objective(params, point, envelope=True).Y
-            assert loose >= tight - 1e-12
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+    def test_gradient_matches_central_differences(self, rng, n):
+        # in the angles z = cos(theta) of the reduced search: interior ones,
+        # and ones near 0 and pi/2, where z is near 1 and near 0
+        step, d = 1e-6, len(_prefixes(n - 1))
+        for s_zero in (False, True):
+            params = sample_physical_family(rng, n, s_zero=s_zero)
+            for theta in (rng.uniform(0.1, np.pi - 0.1, d), rng.uniform(1e-4, 1e-3, d),
+                          np.pi / 2 + rng.uniform(-1e-3, 1e-3, d)):
+                value, grad = _reduced_value_and_grad(params, np.cos(theta))
+                assert abs(value - sum(t.sum() for t in _branch_terms(params, np.cos(theta)))) <= 1e-15
+                shifted = theta + np.concatenate((np.eye(d), -np.eye(d))) * step
+                up, down = np.split(_reduced_value_and_grad(params, np.cos(shifted))[0], 2)
+                central = (up - down) / (2 * step)
+                assert np.max(np.abs(-np.sin(theta) * grad - central)) <= 1e-7, (n, s_zero)
 
     def test_out_of_range_coordinates(self):
         params = FamilyParams(3, 0.1, 0.1, -0.2, 0.3)
         with pytest.raises(ValueError):
             reduced_objective(params, ReducedPoint({"": 1.5, "0": 1.0, "1": 1.0}))
-
-    def test_phi_missing_prefix_named(self):
-        params = FamilyParams(3, 0.1, 0.1, -0.2, 0.3)
-        with pytest.raises(ValueError, match="final-level parent prefix '1'"):
-            reduced_objective(params, ReducedPoint({"": 0.5, "0": 1.0, "1": 1.0}, {"0": 0.1}))
 
 
 class TestMinimizeReduced:
@@ -670,6 +649,10 @@ class TestMinimizeReduced:
                 realize(build_symmetric_family(params)), OracleConfig(starts=10, seed=5)
             )
             assert red.value == pytest.approx(full.value, abs=5e-3)
+
+    def test_max_iters_bounds_each_start(self, rng):
+        out = minimize_reduced(sample_case1_family(rng, 6), OracleConfig(starts=3, max_iters=1))
+        assert out.starts_converged < 3
 
     def test_cap(self):
         with pytest.raises(ValueError):
@@ -734,98 +717,6 @@ class TestMinimizeReduced:
             assert full.value == pytest.approx(minimize_reduced(params, cfg).value, abs=1e-9)
 
 
-def random_moves(rng, line, z, count):
-    """Take `count` random grid points of random coordinate lines."""
-    for _ in range(count):
-        i = int(rng.integers(z.size))
-        grid = np.linspace(0.0, 1.0, 101)
-        line(z, i, grid)
-        j = int(rng.integers(grid.size))
-        z[i] = grid[j]
-        line.take(j)
-
-
-class TestReducedLine:
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
-    def test_lines_match_reduced_terms(self, rng, n):
-        d = len(_prefixes(n - 1))
-        for _ in range(2):
-            params = sample_physical_family(rng, n)
-            z = rng.uniform(0.0, 1.0, d)
-            line = _ReducedLine(params, z)
-            random_moves(rng, line, z, 5)
-            for i in range(d):
-                grid = np.sort(rng.uniform(0.0, 1.0, 101))
-                points = np.tile(z, (grid.size, 1))
-                points[:, i] = grid
-                full = sum(t.sum(axis=-1) for t in _branch_terms(params, points))
-                assert np.max(np.abs(line(z, i, grid) - full)) <= 1e-15
-
-    @pytest.mark.parametrize("n", [3, 5, 7])
-    def test_taken_terms_match_fresh_cache(self, rng, n):
-        params = sample_physical_family(rng, n)
-        z = rng.uniform(0.0, 1.0, len(_prefixes(n - 1)))
-        line = _ReducedLine(params, z)
-        random_moves(rng, line, z, 20)
-        np.testing.assert_array_equal(line._terms, _ReducedLine(params, z)._terms)
-
-
-class PointLine:
-    """A line objective over a function of points of shape (..., d); counts its calls."""
-
-    def __init__(self, f):
-        self.f = f
-        self.calls = 0
-
-    def __call__(self, z, i, grid):
-        self.calls += 1
-        points = np.tile(z, (grid.size, 1))
-        points[:, i] = grid
-        return self.f(points)
-
-    def take(self, j):
-        pass
-
-
-class TestNarrowingSearch:
-    # a coupled concave quadratic whose maximum is interior and off the 0.01 grid
-    CENTRE = np.array([0.3141592653, 0.7182818284, 0.4142135623])
-    CURVATURE = np.array([[2.0, 0.6, 0.3], [0.6, 1.5, -0.4], [0.3, -0.4, 1.0]])
-
-    def quadratic(self, z):
-        e = z - self.CENTRE
-        return 1.0 - np.einsum("...i,ij,...j->...", e, self.CURVATURE, e)
-
-    @pytest.mark.parametrize("z0", [0.0, 0.5, 1.0])
-    def test_reaches_interior_maximum(self, z0):
-        value, z, converged = _narrowing_search(PointLine(self.quadratic), np.full(3, z0))
-        assert converged
-        assert abs(value - 1.0) <= 1e-12
-        assert np.max(np.abs(z - self.CENTRE)) <= 1e-6
-
-    def test_stops_at_vertex(self):
-        # one line call to start, two sweeps of the first pass (the second
-        # gains nothing), then one narrowed sweep that takes no point
-        line = PointLine(lambda z: z.sum(axis=-1))
-        value, z, converged = _narrowing_search(line, np.zeros(3))
-        assert converged
-        assert value == 3.0
-        np.testing.assert_array_equal(z, np.ones(3))
-        assert line.calls == 10
-
-    def test_sweep_limit_not_converged(self):
-        # nearly collinear coupling: every sweep gains a little, 40 times over
-        curvature = np.array([[1.0, 0.999], [0.999, 1.0]])
-
-        def ridge(z):
-            e = z - self.CENTRE[:2]
-            return -np.einsum("...i,ij,...j->...", e, curvature, e)
-
-        _, z, converged = _narrowing_search(PointLine(ridge), np.zeros(2))
-        assert not converged
-        assert np.all((z >= 0.0) & (z <= 1.0))
-
-
 class TestOracleConfig:
     def test_from_json(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -850,6 +741,25 @@ class TestOracleConfig:
         path.write_text(json.dumps({"seed": 1, "starts": "many"}))
         with pytest.raises(ValueError, match="starts must be a number"):
             OracleConfig.from_json(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"starts": Infinity}', "starts must be a number, got inf"),
+        ('{"max_iters": -Infinity}', "max_iters must be a number, got -inf"),
+        ('{"seed": NaN}', "seed must be a number, got nan"),
+        ('{"starts": 3.7}', "starts must be a whole number, got 3.7"),
+        ('{"seed": true}', "seed must be a whole number, got True"),
+        ('{"starts": false}', "starts must be a whole number, got False"),
+    ])
+    def test_from_json_refuses_non_integers(self, tmp_path, text, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"cfg.json: {message}$"):
+            OracleConfig.from_json(path)
+
+    def test_from_json_keeps_integral_values(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"starts": 16.0, "max_iters": "500", "seed": 3}))
+        assert OracleConfig.from_json(path) == OracleConfig(starts=16, max_iters=500, seed=3)
 
     def test_starts_positive(self):
         with pytest.raises(ValueError):
