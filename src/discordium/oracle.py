@@ -24,8 +24,10 @@ through the same contractions gives the exact gradient of the chain in the
 tree's (theta, phi) angles. Every evaluation takes a leading start axis, so
 `minimize_discord` runs all its starts in lockstep: a dense BFGS per start,
 each with its own strong-Wolfe line search, and one batched chain
-evaluation per step for every start still running. The starts are moved
-slightly off the axis trees, which are stationary points by symmetry.
+evaluation per step for every start still running. Both oracles hand their
+starts to one optimizer seam, `_scipy_minimize`, which moves them slightly
+off the axis trees (stationary points by symmetry) and runs
+`_lockstep_minimize`; the module needs only numpy.
 
 A reduced objective specialized to the symmetric family works in the z
 components of the tree directions only. For that family the transverse
@@ -33,7 +35,7 @@ components enter solely through the final-level radicand, where they are
 maximized out exactly (the discord objective is monotone in that radicand),
 so the reduction loses nothing while extending tractable sizes to 10 qubits.
 One per-level kernel gives each branch's term and its exact z gradient, and
-`minimize_reduced` maximizes the objective with the same lockstep BFGS, in
+`minimize_reduced` maximizes the objective through the same seam, in
 one angle per prefix with z = cos(theta): a 3-start solve takes about
 0.08 s at 8 qubits and 0.7 s at 10.
 """
@@ -46,6 +48,7 @@ from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import product
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -412,15 +415,6 @@ def discord_objective(rho: DensityMatrix, tree: MeasurementTree) -> float:
     return float(chain.at_directions(_tree_directions(tree, n - 1)).sum()) - _unmeasured_term(rho, chain)
 
 
-def _scipy_minimize(*args, **kwargs):
-    """scipy.optimize.minimize, imported on the first full-oracle solve, since
-    the import costs several times what a whole closed-form command does.
-    Callers look it up by module name, so a test or tracer can replace it."""
-    from scipy.optimize import minimize
-
-    return minimize(*args, **kwargs)
-
-
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a * b).sum(axis=-1)
 
@@ -456,10 +450,10 @@ class _SearchStarts:
         """Line-search update of the rows that reject their trial or are inside a search.
 
         Returns the accepted rows as a mask, and the rows whose search failed.
-        A trial inside a search is also rejected when it is no lower than the
-        bracket's low end. A rejected trial becomes the high end if it fails
-        sufficient decrease or is no lower than the low end; otherwise it
-        becomes the low end, and the old low end the high one where the new
+        A trial inside a search is also rejected when it is not below the
+        bracket's low end plus the slack. A rejected trial becomes the high end
+        if it fails sufficient decrease or that test; otherwise it becomes the
+        low end, and the old low end the high one where the new
         slope points back to it (Nocedal and Wright, algorithms 3.5 and 3.6).
         """
         accept = sufficient & curvature
@@ -471,7 +465,7 @@ class _SearchStarts:
             else:
                 lo, hi = [0.0, float(self.f[i]), float(self.slope0[i])], [math.inf, 0.0, 0.0]
             trial = [float(self.step[i]), float(ft[i]), float(slope[i])]
-            if not sufficient[i] or (inside[i] and trial[1] >= lo[1]):
+            if not sufficient[i] or (inside[i] and trial[1] >= lo[1] + self.slack[i]):
                 hi = trial
             elif curvature[i]:
                 continue
@@ -545,21 +539,33 @@ def _next_step(lo: list[float], hi: list[float]) -> float:
     return 0.5 * (a + b)
 
 
-def _lockstep_bfgs(fun, x0, *, n_starts: int, max_iters: int, **_):
-    """`_lockstep_minimize` as a custom method for `scipy.optimize.minimize`.
+class MinimizeResult(NamedTuple):
+    """Final points (k, d), their values, and success and accepted steps per
+    start; nfev is the number of batched calls to the objective."""
 
-    x0 holds the starts' points one after another. The result holds x (the
-    final points, flattened), fun, success and nit per start, and nfev, the
-    number of calls to fun.
+    x: np.ndarray
+    fun: np.ndarray
+    success: np.ndarray
+    nit: np.ndarray
+    nfev: int
+
+
+def _scipy_minimize(fun, x0: np.ndarray, max_iters: int) -> MinimizeResult:
+    """The optimizer seam of both oracles: `_lockstep_minimize` from the raw starts x0.
+
+    Each start is first moved by 5% of every nonzero angle and to 0.00025
+    where an angle is 0, since the axis trees are stationary points by
+    symmetry and a gradient method would stop on them. No scipy is involved;
+    the name is the one the benchmark's tracer wraps (it reads the result's
+    nfev), and it stays until that tracer binds `_lockstep_minimize` itself.
+    Callers look it up by module name, so a test or tracer can replace it.
     """
-    from scipy.optimize import OptimizeResult
-
-    x, f, success, nit, nfev = _lockstep_minimize(fun, np.reshape(x0, (n_starts, -1)), max_iters)
-    return OptimizeResult(x=x.ravel(), fun=f, success=success, nit=nit, nfev=nfev)
+    return _lockstep_minimize(fun, np.where(x0 != 0.0, 1.05 * x0, 0.00025), max_iters)
 
 
-def _lockstep_minimize(fun, x0: np.ndarray, max_iters: int):
-    """BFGS from the k rows of x0 at once; the minimizer of both oracles.
+def _lockstep_minimize(fun, x0: np.ndarray, max_iters: int) -> MinimizeResult:
+    """BFGS from the k rows of x0 at once; the minimizer of both oracles,
+    which reach it through `_scipy_minimize`.
 
     fun maps a (k, d) array of points to their k values and (k, d)
     gradients. Each start runs its own dense BFGS with a strong-Wolfe line
@@ -569,8 +575,6 @@ def _lockstep_minimize(fun, x0: np.ndarray, max_iters: int):
     accepted step lowers f by at most F_TOL * max(|f_old|, |f|, 1) (L-BFGS-B's
     two tests); it fails after max_iters accepted steps, or after
     SEARCH_EVALS trials without one, keeping its last accepted point.
-    Returns the final points, their values, and success and accepted steps
-    per start, and the number of calls to fun.
     """
     x = np.array(x0, dtype=float)
     n_starts = len(x)
@@ -600,17 +604,16 @@ def _lockstep_minimize(fun, x0: np.ndarray, max_iters: int):
             ids = run.ids[finished]
             out_x[ids], out_f[ids], nit[ids] = run.x[finished], run.f[finished], run.iters[finished]
             run.keep(~finished)
-    return out_x, out_f, success, nit, nfev
+    return MinimizeResult(out_x, out_f, success, nit, nfev)
 
 
 def minimize_discord(rho: DensityMatrix, cfg: OracleConfig | None = None) -> OracleResult:
     """Multi-start lockstep BFGS over measurement-tree angles, with the exact gradient.
 
-    Each start is first moved by 5% of every nonzero angle and by 0.00025
-    where an angle is 0, since the axis trees are stationary points by
-    symmetry and a gradient method would stop on them. The cfg.starts starts
-    and the cfg.starts restart starts run together in one `_lockstep_bfgs`
-    call, each step one batched chain evaluation: a start converges when
+    The cfg.starts starts and the cfg.starts restart starts run together in
+    one `_scipy_minimize` call, which moves them off the axis trees (by 5% of
+    every nonzero angle, and to 0.00025 where an angle is 0), each step one
+    batched chain evaluation: a start converges when
     max|g| <= 1e-10 or a step lowers the value by at most 1e-15 relative, and
     stops unconverged after cfg.max_iters steps or a failed line search. The
     restart starts count only if the converged first starts spread by more
@@ -641,13 +644,8 @@ def minimize_discord(rho: DensityMatrix, cfg: OracleConfig | None = None) -> Ora
         return np.concatenate((np.array(axes).reshape(-1, 2 * npar), drawn))
 
     x0 = np.concatenate((make_starts(cfg.starts, True), make_starts(cfg.starts, False)))
-    res = _scipy_minimize(
-        chain.value_and_grad,
-        np.where(x0 != 0.0, 1.05 * x0, 0.00025).ravel(),
-        method=_lockstep_bfgs,
-        options={"n_starts": len(x0), "max_iters": cfg.max_iters},
-    )
-    results = list(zip(res.fun.tolist(), res.x.reshape(len(x0), -1), res.success.tolist()))
+    res = _scipy_minimize(chain.value_and_grad, x0, cfg.max_iters)
+    results = list(zip(res.fun.tolist(), res.x, res.success.tolist()))
     first = results[: cfg.starts]
     converged = [f for f, _, ok in first if ok]
     spread = float(max(converged) - min(converged)) if converged else float("nan")
@@ -788,11 +786,12 @@ def minimize_reduced(params: FamilyParams, cfg: OracleConfig | None = None) -> O
     objective unchanged, so its maximum there is the one over [0, 1]^d. The
     starts are all-ones, all-zeros and all-0.5 z, then seeded random ones on
     [0, 1]^d up to min(cfg.starts, 12) in all: at least 3 and at most 12
-    whatever cfg.starts says. They run in one `_lockstep_minimize` call with
-    the full oracle's start offset (theta = 0, where z = 1, is a stationary
-    point in theta), stopping tests and cfg.max_iters, each step one batched
-    evaluation of `_reduced_value_and_grad`. A 3-start solve takes about
-    0.08 s at 8 qubits and 0.7 s at 10; the cap is 10 qubits.
+    whatever cfg.starts says. They run in one `_scipy_minimize` call, whose
+    start offset is needed here too (theta = 0, where z = 1, is a stationary
+    point in theta), with the full oracle's stopping tests and cfg.max_iters,
+    each step one batched evaluation of `_reduced_value_and_grad`. A 3-start
+    solve takes about 0.08 s at 8 qubits and 0.7 s at 10; the cap is 10
+    qubits.
     """
     cfg = cfg or OracleConfig()
     n = params.n_qubits
@@ -812,9 +811,7 @@ def minimize_reduced(params: FamilyParams, cfg: OracleConfig | None = None) -> O
         value, grad = _reduced_value_and_grad(params, np.cos(theta))
         return -value, np.sin(theta) * grad
 
-    theta, f, success, _, _ = _lockstep_minimize(
-        negated, np.where(theta0 != 0.0, 1.05 * theta0, 0.00025), cfg.max_iters
-    )
+    theta, f, success, _, _ = _scipy_minimize(negated, theta0, cfg.max_iters)
     spread = float(np.ptp(f[success])) if success.any() else float("nan")
     best = int(np.argmin(f))
     y_max = -float(f[best])

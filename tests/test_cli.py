@@ -565,7 +565,16 @@ ANALYTIC_COMMANDS = [
     ["validate", "--family", "ghz", "--n", "3", "--mu", "0.5"],
     ["spectrum", "--family", "ghz", "--n", "3", "--mu", "0.5"],
 ]
-ORACLE_COMMAND = ["discord", "--family", "ghz", "--n", "2", "--mu", "0.5", "--method", "oracle"]
+ORACLE_COMMANDS = [
+    ["discord", "--family", "ghz", "--n", "2", "--mu", "0.5", "--method", "oracle"],
+    ["compare", "--family", "symmetric", "--n", "3", "--c1", "0.2", "--c2", "0.1", "--c3", "-0.3",
+     "--s", "0.05", "--seed", "1"],
+    ["ghz-curve", "--n-min", "2", "--n-max", "3", "--mu-steps", "3", "--oracle-check"],
+    ["discord", "--family", "symmetric", "--n", "5", "--c1", "0.3", "--c2", "0.2", "--c3", "0.25",
+     "--s", "0.1", "--method", "reduced", "--seed", "3"],
+    ["dynamics", "--family", "symmetric", "--n", "5", "--c1", "0.3", "--c2", "0.2", "--c3", "0.25",
+     "--s", "0.1", "--method", "oracle", "--p-steps", "2", "--p-max", "0.5"],
+]
 COLD_START = """
 import contextlib, io, json, sys
 from discordium.cli import main
@@ -574,28 +583,17 @@ def run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return [code, out.getvalue(), err.getvalue()]
+    return [code, out.getvalue(), err.getvalue(), "scipy" in sys.modules]
 
-analytic = [run(argv) for argv in json.loads(sys.argv[1])]
-scipy_after_analytic = "scipy" in sys.modules
-oracle = run(json.loads(sys.argv[2]))
-print(json.dumps([analytic, scipy_after_analytic, oracle, "scipy" in sys.modules]))
+print(json.dumps([run(argv) for argv in json.loads(sys.argv[1])]))
 """
 
 
-REDUCED_COMMANDS = [
-    ["discord", "--family", "symmetric", "--n", "5", "--c1", "0.3", "--c2", "0.2", "--c3", "0.25",
-     "--s", "0.1", "--method", "reduced", "--seed", "3"],
-    ["dynamics", "--family", "symmetric", "--n", "5", "--c1", "0.3", "--c2", "0.2", "--c3", "0.25",
-     "--s", "0.1", "--method", "oracle", "--p-steps", "2", "--p-max", "0.5"],
-]
-
-
-def cold_start(first, then):
-    """Run the commands `first`, then the command `then`, in a fresh interpreter;
-    their (code, out, err), and whether scipy was loaded after each part."""
+def cold_start(commands):
+    """Run the commands one after another in a fresh interpreter; each one's
+    (code, out, err), and whether scipy was loaded once it had run."""
     proc = subprocess.run(
-        [sys.executable, "-c", COLD_START, json.dumps(first), json.dumps(then)],
+        [sys.executable, "-c", COLD_START, json.dumps(commands)],
         env=dict(os.environ, PYTHONPATH=str(Path(discordium.__file__).resolve().parents[1])),
         capture_output=True,
         text=True,
@@ -605,21 +603,13 @@ def cold_start(first, then):
     return json.loads(proc.stdout)
 
 
-def test_scipy_loads_with_the_first_oracle_solve(capsys):
-    analytic, scipy_after_analytic, oracle, scipy_after_oracle = cold_start(ANALYTIC_COMMANDS, ORACLE_COMMAND)
-    assert analytic == [list(run(argv, capsys)) for argv in ANALYTIC_COMMANDS]
-    assert all(code == 0 for code, _, _ in analytic)
-    assert not scipy_after_analytic
-    assert oracle == [0, "value_bits=0.262483184 branch=oracle\n", ""]
-    assert scipy_after_oracle
-
-
-def test_reduced_oracle_loads_no_scipy(capsys):
-    first, then = REDUCED_COMMANDS
-    [reduced], scipy_after_reduced, dynamics, scipy_after_dynamics = cold_start([first], then)
-    assert [reduced, dynamics] == [list(run(argv, capsys)) for argv in REDUCED_COMMANDS]
-    assert reduced[0] == dynamics[0] == 0
-    assert not scipy_after_reduced and not scipy_after_dynamics
+def test_scipy_never_loads(capsys):
+    commands = ANALYTIC_COMMANDS + ORACLE_COMMANDS
+    results = cold_start(commands)
+    assert [r[:3] for r in results] == [list(run(argv, capsys)) for argv in commands]
+    assert all(code == 0 for code, _, _, _ in results)
+    assert not any(scipy_loaded for _, _, _, scipy_loaded in results)
+    assert results[len(ANALYTIC_COMMANDS)][:3] == [0, "value_bits=0.262483184 branch=oracle\n", ""]
 
 
 # Output of the README commands and of seeded oracle runs, byte for byte. "{out}"

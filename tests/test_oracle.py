@@ -1,6 +1,10 @@
 import itertools
 import json
+import os
+import subprocess
+import sys
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -361,6 +365,30 @@ class TestDiscordObjective:
             assert discord_objective(rho, tree) >= closed - 1e-9
 
 
+# minimize_discord at N=2, 3 and 4 in an interpreter where importing scipy fails
+NO_SCIPY = """
+import importlib.abc, json, sys
+
+class NoScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is not importable here")
+
+sys.meta_path.insert(0, NoScipy())
+try:
+    import scipy
+except ImportError:
+    pass
+else:
+    sys.exit("scipy imported")
+from discordium import FamilyParams, GhzParams, OracleConfig, family_dense, minimize_discord
+
+states = [GhzParams(2, 0.6), FamilyParams(3, 0.1, 0.1, -0.2, 0.3), FamilyParams(4, 0.3, 0.2, 0.25, 0.1)]
+cfg = OracleConfig(starts=3, seed=5)
+print(json.dumps([minimize_discord(family_dense(p), cfg).value for p in states]))
+"""
+
+
 class TestMinimizeDiscord:
     def test_ghz_closed_form(self):
         rho = build_noisy_ghz_dense(GhzParams(2, 0.5))
@@ -439,6 +467,19 @@ class TestMinimizeDiscord:
         for rho in (family_dense(sample_case1_family(rng, n)), random_full_rank(rng, n)):
             assert minimize_discord(rho, cfg).value == pytest.approx(lbfgsb_reference(rho, cfg), abs=1e-12)
 
+    def test_runs_without_scipy(self):
+        states = [GhzParams(2, 0.6), FamilyParams(3, 0.1, 0.1, -0.2, 0.3), FamilyParams(4, 0.3, 0.2, 0.25, 0.1)]
+        cfg = OracleConfig(starts=3, seed=5)
+        proc = subprocess.run(
+            [sys.executable, "-c", NO_SCIPY],
+            env=dict(os.environ, PYTHONPATH=str(Path(oracle.__file__).resolve().parents[1])),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [minimize_discord(family_dense(p), cfg).value for p in states]
+
     @pytest.mark.parametrize("rho", [
         build_noisy_ghz_dense(GhzParams(2, 0.6)),
         DensityMatrix(2, np.eye(4) / 4),
@@ -467,14 +508,14 @@ class TestLockstepBfgs:
 
     def test_converges_per_start(self):
         x0 = np.array([[0.0, 0.0, 0.0], [3.0, -2.0, 0.5], [1.0, 1.0, 1.0]])
-        res = oracle._lockstep_bfgs(self.bowl, x0.ravel(), n_starts=3, max_iters=100)
+        res = oracle._lockstep_minimize(self.bowl, x0, 100)
         assert res.success.tolist() == [True, True, True]
         assert np.allclose(res.x.reshape(3, 3), 1.0, atol=1e-9)
         # the last start sits on the minimum and stops at the first evaluation
         assert res.nit[2] == 0 and res.nfev >= 1 + res.nit.max()
 
     def test_iteration_limit_not_converged(self):
-        res = oracle._lockstep_bfgs(self.bowl, np.array([3.0, -2.0, 0.5]), n_starts=1, max_iters=1)
+        res = oracle._lockstep_minimize(self.bowl, np.array([[3.0, -2.0, 0.5]]), 1)
         assert res.success.tolist() == [False] and res.nit.tolist() == [1]
 
     def test_failed_line_search_keeps_last_point(self):
@@ -483,11 +524,18 @@ class TestLockstepBfgs:
             f, g = self.bowl(x)
             return f, -g
 
-        x0 = np.array([3.0, -2.0, 0.5])
-        res = oracle._lockstep_bfgs(uphill, x0, n_starts=1, max_iters=100)
+        x0 = np.array([[3.0, -2.0, 0.5]])
+        res = oracle._lockstep_minimize(uphill, x0, 100)
         assert res.success.tolist() == [False] and res.nit.tolist() == [0]
         assert res.nfev == 1 + oracle.SEARCH_EVALS
-        assert np.array_equal(res.x, x0) and res.fun[0] == self.bowl(x0[None])[0][0]
+        assert np.array_equal(res.x, x0) and res.fun[0] == self.bowl(x0)[0][0]
+
+    def test_seam_offsets_the_starts(self):
+        # the seam moves a start on the minimum off it (0 -> 0.00025, 1 -> 1.05)
+        x0 = np.array([[1.0, 0.0, 1.0]])
+        res = oracle._scipy_minimize(lambda x: (x[:, 0] * 0.0, x * 0.0), x0, 100)
+        assert res.nfev == 1 and res.success.tolist() == [True] and res.nit.tolist() == [0]
+        assert res.x.tolist() == [[1.05, 0.00025, 1.05]] and isinstance(res.nfev, int)
 
 
 class TestMinimizeFamily:
@@ -680,14 +728,27 @@ class TestMinimizeReduced:
         value = minimize_reduced(params, cfg).value
         assert minimize_reduced(flipped, cfg).value == pytest.approx(value, abs=1e-12)
 
-    def test_makes_no_scipy_call(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("minimize_reduced called scipy")
+    def test_one_seam_call(self, monkeypatch):
+        real, calls = oracle._scipy_minimize, []
 
-        monkeypatch.setattr(oracle, "_scipy_minimize", refuse)
+        def spy(fun, x0, max_iters):
+            calls.append((x0.shape, real(fun, x0, max_iters)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(oracle, "_scipy_minimize", spy)
         params = FamilyParams(5, 0.1, 0.1, -0.2, 0.05)
         out = minimize_reduced(params, OracleConfig(starts=3, seed=1))
+        [(shape, res)] = calls
+        assert shape == (3, 15) and res.success.all()
         assert out.starts_converged == 3
+
+    def test_roundoff_flat_line_search_converges(self):
+        # the all-ones start reaches a point flat to roundoff with max|g| = 3.3e-9;
+        # a trial within the slack of the bracket's low end no longer fails its search
+        params = FamilyParams(2, 0.1453316506496225, 0.5391143119644839, 0.23383147702614804, -0.44096304452516066)
+        out = minimize_reduced(params, OracleConfig(starts=3, seed=4))
+        assert out.starts_converged == 3
+        assert out.value == 0.0879595188743057
 
     # N = 4n+3, a second 4n, a second 4n+1 and a second 4n+2, where only this
     # oracle reaches
