@@ -570,6 +570,8 @@ ORACLE_COMMANDS = [
     ["compare", "--family", "symmetric", "--n", "3", "--c1", "0.2", "--c2", "0.1", "--c3", "-0.3",
      "--s", "0.05", "--seed", "1"],
     ["ghz-curve", "--n-min", "2", "--n-max", "3", "--mu-steps", "3", "--oracle-check"],
+]
+REDUCED_COMMANDS = [
     ["discord", "--family", "symmetric", "--n", "5", "--c1", "0.3", "--c2", "0.2", "--c3", "0.25",
      "--s", "0.1", "--method", "reduced", "--seed", "3"],
     ["dynamics", "--family", "symmetric", "--n", "5", "--c1", "0.3", "--c2", "0.2", "--c3", "0.25",
@@ -610,6 +612,13 @@ def test_scipy_never_loads(capsys):
     assert all(code == 0 for code, _, _, _ in results)
     assert not any(scipy_loaded for _, _, _, scipy_loaded in results)
     assert results[len(ANALYTIC_COMMANDS)][:3] == [0, "value_bits=0.262483184 branch=oracle\n", ""]
+
+
+def test_reduced_oracle_loads_no_scipy(capsys):
+    results = cold_start(REDUCED_COMMANDS)
+    assert [r[:3] for r in results] == [list(run(argv, capsys)) for argv in REDUCED_COMMANDS]
+    assert all(code == 0 for code, _, _, _ in results)
+    assert not any(scipy_loaded for _, _, _, scipy_loaded in results)
 
 
 # Output of the README commands and of seeded oracle runs, byte for byte. "{out}"
