@@ -144,6 +144,8 @@ def _cmd_ghz_curve(args) -> int:
 
 
 def _cmd_dynamics(args) -> int:
+    if args.p_steps < 1:
+        raise ValueError("need at least 1 p step")
     params = _family_params(args)
     if not isinstance(params, FamilyParams):
         raise ValueError("dynamics sweeps apply to the symmetric family")

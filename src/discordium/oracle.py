@@ -27,7 +27,8 @@ each with its own strong-Wolfe line search, and one batched chain
 evaluation per step for every start still running. Both oracles hand their
 starts to one optimizer seam, `_scipy_minimize`, which moves them slightly
 off the axis trees (stationary points by symmetry) and runs
-`_lockstep_minimize`; the module needs only numpy.
+`_lockstep_minimize`; both reduce every start that ran with
+`MinimizeResult.reduce`, with no restart rule. The module needs only numpy.
 
 A reduced objective specialized to the symmetric family works in the z
 components of the tree directions only. For that family the transverse
@@ -64,7 +65,6 @@ GRAD_TOL = 1e-10
 WOLFE_C1 = 1e-3
 WOLFE_C2 = 0.9
 SEARCH_EVALS = 20
-SPREAD_FLAG = 1e-4
 # a minimum within ZERO_CLAMP of 0 is reported as 0.0; one further below stays visible
 ZERO_CLAMP = 1e-12
 FULL_ORACLE_CAP = 4
@@ -144,6 +144,9 @@ class MeasurementTree:
 
 @dataclass(frozen=True)
 class OracleConfig:
+    """Both oracles' start count, steps per start and seed: `minimize_discord`
+    runs 2 * starts starts, `minimize_reduced` max(3, min(starts, 12))."""
+
     starts: int = 64
     max_iters: int = 2000
     seed: int = 0
@@ -156,9 +159,9 @@ class OracleConfig:
     @classmethod
     def from_json(cls, path: str | Path) -> "OracleConfig":
         """Keys named like a field, cast to that field's type; other keys are ignored.
-        A payload that is not an object, a value that does not cast (an infinite
-        one included), a boolean or fractional one, or one out of its field's
-        range raises ValueError naming the file."""
+        A payload that is not an object, a value that is a string or does not
+        cast (an infinite one included), a boolean or fractional one, or one out
+        of its field's range raises ValueError naming the file."""
         payload = json.loads(Path(path).read_text())
         if not isinstance(payload, dict):
             raise ValueError(f"{path}: oracle config must be a JSON object, got {type(payload).__name__}")
@@ -167,6 +170,8 @@ class OracleConfig:
             if f.name in payload:
                 value = payload[f.name]
                 try:
+                    if isinstance(value, str):
+                        raise TypeError
                     kwargs[f.name] = type(f.default)(value)
                 except (TypeError, ValueError, OverflowError):
                     raise ValueError(f"{path}: {f.name} must be a number, got {value!r}") from None
@@ -549,6 +554,13 @@ class MinimizeResult(NamedTuple):
     nit: np.ndarray
     nfev: int
 
+    def reduce(self) -> tuple[int, int, float]:
+        """Over every start: the lowest value's index (the first on ties), the
+        converged count, and the converged values' spread (NaN if none)."""
+        done = self.fun[self.success]
+        spread = float(np.ptp(done)) if done.size else float("nan")
+        return int(np.argmin(self.fun)), int(self.success.sum()), spread
+
 
 def _scipy_minimize(fun, x0: np.ndarray, max_iters: int) -> MinimizeResult:
     """The optimizer seam of both oracles: `_lockstep_minimize` from the raw starts x0.
@@ -610,17 +622,15 @@ def _lockstep_minimize(fun, x0: np.ndarray, max_iters: int) -> MinimizeResult:
 def minimize_discord(rho: DensityMatrix, cfg: OracleConfig | None = None) -> OracleResult:
     """Multi-start lockstep BFGS over measurement-tree angles, with the exact gradient.
 
-    The cfg.starts starts and the cfg.starts restart starts run together in
-    one `_scipy_minimize` call, which moves them off the axis trees (by 5% of
-    every nonzero angle, and to 0.00025 where an angle is 0), each step one
-    batched chain evaluation: a start converges when
-    max|g| <= 1e-10 or a step lowers the value by at most 1e-15 relative, and
-    stops unconverged after cfg.max_iters steps or a failed line search. The
-    restart starts count only if the converged first starts spread by more
-    than 1e-4; no start's path depends on another's, so this equals running
-    them after the first ones. Deterministic given cfg.seed: every random
-    start has its own spawned substream, and the reduction takes the minimum
-    with ties broken by start index.
+    The 2 cfg.starts starts are the first min(cfg.starts, 6) axis trees
+    (+z, +x, +y, -z, -x, -y at every prefix), then seeded random trees, tree
+    i from row i of one generator's draws. They run in one `_scipy_minimize`
+    call, which moves them off the axis trees (by 5% of every nonzero angle,
+    and to 0.00025 where an angle is 0), each step one batched chain
+    evaluation: a start converges when max|g| <= 1e-10 or a step lowers the
+    value by at most 1e-15 relative, and stops unconverged after
+    cfg.max_iters steps or a failed line search. Every start counts in the
+    value, starts_converged and spread.
     """
     cfg = cfg or OracleConfig()
     n = rho.n_qubits
@@ -631,33 +641,15 @@ def minimize_discord(rho: DensityMatrix, cfg: OracleConfig | None = None) -> Ora
     npar = len(_prefixes(n - 1))
     chain = _Chain(rho, n - 1)
     base = _unmeasured_term(rho, chain)
-    seed_seq = np.random.SeedSequence(cfg.seed)
-
-    def make_starts(count: int, with_axes: bool) -> np.ndarray:
-        axes = [pair * npar for pair in AXIS_ANGLES[:count]] if with_axes else []
-        # per start, npar draws of uniform(-1, 1) for cos(theta), then npar of uniform(0, 2 pi) for phi
-        u = np.array([np.random.default_rng(child).random(2 * npar) for child in seed_seq.spawn(count - len(axes))])
-        u = u.reshape(-1, 2 * npar)
-        drawn = np.empty_like(u)
-        drawn[:, 0::2] = np.arccos(-1.0 + 2.0 * u[:, :npar])
-        drawn[:, 1::2] = 2 * np.pi * u[:, npar:]
-        return np.concatenate((np.array(axes).reshape(-1, 2 * npar), drawn))
-
-    x0 = np.concatenate((make_starts(cfg.starts, True), make_starts(cfg.starts, False)))
+    axes = np.array([pair * npar for pair in AXIS_ANGLES[: cfg.starts]])
+    # per row, npar draws of uniform(0, 1) for cos(theta), then npar for phi
+    u = np.random.default_rng(cfg.seed).random((2 * cfg.starts - len(axes), 2 * npar))
+    drawn = np.stack((np.arccos(-1.0 + 2.0 * u[:, :npar]), 2 * np.pi * u[:, npar:]), axis=-1)
+    x0 = np.concatenate((axes, drawn.reshape(len(u), 2 * npar)))
     res = _scipy_minimize(chain.value_and_grad, x0, cfg.max_iters)
-    results = list(zip(res.fun.tolist(), res.x, res.success.tolist()))
-    first = results[: cfg.starts]
-    converged = [f for f, _, ok in first if ok]
-    spread = float(max(converged) - min(converged)) if converged else float("nan")
-    if converged and spread > SPREAD_FLAG:
-        converged = [f for f, _, ok in results if ok]
-        spread = float(max(converged) - min(converged))
-    else:
-        results = first
-
-    best_fun, best_x, _ = min(results, key=lambda t: t[0])
-    tree = MeasurementTree.from_angles(n - 1, best_x)
-    return OracleResult(_clamp_zero(best_fun - base), tree, sum(1 for _, _, ok in results if ok), spread)
+    best, converged, spread = res.reduce()
+    tree = MeasurementTree.from_angles(n - 1, res.x[best])
+    return OracleResult(_clamp_zero(float(res.fun[best]) - base), tree, converged, spread)
 
 
 # --- reduced optimizer for the symmetric family ---------------------------
@@ -801,24 +793,18 @@ def minimize_reduced(params: FamilyParams, cfg: OracleConfig | None = None) -> O
         raise ValueError(f"n_qubits={n} exceeds reduced-oracle cap {REDUCED_ORACLE_CAP}")
     prefs = _prefixes(n - 1)
     d = len(prefs)
-
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    starts = [np.ones(d), np.zeros(d), np.full(d, 0.5)]
-    starts += list(rng.uniform(0.0, 1.0, (max(0, min(cfg.starts, 12) - 3), d)))
-    theta0 = np.arccos(np.array(starts))
+    drawn = np.random.default_rng(cfg.seed).random((max(0, min(cfg.starts, 12) - 3), d))
+    theta0 = np.arccos(np.concatenate((np.array([np.ones(d), np.zeros(d), np.full(d, 0.5)]), drawn)))
 
     def negated(theta):
         value, grad = _reduced_value_and_grad(params, np.cos(theta))
         return -value, np.sin(theta) * grad
 
-    theta, f, success, _, _ = _scipy_minimize(negated, theta0, cfg.max_iters)
-    spread = float(np.ptp(f[success])) if success.any() else float("nan")
-    best = int(np.argmin(f))
-    y_max = -float(f[best])
-
-    value = symmetric_spectrum(params).sum_xlog2() + n - 0.5 * h_scalar(params.s) - y_max
-    point = ReducedPoint(dict(zip(prefs, np.cos(theta[best]).tolist())))
-    return OracleResult(_clamp_zero(value), point, int(success.sum()), spread)
+    res = _scipy_minimize(negated, theta0, cfg.max_iters)
+    best, converged, spread = res.reduce()
+    value = symmetric_spectrum(params).sum_xlog2() + n - 0.5 * h_scalar(params.s) + float(res.fun[best])
+    point = ReducedPoint(dict(zip(prefs, np.cos(res.x[best]).tolist())))
+    return OracleResult(_clamp_zero(value), point, converged, spread)
 
 
 def minimize_family(params, cfg: OracleConfig | None = None) -> OracleResult:

@@ -354,6 +354,14 @@ class TestDynamicsCommand:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("steps", ["0", "-3"])
+    def test_no_p_steps_exit_2(self, capsys, tmp_path, steps):
+        out_path = tmp_path / "none.csv"
+        code, out, err = run(["dynamics"] + FIG3_ARGS + ["--p-steps", steps, "--out", str(out_path)], capsys)
+        assert code == 2
+        assert out == "" and not out_path.exists()
+        assert err == "error: need at least 1 p step\n"
+
     def test_stdout_when_no_out(self, capsys):
         code, out, _ = run(["dynamics"] + FIG3_ARGS + ["--p-steps", "2"], capsys)
         assert code == 0

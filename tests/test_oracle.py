@@ -213,23 +213,19 @@ class TestMeasuredConditionalEntropy:
 
 def lbfgsb_reference(rho, cfg):
     """The full oracle's value with one scipy L-BFGS-B run per start: the same
-    starts, offset, tolerances and restart rule, and the unmeasured term from a
-    dense partial trace."""
+    starts, offset and tolerances, every start counted, and the unmeasured
+    term from a dense partial trace."""
     from scipy.optimize import minimize
 
     n = rho.n_qubits
     npar = 2 ** (n - 1) - 1
     chain = _Chain(rho, n - 1)
-    seed_seq = np.random.SeedSequence(cfg.seed)
-
-    def starts(count, with_axes):
-        out = [np.array(pair * npar) for pair in oracle.AXIS_ANGLES[:count]] if with_axes else []
-        for child in seed_seq.spawn(count - len(out)):
-            rng = np.random.default_rng(child)
-            th = np.arccos(rng.uniform(-1.0, 1.0, npar))
-            ph = rng.uniform(0.0, 2 * np.pi, npar)
-            out.append(np.column_stack((th, ph)).ravel())
-        return out
+    starts = [np.array(pair * npar) for pair in oracle.AXIS_ANGLES[: cfg.starts]]
+    rng = np.random.default_rng(cfg.seed)
+    while len(starts) < 2 * cfg.starts:
+        th = np.arccos(rng.uniform(-1.0, 1.0, npar))
+        ph = rng.uniform(0.0, 2 * np.pi, npar)
+        starts.append(np.column_stack((th, ph)).ravel())
 
     def solve(x0):
         res = minimize(
@@ -239,14 +235,10 @@ def lbfgsb_reference(rho, cfg):
             jac=True,
             options={"ftol": oracle.F_TOL, "gtol": oracle.GRAD_TOL, "maxiter": cfg.max_iters},
         )
-        return float(res.fun), bool(res.success)
+        return float(res.fun)
 
-    results = [solve(x0) for x0 in starts(cfg.starts, True)]
-    converged = [f for f, ok in results if ok]
-    if converged and max(converged) - min(converged) > oracle.SPREAD_FLAG:
-        results += [solve(x0) for x0 in starts(cfg.starts, False)]
     base = von_neumann_entropy(rho) - von_neumann_entropy(partial_trace(rho, {1}))
-    return min(f for f, _ in results) - base
+    return min(solve(x0) for x0 in starts) - base
 
 
 class TestChainGradient:
@@ -439,7 +431,7 @@ class TestMinimizeDiscord:
         for _ in range(20):
             params = sample_case1_family(rng, 2)
             out = minimize_discord(family_dense(params), OracleConfig(starts=3))
-            assert out.starts_converged == 3, params
+            assert out.starts_converged == 6, params
             assert out.value == pytest.approx(discord_symmetric(params).value, abs=1e-9), params
 
     def test_escapes_z_saddle(self):
@@ -496,7 +488,63 @@ class TestMinimizeDiscord:
         out = minimize_discord(rho, OracleConfig(starts=4, seed=2))
         [res] = calls
         assert res.nfev == 1 and res.success.all()
-        assert out.starts_converged == 4 and out.spread == 0.0
+        assert out.starts_converged == 8 and out.spread == 0.0
+
+    def test_one_start_counts_its_random_start(self):
+        # the +z start ends at 0.651918; the random start that runs beside it finds the minimum
+        out = minimize_discord(family_dense(FamilyParams(3, -0.37, 0.78, 0.17, -0.02)), OracleConfig(starts=1, seed=0))
+        assert out.value == pytest.approx(0.5717356303188266, abs=1e-12)
+        assert out.starts_converged == 2
+        assert out.spread == pytest.approx(0.0802, abs=1e-4)
+
+    def test_random_rows_do_not_depend_on_their_count(self, monkeypatch):
+        real, starts = oracle._scipy_minimize, []
+
+        def spy(fun, x0, max_iters):
+            starts.append(x0)
+            return real(fun, x0, max_iters)
+
+        monkeypatch.setattr(oracle, "_scipy_minimize", spy)
+        rho = family_dense(FamilyParams(3, 0.1, 0.1, -0.2, 0.3))
+        for count in (1, 2, 6, 9):
+            minimize_discord(rho, OracleConfig(starts=count, seed=3))
+        for count, x0 in zip((1, 2, 6, 9), starts):
+            axes = min(count, 6)
+            assert x0.shape == (2 * count, 6)
+            np.testing.assert_array_equal(x0[:axes], [pair * 3 for pair in oracle.AXIS_ANGLES[:axes]])
+            np.testing.assert_array_equal(x0[axes:], starts[-1][6 : 6 + 2 * count - axes])
+
+
+class TestReduction:
+    # every start converges at 2000 steps, some at 20, none at 3
+    @pytest.mark.parametrize("max_iters", [2000, 20, 3])
+    @pytest.mark.parametrize("solver", ["full", "reduced"])
+    def test_every_start_counts(self, solver, max_iters, monkeypatch):
+        real, calls = oracle._scipy_minimize, []
+
+        def spy(fun, x0, iters):
+            calls.append(real(fun, x0, iters))
+            return calls[-1]
+
+        monkeypatch.setattr(oracle, "_scipy_minimize", spy)
+        cfg = OracleConfig(starts=4, max_iters=max_iters, seed=1)
+        if solver == "full":
+            rho = family_dense(FamilyParams(3, -0.37, 0.78, 0.17, -0.02))
+            out = minimize_discord(rho, cfg)
+            [res] = calls
+            best = oracle._clamp_zero(res.fun.min() - oracle._unmeasured_term(rho, _Chain(rho, 2)))
+        else:
+            params = FamilyParams(5, 0.1, 0.1, -0.2, 0.05)
+            out = minimize_reduced(params, cfg)
+            [res] = calls
+            base = oracle.symmetric_spectrum(params).sum_xlog2() + 5 - 0.5 * binary_h(params.s)
+            best = oracle._clamp_zero(base + res.fun.min())
+        assert out.value == best
+        assert out.starts_converged == res.success.sum()
+        if res.success.any():
+            assert out.spread == np.ptp(res.fun[res.success])
+        else:
+            assert np.isnan(out.spread)
 
 
 class TestLockstepBfgs:
@@ -810,6 +858,8 @@ class TestOracleConfig:
         ('{"starts": 3.7}', "starts must be a whole number, got 3.7"),
         ('{"seed": true}', "seed must be a whole number, got True"),
         ('{"starts": false}', "starts must be a whole number, got False"),
+        ('{"starts": "3"}', "starts must be a number, got '3'"),
+        ('{"starts": "3.0"}', "starts must be a number, got '3.0'"),
     ])
     def test_from_json_refuses_non_integers(self, tmp_path, text, message):
         path = tmp_path / "cfg.json"
@@ -819,7 +869,7 @@ class TestOracleConfig:
 
     def test_from_json_keeps_integral_values(self, tmp_path):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"starts": 16.0, "max_iters": "500", "seed": 3}))
+        path.write_text(json.dumps({"starts": 16.0, "max_iters": 500, "seed": 3}))
         assert OracleConfig.from_json(path) == OracleConfig(starts=16, max_iters=500, seed=3)
 
     def test_starts_positive(self):
