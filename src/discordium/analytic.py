@@ -99,40 +99,6 @@ def max_w(params: FamilyParams, pattern: str = "parity") -> float:
     raise ValueError(f"unknown pattern {pattern!r}")
 
 
-def max_w_mod4(params: FamilyParams) -> float:
-    """max W via the four N mod 4 branch displays (N >= 4).
-
-    Kept as literal binomial-sum branches so agreement with the single
-    parity-pattern sum is a consistency check rather than shared code.
-    """
-    n, c3, s = params.n_qubits, params.c3, params.s
-    if n < 4:
-        raise ValueError("mod-4 branch displays need n_qubits >= 4")
-    m = n % 4
-    nn = n // 4
-    plus, minus = abs(s + c3), abs(s - c3)
-    total = 0.0
-    if m == 0:
-        for k in range(2 * nn):
-            total += comb(4 * nn - 1, 2 * k) * h_scalar(plus, (4 * nn - 4 * k - 1) * s)
-            total += comb(4 * nn - 1, 2 * k + 1) * h_scalar(minus, (4 * nn - 4 * k - 3) * s)
-    elif m == 1:
-        for k in range(2 * nn + 1):
-            total += comb(4 * nn, 2 * k) * h_scalar(plus, (4 * nn - 4 * k) * s)
-        for k in range(2 * nn):
-            total += comb(4 * nn, 2 * k + 1) * h_scalar(minus, (4 * nn - 4 * k - 2) * s)
-    elif m == 2:
-        for k in range(2 * nn + 1):
-            total += comb(4 * nn + 1, 2 * k) * h_scalar(plus, (4 * nn - 4 * k + 1) * s)
-            total += comb(4 * nn + 1, 2 * k + 1) * h_scalar(minus, (4 * nn - 4 * k - 1) * s)
-    else:
-        for k in range(2 * nn + 2):
-            total += comb(4 * nn + 2, 2 * k) * h_scalar(plus, (4 * nn - 4 * k + 2) * s)
-        for k in range(2 * nn + 1):
-            total += comb(4 * nn + 2, 2 * k + 1) * h_scalar(minus, (4 * nn - 4 * k) * s)
-    return total / 2**n
-
-
 def _argmax_c_name(params: FamilyParams) -> str:
     vals = {"c1": abs(params.c1), "c2": abs(params.c2), "c3": abs(params.c3)}
     return max(vals, key=vals.get)

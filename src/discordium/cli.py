@@ -177,6 +177,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    if not (np.isfinite(args.tol) and args.tol >= 0.0):
+        raise ValueError(f"--tol must be a finite number >= 0, got {args.tol}")
     params = _family_params(args)
     require_physical(params)
     cfg = _oracle_config(args)

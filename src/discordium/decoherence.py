@@ -1,4 +1,4 @@
-"""Phase-flip channel, evolved-state discord, sweeps, and freezing detection.
+"""Phase-flip evolution of the symmetric family, sweeps, and freezing detection.
 
 The per-site channel has Kraus pair {sqrt(1-p/2) I, sqrt(p/2) Z}; composing
 it over all N sites multiplies every Pauli word's weight by (1-p)^w where w
@@ -17,13 +17,12 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
 from .analytic import NoAnalyticCase, discord_symmetric
 from .oracle import OracleConfig, ReducedPoint, minimize_family
-from .pauli import DensityMatrix, FamilyParams, PauliSum
+from .pauli import FamilyParams
 from .spectral import h_scalar
 
 
@@ -42,16 +41,6 @@ class ChannelParams:
         if gamma < 0 or t < 0:
             raise ValueError("gamma and t must be nonnegative")
         return cls(p=1.0 - math.exp(-gamma * t))
-
-
-@dataclass(frozen=True)
-class KrausSet:
-    operators: list[np.ndarray]
-
-    def completeness_deviation(self) -> float:
-        dim = self.operators[0].shape[0]
-        acc = sum(k.conj().T @ k for k in self.operators)
-        return float(np.max(np.abs(acc - np.eye(dim))))
 
 
 @dataclass(frozen=True)
@@ -81,42 +70,6 @@ class FreezeReport:
     frozen: bool
     frozen_value: float | None
     p_star: float | None
-    method: str
-
-
-def phase_flip_kraus(n: int, p: float) -> KrausSet:
-    """Full-channel Kraus set: all 2^N tensor products of the per-site pair."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p={p} outside [0, 1]")
-    g0 = np.sqrt(1.0 - p / 2.0) * np.eye(2)
-    g1 = np.sqrt(p / 2.0) * np.diag([1.0, -1.0])
-    ops = [np.array([[1.0]])]
-    for _ in range(n):
-        ops = [np.kron(op, g) for op in ops for g in (g0, g1)]
-    return KrausSet([op.astype(complex) for op in ops])
-
-
-def apply_phase_flip(state: PauliSum, p: float) -> PauliSum:
-    """Weight rule: each word picks up (1-p)^(number of X or Y letters)."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p={p} outside [0, 1]")
-    damp = 1.0 - p
-    terms = {}
-    for word, w in state.terms.items():
-        n_xy = sum(1 for ch in word if ch in "XY")
-        terms[word] = w * damp**n_xy
-    return PauliSum(state.n_qubits, terms)
-
-
-def apply_phase_flip_dense(rho: DensityMatrix, p: float) -> DensityMatrix:
-    """Dense Kraus application; retained as the test oracle for the weight rule."""
-    kraus = phase_flip_kraus(rho.n_qubits, p)
-    out = reduce(
-        lambda acc, k: acc + k @ rho.entries @ k.conj().T,
-        kraus.operators,
-        np.zeros_like(rho.entries),
-    )
-    return DensityMatrix(rho.n_qubits, out)
 
 
 def evolved_params(params: FamilyParams, p: float) -> FamilyParams:
@@ -169,7 +122,7 @@ def detect_freeze_transition(params: FamilyParams, coupling_tol: float = 1e-12) 
     coupling_tol loosens the c2 = c1 c3 equality for truncated-decimal inputs.
     """
     n = params.n_qubits
-    not_frozen = FreezeReport(False, None, None, "analytic_boundary")
+    not_frozen = FreezeReport(False, None, None)
     if abs(params.s) > 1e-12 or n % 2 == 1:
         return not_frozen
     sign = -1.0 if (n // 2) % 2 else 1.0
@@ -178,12 +131,4 @@ def detect_freeze_transition(params: FamilyParams, coupling_tol: float = 1e-12) 
     if abs(params.c1) < abs(params.c3) or params.c1 == 0.0:
         return not_frozen
     p_star = 1.0 - (abs(params.c3) / abs(params.c1)) ** (1.0 / n)
-    return FreezeReport(True, 0.5 * h_scalar(abs(params.c3)), p_star, "analytic_boundary")
-
-
-def freeze_changepoint(series: DynamicsSeries, frozen_value: float, tol: float = 1e-6) -> FreezeReport:
-    """Series-based detection: first grid point whose value leaves the plateau."""
-    for row in series.rows:
-        if not np.isfinite(row.value) or abs(row.value - frozen_value) > tol:
-            return FreezeReport(True, frozen_value, row.p, "series_changepoint")
-    return FreezeReport(True, frozen_value, None, "series_changepoint")
+    return FreezeReport(True, 0.5 * h_scalar(abs(params.c3)), p_star)

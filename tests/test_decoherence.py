@@ -10,22 +10,19 @@ from discordium import (
     ChannelParams,
     FamilyParams,
     OracleConfig,
-    apply_phase_flip,
-    apply_phase_flip_dense,
-    binary_h,
+    PauliSum,
     build_symmetric_family,
     detect_freeze_transition,
     discord_symmetric,
     dynamics_sweep,
     evolved_params,
-    freeze_changepoint,
     minimize_reduced,
-    phase_flip_kraus,
     realize,
 )
 from discordium.spectral import PHYSICAL_TOL
 
 from conftest import sample_physical_family
+from reference import apply_phase_flip, apply_phase_flip_dense, binary_h, phase_flip_kraus
 
 FIG3_4Q = FamilyParams(4, 5 / 6, (5 / 6) * (-0.2), -0.2, 0.0)
 FIG3_3Q = FamilyParams(3, 5 / 6, (5 / 6) * (-0.2), -0.2, 0.0)
@@ -54,12 +51,12 @@ class TestKraus:
     def test_p_zero_identity(self, rng):
         params = sample_physical_family(rng, 3)
         rho = realize(build_symmetric_family(params))
-        out = apply_phase_flip_dense(rho, 0.0)
-        assert np.max(np.abs(out.entries - rho.entries)) <= 1e-14
+        out = apply_phase_flip_dense(rho.entries, 0.0)
+        assert np.max(np.abs(out - rho.entries)) <= 1e-14
 
     def test_p_one_kills_xxx(self):
         ps = build_symmetric_family(FamilyParams(3, 0.4, 0.0, 0.0, 0.0))
-        out = apply_phase_flip(ps, 1.0)
+        out = PauliSum(3, apply_phase_flip(ps.terms, 1.0))
         assert out.weight("XXX") == 0.0
 
     def test_range_violation(self):
@@ -67,13 +64,13 @@ class TestKraus:
             phase_flip_kraus(3, 1.5)
         ps = build_symmetric_family(FamilyParams(3, 0.1, 0.1, 0.1, 0.0))
         with pytest.raises(ValueError):
-            apply_phase_flip(ps, -0.2)
+            apply_phase_flip(ps.terms, -0.2)
 
 
 class TestWeightRule:
     def test_family_weights_3q(self):
         ps = build_symmetric_family(FamilyParams(3, 0.4, -0.3, 0.2, 0.1))
-        out = apply_phase_flip(ps, 0.3)
+        out = PauliSum(3, apply_phase_flip(ps.terms, 0.3))
         q = 0.7**3
         assert out.weight("XXX") == pytest.approx(0.4 * q, abs=1e-15)
         assert out.weight("YYY") == pytest.approx(-0.3 * q, abs=1e-15)
@@ -82,7 +79,7 @@ class TestWeightRule:
 
     def test_family_weights_4q(self):
         ps = build_symmetric_family(FamilyParams(4, 0.4, -0.3, 0.2, 0.1))
-        out = apply_phase_flip(ps, 0.25)
+        out = PauliSum(4, apply_phase_flip(ps.terms, 0.25))
         q = 0.75**4
         assert out.weight("XXXX") == pytest.approx(0.4 * q, abs=1e-15)
         assert out.weight("YYYY") == pytest.approx(-0.3 * q, abs=1e-15)
@@ -93,15 +90,15 @@ class TestWeightRule:
             params = sample_physical_family(rng, n)
             ps = build_symmetric_family(params)
             for p in (0.0, 0.3, 0.7, 1.0):
-                dense = apply_phase_flip_dense(realize(ps), p)
-                ruled = realize(apply_phase_flip(ps, p))
-                assert np.max(np.abs(dense.entries - ruled.entries)) <= 1e-12
+                dense = apply_phase_flip_dense(realize(ps).entries, p)
+                ruled = realize(PauliSum(n, apply_phase_flip(ps.terms, p)))
+                assert np.max(np.abs(dense - ruled.entries)) <= 1e-12
 
     @given(p=st.floats(0.0, 1.0, allow_nan=False))
     @settings(max_examples=50, deadline=None)
     def test_damping_exponent_counts_xy_letters(self, p):
         ps = build_symmetric_family(FamilyParams(4, 0.4, -0.3, 0.2, 0.1))
-        out = apply_phase_flip(ps, p)
+        out = PauliSum(4, apply_phase_flip(ps.terms, p))
         for word, w in ps.terms.items():
             n_xy = sum(ch in "XY" for ch in word)
             assert out.weight(word) == pytest.approx(w * (1 - p) ** n_xy, abs=1e-15)
@@ -110,7 +107,7 @@ class TestWeightRule:
         params = sample_physical_family(rng, 3)
         rho = realize(build_symmetric_family(params))
         for p in (0.2, 0.8):
-            assert np.linalg.eigvalsh(apply_phase_flip_dense(rho, p).entries).min() >= -PHYSICAL_TOL
+            assert np.linalg.eigvalsh(apply_phase_flip_dense(rho.entries, p)).min() >= -PHYSICAL_TOL
 
 
 class TestEvolvedDiscord:
@@ -240,7 +237,6 @@ class TestFreezeDetection:
         assert report.frozen_value == pytest.approx(0.5 * binary_h(0.2), abs=1e-12)
         assert report.p_star == pytest.approx(P_STAR, abs=1e-9)
         assert report.p_star == pytest.approx(0.30007289768388334, abs=1e-9)
-        assert report.method == "analytic_boundary"
 
     def test_equal_magnitudes_degenerate(self):
         for n in (4, 6, 8):
@@ -290,8 +286,10 @@ class TestFreezeDetection:
         assert max(vals) - min(vals) > 1e-4
 
     def test_changepoint_matches_analytic(self):
+        # the first grid point whose value leaves the plateau by more than 1e-6
         grid = [round(p, 4) for p in np.arange(0.0, 0.9 + 1e-9, 0.01)]
         series = dynamics_sweep(FIG3_4Q, grid)
-        report = freeze_changepoint(series, 0.5 * binary_h(0.2))
-        assert report.method == "series_changepoint"
-        assert report.p_star == pytest.approx(P_STAR, abs=0.01)
+        frozen = 0.5 * binary_h(0.2)
+        leaves = next(r.p for r in series.rows if not np.isfinite(r.value) or abs(r.value - frozen) > 1e-6)
+        assert leaves == pytest.approx(P_STAR, abs=0.01)
+        assert detect_freeze_transition(FIG3_4Q).p_star == pytest.approx(leaves, abs=0.01)

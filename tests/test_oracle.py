@@ -19,47 +19,81 @@ from discordium import (
     MeasurementTree,
     OracleConfig,
     ReducedPoint,
-    binary_h,
     build_noisy_ghz_dense,
     build_symmetric_family,
     classify_region,
-    conditional_ensemble,
-    discord_objective,
     discord_symmetric,
     family_dense,
-    measured_conditional_entropy,
     minimize_discord,
     minimize_family,
     minimize_reduced,
     oracle_reaches,
-    partial_trace,
     realize,
-    reduced_objective,
     von_neumann_entropy,
 )
 from discordium import oracle
 from discordium.oracle import (
     _Chain,
-    _branch_terms,
+    _branch_gains,
     _pauli_tensor,
     _prefixes,
     _reduced_value_and_grad,
-    _tree_directions,
     _tree_levels,
 )
 from discordium.pauli import PAULI
 
 from conftest import sample_case1_family, sample_physical_family
+from reference import binary_h, conditional_ensemble, partial_trace
 
 Z_TREE3 = MeasurementTree.uniform(2, [0, 0, 1])
 FAST = OracleConfig(starts=10, seed=7)
 
 
-def all_ones_point(n):
-    prefs = [""]
-    for length in range(1, n - 1):
-        prefs.extend("".join(b) for b in itertools.product("01", repeat=length))
-    return ReducedPoint({p: 1.0 for p in prefs})
+def all_ones(n):
+    """The all-z reduced point: z = 1 at every prefix."""
+    return np.ones(2 ** (n - 1) - 1)
+
+
+def level_terms(params, z):
+    """Weighted branch terms of the reduced objective at z vectors of shape
+    (..., d): one (..., 2^m) array per level m, from `_branch_gains` over
+    `_tree_levels`."""
+    return [
+        _branch_gains(params, z[..., anc], sign, parity)[0] / 2 ** (m + 1)
+        for m, (anc, sign, parity) in enumerate(_tree_levels(params.n_qubits), start=1)
+    ]
+
+
+def level_sums(params, z):
+    return [float(t.sum()) for t in level_terms(params, z)]
+
+
+def reduced_value(params, z):
+    """The reduced objective through its one entry point."""
+    return float(_reduced_value_and_grad(params, z)[0])
+
+
+def tree_angles(tree):
+    """A tree's (theta, phi) pairs in prefix order, as one row of `_Chain.value_and_grad`."""
+    dirs = np.array([tree.directions[p] for p in _prefixes(tree.n_measured)])
+    theta = np.arctan2(np.hypot(dirs[:, 0], dirs[:, 1]), dirs[:, 2])
+    return np.column_stack((theta, np.arctan2(dirs[:, 1], dirs[:, 0]))).reshape(1, -1)
+
+
+def chain_levels(rho, tree):
+    """One tree through the oracle's chain: the value `_Chain.value_and_grad`
+    returns, and the entropy sum of each level 1..N-1 from the branch rows
+    that call fills."""
+    chain = _Chain(rho, rho.n_qubits - 1)
+    value = float(chain.value_and_grad(tree_angles(tree))[0][0])
+    lam, _, log_ratio, _, _ = chain._eigen_terms()
+    rows = -(lam * log_ratio).sum(axis=-1)[0]
+    return value, [float(rows[2**m - 2 : 2 ** (m + 1) - 2].sum()) for m in range(1, rho.n_qubits)]
+
+
+def objective(rho, tree):
+    """The full oracle's objective of one tree: its chain minus S(rho) - S(rho_A1)."""
+    return chain_levels(rho, tree)[0] - oracle._unmeasured_term(rho, _Chain(rho, rho.n_qubits - 1))
 
 
 def random_full_rank(rng, n):
@@ -71,9 +105,9 @@ def random_full_rank(rng, n):
 def ensemble_entropy(rho, tree, k):
     """Level-k entropy sum through the full-dimension ensemble."""
     total = 0.0
-    for b in conditional_ensemble(rho, tree, k):
+    for b in conditional_ensemble(rho.entries, tree.directions, k):
         if not b.negligible:
-            total += b.probability * von_neumann_entropy(partial_trace(b.state, {k + 1}))
+            total += b.probability * von_neumann_entropy(DensityMatrix(1, partial_trace(b.state, {k + 1})))
     return total
 
 
@@ -87,6 +121,15 @@ class TestMeasurementTree:
                 "0": np.array([0.0, 0.0, 1.0]),
                 "1": np.array([0.0, 0.0, 1.0])}
         with pytest.raises(ValueError):
+            MeasurementTree(2, dirs)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_direction_refused(self, bad):
+        # NaN fails every comparison, so the unit-norm test alone cannot refuse [nan, 0, 1]
+        dirs = {"": np.array([0.0, 0.0, 1.0]),
+                "0": np.array([bad, 0.0, 1.0]),
+                "1": np.array([0.0, 0.0, 1.0])}
+        with pytest.raises(ValueError, match="^direction at '0' has a non-finite component$"):
             MeasurementTree(2, dirs)
 
     def test_uniform_and_random(self, rng):
@@ -107,7 +150,7 @@ class TestConditionalEnsemble:
     def test_family_first_level_probabilities(self, rng):
         params = sample_physical_family(rng, 3)
         rho = realize(build_symmetric_family(params))
-        branches = conditional_ensemble(rho, Z_TREE3, 1)
+        branches = conditional_ensemble(rho.entries, Z_TREE3.directions, 1)
         probs = sorted(b.probability for b in branches)
         expected = sorted([(1 + params.s) / 2, (1 - params.s) / 2])
         assert np.allclose(probs, expected, atol=1e-12)
@@ -115,19 +158,19 @@ class TestConditionalEnsemble:
     def test_maximally_mixed_uniform(self):
         rho = DensityMatrix(3, np.eye(8) / 8)
         for k in (1, 2):
-            branches = conditional_ensemble(rho, Z_TREE3, k)
+            branches = conditional_ensemble(rho.entries, Z_TREE3.directions, k)
             assert np.allclose([b.probability for b in branches], 1 / 2**k, atol=1e-12)
 
     def test_ghz_pure_outcomes(self):
         rho = build_noisy_ghz_dense(GhzParams(2, 1.0))
         tree = MeasurementTree.uniform(1, [0, 0, 1])
-        branches = conditional_ensemble(rho, tree, 1)
+        branches = conditional_ensemble(rho.entries, tree.directions, 1)
         assert np.allclose([b.probability for b in branches], 0.5, atol=1e-12)
         ket00 = np.zeros((4, 4))
         ket00[0, 0] = 1.0
         ket11 = np.zeros((4, 4))
         ket11[3, 3] = 1.0
-        got = {b.prefix: b.state.entries for b in branches}
+        got = {b.prefix: b.state for b in branches}
         assert np.allclose(got["0"], ket00, atol=1e-12)
         assert np.allclose(got["1"], ket11, atol=1e-12)
 
@@ -136,11 +179,11 @@ class TestConditionalEnsemble:
         rho = realize(build_symmetric_family(params))
         tree = MeasurementTree.random(2, rng)
         for k in (1, 2):
-            branches = conditional_ensemble(rho, tree, k)
+            branches = conditional_ensemble(rho.entries, tree.directions, k)
             assert sum(b.probability for b in branches) == pytest.approx(1.0, abs=1e-12)
             for b in branches:
                 if not b.negligible:
-                    ev = np.linalg.eigvalsh(b.state.entries)
+                    ev = np.linalg.eigvalsh(b.state)
                     assert ev[0] >= -1e-10
 
     def test_zero_probability_branch_flagged(self):
@@ -148,7 +191,7 @@ class TestConditionalEnsemble:
         arr = np.zeros((4, 4), dtype=complex)
         arr[0, 0] = 1.0
         rho = DensityMatrix(2, arr)
-        branches = conditional_ensemble(rho, MeasurementTree.uniform(1, [0, 0, 1]), 1)
+        branches = conditional_ensemble(rho.entries, MeasurementTree.uniform(1, [0, 0, 1]).directions, 1)
         flags = {b.prefix: b.negligible for b in branches}
         assert flags == {"0": False, "1": True}
         assert [b for b in branches if b.negligible][0].state is None
@@ -156,7 +199,7 @@ class TestConditionalEnsemble:
     def test_invalid_k(self):
         rho = DensityMatrix(3, np.eye(8) / 8)
         with pytest.raises(ValueError):
-            conditional_ensemble(rho, Z_TREE3, 3)
+            conditional_ensemble(rho.entries, Z_TREE3.directions, 3)
 
 
 class TestPauliTensor:
@@ -183,15 +226,17 @@ class TestMeasuredConditionalEntropy:
                 (ghz, MeasurementTree.uniform(n - 1, [0, 0, 1])),
             ]
             for rho, tree in cases:
+                value, levels = chain_levels(rho, tree)
+                dense = [ensemble_entropy(rho, tree, k) for k in range(1, n)]
                 for k in range(1, n):
-                    fast = measured_conditional_entropy(rho, tree, k)
-                    assert fast == pytest.approx(ensemble_entropy(rho, tree, k), abs=1e-12), (n, k)
+                    assert levels[k - 1] == pytest.approx(dense[k - 1], abs=1e-12), (n, k)
+                assert value == pytest.approx(sum(dense), abs=1e-12), n
 
     def test_family_z_tree_matches_reduced_g(self, rng):
         params = sample_physical_family(rng, 3)
         rho = realize(build_symmetric_family(params))
-        got = measured_conditional_entropy(rho, Z_TREE3, 1)
-        g_at_one = reduced_objective(params, all_ones_point(3)).G
+        got = chain_levels(rho, Z_TREE3)[1][0]
+        g_at_one = level_sums(params, all_ones(3))[0]
         assert got == pytest.approx(1.0 - g_at_one, abs=1e-11)
 
     def test_product_state_tree_independent(self, rng):
@@ -203,12 +248,12 @@ class TestMeasuredConditionalEntropy:
         marginal = -sum(p * np.log2(p) for p in ((1 + s2) / 2, (1 - s2) / 2))
         for _ in range(3):
             tree = MeasurementTree.random(2, rng)
-            got = measured_conditional_entropy(rho, tree, 1)
+            got = chain_levels(rho, tree)[1][0]
             assert got == pytest.approx(marginal, abs=1e-11)
 
     def test_ghz_pure_branches_zero(self):
         rho = build_noisy_ghz_dense(GhzParams(3, 1.0))
-        assert measured_conditional_entropy(rho, Z_TREE3, 2) == pytest.approx(0.0, abs=1e-12)
+        assert chain_levels(rho, Z_TREE3)[1][1] == pytest.approx(0.0, abs=1e-12)
 
 
 def lbfgsb_reference(rho, cfg):
@@ -237,7 +282,7 @@ def lbfgsb_reference(rho, cfg):
         )
         return float(res.fun)
 
-    base = von_neumann_entropy(rho) - von_neumann_entropy(partial_trace(rho, {1}))
+    base = von_neumann_entropy(rho) - von_neumann_entropy(DensityMatrix(1, partial_trace(rho.entries, {1})))
     return min(solve(x0) for x0 in starts) - base
 
 
@@ -281,8 +326,7 @@ class TestChainGradient:
                         down = chain.value_and_grad((angles - e)[None])[0][0]
                         assert grad[i] == pytest.approx((up - down) / (2 * step), abs=1e-7), (n, i)
                     tree = MeasurementTree.from_angles(n - 1, angles)
-                    total = chain.at_directions(_tree_directions(tree, n - 1)).sum()
-                    assert value == pytest.approx(total, abs=1e-14)
+                    assert value == pytest.approx(chain_levels(rho, tree)[0], abs=1e-14)
 
     def test_finite_at_zero_bloch_vector(self):
         # maximally mixed: every branch has w = 0, and the gradient is exactly flat
@@ -298,7 +342,7 @@ class TestDiscordObjective:
         rho = DensityMatrix(3, np.eye(8) / 8)
         for _ in range(3):
             tree = MeasurementTree.random(2, rng)
-            assert discord_objective(rho, tree) == pytest.approx(0.0, abs=1e-11)
+            assert objective(rho, tree) == pytest.approx(0.0, abs=1e-11)
 
     def test_bell_diagonal_z_tree_hand_value(self):
         params = FamilyParams(2, 0.3, 0.2, 0.1, 0.0)
@@ -306,15 +350,15 @@ class TestDiscordObjective:
         tree = MeasurementTree.uniform(1, [0, 0, 1])
         slog = float(np.sum([lam * np.log2(lam) for lam in np.linalg.eigvalsh(rho.entries)]))
         expected = 2 + slog - 0.5 * binary_h(0.1)
-        assert discord_objective(rho, tree) == pytest.approx(expected, abs=1e-11)
+        assert objective(rho, tree) == pytest.approx(expected, abs=1e-11)
 
     def test_family_z_tree_reduced_composition(self, rng):
         params = sample_physical_family(rng, 3)
         rho = realize(build_symmetric_family(params))
         slog = float(np.sum([lam * np.log2(max(lam, 1e-300)) for lam in np.linalg.eigvalsh(rho.entries) if lam > 1e-14]))
-        y_ones = reduced_objective(params, all_ones_point(3)).Y
+        y_ones = reduced_value(params, all_ones(3))
         expected = slog + 3 - 0.5 * binary_h(params.s) - y_ones
-        assert discord_objective(rho, Z_TREE3) == pytest.approx(expected, abs=1e-10)
+        assert objective(rho, Z_TREE3) == pytest.approx(expected, abs=1e-10)
 
     def test_sign_flip_invariance(self, rng):
         # negating every direction relabels all outcomes, so prefixes complement
@@ -329,11 +373,11 @@ class TestDiscordObjective:
 
         for _ in range(5):
             tree = MeasurementTree.random(2, rng)
-            assert discord_objective(rho, tree) == pytest.approx(
-                discord_objective(rho, relabeled(tree)), abs=1e-9
+            assert objective(rho, tree) == pytest.approx(
+                objective(rho, relabeled(tree)), abs=1e-9
             )
         out = minimize_discord(rho, FAST)
-        assert discord_objective(rho, relabeled(out.best_tree)) == pytest.approx(
+        assert objective(rho, relabeled(out.best_tree)) == pytest.approx(
             out.value, abs=1e-9
         )
 
@@ -354,7 +398,7 @@ class TestDiscordObjective:
         closed = discord_symmetric(params).value
         for _ in range(5):
             tree = MeasurementTree.random(n - 1, rng)
-            assert discord_objective(rho, tree) >= closed - 1e-9
+            assert objective(rho, tree) >= closed - 1e-9
 
 
 # minimize_discord at N=2, 3 and 4 in an interpreter where importing scipy fails
@@ -416,7 +460,7 @@ class TestMinimizeDiscord:
         out = minimize_discord(rho, FAST)
         for _ in range(20):
             tree = MeasurementTree.random(2, rng)
-            assert discord_objective(rho, tree) >= out.value - 1e-9
+            assert objective(rho, tree) >= out.value - 1e-9
 
     def test_deterministic_given_seed(self):
         rho = realize(build_symmetric_family(FamilyParams(2, 0.25, -0.15, 0.1, 0.2)))
@@ -450,7 +494,7 @@ class TestMinimizeDiscord:
     def test_best_tree_reproduces_value(self):
         rho = realize(build_symmetric_family(FamilyParams(3, 0.1, 0.1, -0.2, 0.3)))
         out = minimize_discord(rho, FAST)
-        assert discord_objective(rho, out.best_tree) == pytest.approx(out.value, abs=1e-8)
+        assert objective(rho, out.best_tree) == pytest.approx(out.value, abs=1e-8)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_matches_lbfgsb_reference(self, n):
@@ -633,9 +677,9 @@ class TestReducedObjective:
         zs[1::4, 0] = 1.0
         zs[2::4, -1] = -1.0
         zs[3::4] = np.sign(zs[3::4])
-        batch = _branch_terms(params, zs)
+        batch = level_terms(params, zs)
         for i, z in enumerate(zs):
-            rows = _branch_terms(params, z)
+            rows = level_terms(params, z)
             for level, terms in enumerate(rows):
                 assert terms.shape == (2 ** (level + 1),)
                 assert np.max(np.abs(batch[level][i] - terms)) <= 1e-15
@@ -652,38 +696,35 @@ class TestReducedObjective:
 
     def test_g_values(self):
         params = FamilyParams(3, 0.1, 0.1, -0.2, 0.3)
-        point0 = ReducedPoint({"": 0.0, "0": 1.0, "1": 1.0})
-        point1 = ReducedPoint({"": 1.0, "0": 1.0, "1": 1.0})
-        assert reduced_objective(params, point0).G == pytest.approx(
+        # z at the prefixes "", "0" and "1"
+        assert level_sums(params, np.array([0.0, 1.0, 1.0]))[0] == pytest.approx(
             0.06593194462450899, abs=1e-12
         )
-        assert reduced_objective(params, point1).G == pytest.approx(
+        assert level_sums(params, np.array([1.0, 1.0, 1.0]))[0] == pytest.approx(
             0.07310400793180988, abs=1e-12
         )
 
     def test_w_all_ones_s_zero(self):
         for n in (2, 3, 4):
             params = FamilyParams(n, 0.1, 0.2, -0.35, 0.0)
-            res = reduced_objective(params, all_ones_point(n))
-            assert res.W == pytest.approx(0.5 * binary_h(0.35), abs=1e-12)
+            # the final level, the only one that reads c1, c2 and c3
+            assert level_sums(params, all_ones(n))[-1] == pytest.approx(0.5 * binary_h(0.35), abs=1e-12)
 
     def test_y_composition(self):
+        # the objective is the sum of its N - 1 levels' terms
         p3 = FamilyParams(3, 0.1, 0.1, -0.2, 0.3)
-        r3 = reduced_objective(p3, all_ones_point(3))
-        assert r3.Y == pytest.approx(r3.G + r3.F, abs=1e-14)
-        assert r3.F == r3.W
+        g, f = level_sums(p3, all_ones(3))
+        assert reduced_value(p3, all_ones(3)) == pytest.approx(g + f, abs=1e-14)
         p4 = FamilyParams(4, 0.1, 0.1, -0.2, 0.1)
-        r4 = reduced_objective(p4, all_ones_point(4))
-        assert r4.Y == pytest.approx(r4.G + r4.F + r4.T, abs=1e-14)
-        assert r4.T == r4.W
+        g, f, t = level_sums(p4, all_ones(4))
+        assert reduced_value(p4, all_ones(4)) == pytest.approx(g + f + t, abs=1e-14)
 
     def test_all_ones_parity_matches_max_w(self, rng):
         # at the all-z reduction, the total equals the closed-form bracket
         from discordium import max_w
 
         params = sample_case1_family(rng, 3)
-        res = reduced_objective(params, all_ones_point(3))
-        total = res.Y + 0.5 * binary_h(params.s)
+        total = reduced_value(params, all_ones(3)) + 0.5 * binary_h(params.s)
         assert total == pytest.approx(max_w(params, "parity"), abs=1e-11)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
@@ -696,16 +737,11 @@ class TestReducedObjective:
             for theta in (rng.uniform(0.1, np.pi - 0.1, d), rng.uniform(1e-4, 1e-3, d),
                           np.pi / 2 + rng.uniform(-1e-3, 1e-3, d)):
                 value, grad = _reduced_value_and_grad(params, np.cos(theta))
-                assert abs(value - sum(t.sum() for t in _branch_terms(params, np.cos(theta)))) <= 1e-15
+                assert abs(value - sum(t.sum() for t in level_terms(params, np.cos(theta)))) <= 1e-15
                 shifted = theta + np.concatenate((np.eye(d), -np.eye(d))) * step
                 up, down = np.split(_reduced_value_and_grad(params, np.cos(shifted))[0], 2)
                 central = (up - down) / (2 * step)
                 assert np.max(np.abs(-np.sin(theta) * grad - central)) <= 1e-7, (n, s_zero)
-
-    def test_out_of_range_coordinates(self):
-        params = FamilyParams(3, 0.1, 0.1, -0.2, 0.3)
-        with pytest.raises(ValueError):
-            reduced_objective(params, ReducedPoint({"": 1.5, "0": 1.0, "1": 1.0}))
 
 
 class TestMinimizeReduced:

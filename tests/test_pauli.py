@@ -1,9 +1,5 @@
-import json
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from discordium import (
     DenseCapExceeded,
@@ -14,15 +10,14 @@ from discordium import (
     PauliSum,
     build_diagonal_field,
     build_noisy_ghz_dense,
-    build_noisy_ghz_pauli,
     build_symmetric_family,
-    partial_trace,
     realize,
 )
 from discordium.pauli import PAULI
 from discordium.spectral import PHYSICAL_TOL
 
 from conftest import sample_physical_family
+from reference import build_noisy_ghz_pauli, partial_trace
 
 
 class TestPauliSum:
@@ -45,23 +40,6 @@ class TestPauliSum:
             PauliSum(2, {"II": 1.0, "QQ": 0.1})
         with pytest.raises(ValueError):
             PauliSum(2, {"II": 1.0, "XX": float("inf")})
-
-    def test_json_round_trip(self):
-        ps = build_symmetric_family(FamilyParams(3, 0.2, -0.3, 0.1, 0.05))
-        back = PauliSum.from_json(ps.to_json())
-        assert back == ps
-        payload = json.loads(ps.to_json())
-        assert payload["n"] == 3
-        assert {"word", "w"} == set(payload["terms"][0])
-
-    @given(
-        c=st.tuples(*[st.floats(-1, 1, allow_nan=False)] * 3),
-        s=st.floats(-1, 1, allow_nan=False),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_json_round_trip_property(self, c, s):
-        ps = build_symmetric_family(FamilyParams(3, *c, s))
-        assert PauliSum.from_json(ps.to_json()) == ps
 
 
 class TestBuilders:
@@ -109,21 +87,21 @@ class TestBuilders:
 
     def test_ghz_pauli_2q(self):
         mu = 0.7
-        ps = build_noisy_ghz_pauli(GhzParams(2, mu))
-        assert ps.terms == {"II": 1.0, "XX": mu, "YY": -mu, "ZZ": mu}
+        terms = build_noisy_ghz_pauli(GhzParams(2, mu))
+        assert PauliSum(2, terms).terms == terms == {"II": 1.0, "XX": mu, "YY": -mu, "ZZ": mu}
 
     def test_ghz_pauli_3q(self):
         mu = 0.4
-        ps = build_noisy_ghz_pauli(GhzParams(3, mu))
+        terms = build_noisy_ghz_pauli(GhzParams(3, mu))
         expected = {"III": 1.0, "XXX": mu}
         for w in ("IZZ", "ZIZ", "ZZI"):
             expected[w] = mu
         for w in ("XYY", "YXY", "YYX"):
             expected[w] = -mu
-        assert ps.terms == expected
+        assert PauliSum(3, terms).terms == terms == expected
 
     def test_ghz_pauli_mu_zero(self):
-        assert build_noisy_ghz_pauli(GhzParams(3, 0.0)).terms == {"III": 1.0}
+        assert PauliSum(3, build_noisy_ghz_pauli(GhzParams(3, 0.0))).terms == {"III": 1.0}
 
     def test_ghz_dense_pure_bell(self):
         rho = build_noisy_ghz_dense(GhzParams(2, 1.0))
@@ -156,7 +134,7 @@ class TestRealize:
         for n in range(2, 7):
             for mu in (0.0, 0.5, 1.0):
                 params = GhzParams(n, mu)
-                a = realize(build_noisy_ghz_pauli(params)).entries
+                a = realize(PauliSum(n, build_noisy_ghz_pauli(params))).entries
                 b = build_noisy_ghz_dense(params).entries
                 assert np.max(np.abs(a - b)) <= 1e-12
 
@@ -190,43 +168,43 @@ class TestPartialTrace:
     def test_family_single_qubit_marginal(self, rng):
         params = sample_physical_family(rng, 3)
         rho = realize(build_symmetric_family(params))
-        reduced = partial_trace(rho, {1})
+        reduced = partial_trace(rho.entries, {1})
         expected = 0.5 * (np.eye(2) + params.s * PAULI["Z"])
-        assert np.max(np.abs(reduced.entries - expected)) <= 1e-12
+        assert np.max(np.abs(reduced - expected)) <= 1e-12
 
     def test_diagonal_family_marginal(self):
         rho = realize(build_diagonal_field(DiagonalFieldParams((0.3, 0.5, -0.2))))
-        reduced = partial_trace(rho, {2})
+        reduced = partial_trace(rho.entries, {2})
         expected = 0.5 * (np.eye(2) + 0.5 * PAULI["Z"])
-        assert np.max(np.abs(reduced.entries - expected)) <= 1e-12
+        assert np.max(np.abs(reduced - expected)) <= 1e-12
 
     def test_ghz_marginal_maximally_mixed(self):
         rho = build_noisy_ghz_dense(GhzParams(2, 1.0))
-        assert np.allclose(partial_trace(rho, {1}).entries, np.eye(2) / 2, atol=1e-12)
+        assert np.allclose(partial_trace(rho.entries, {1}), np.eye(2) / 2, atol=1e-12)
 
     def test_keep_two_of_three(self, rng):
         params = sample_physical_family(rng, 3)
         rho = realize(build_symmetric_family(params))
-        red = partial_trace(rho, {1, 3})
-        assert red.n_qubits == 2
-        assert abs(np.trace(red.entries) - 1.0) <= 1e-12
+        red = partial_trace(rho.entries, {1, 3})
+        assert red.shape == (4, 4)
+        assert abs(np.trace(red) - 1.0) <= 1e-12
 
     def test_trace_and_psd_preserved(self, rng):
         for _ in range(10):
             params = sample_physical_family(rng, 4)
             rho = realize(build_symmetric_family(params))
-            red = partial_trace(rho, {2, 4})
-            assert abs(np.trace(red.entries) - 1.0) <= 1e-12
-            assert np.linalg.eigvalsh(red.entries)[0] >= -1e-10
+            red = partial_trace(rho.entries, {2, 4})
+            assert abs(np.trace(red) - 1.0) <= 1e-12
+            assert np.linalg.eigvalsh(red)[0] >= -1e-10
 
     def test_invalid_keep(self):
         rho = DensityMatrix(2, np.eye(4) / 4)
         with pytest.raises(ValueError):
-            partial_trace(rho, set())
+            partial_trace(rho.entries, set())
         with pytest.raises(ValueError):
-            partial_trace(rho, {0})
+            partial_trace(rho.entries, {0})
         with pytest.raises(ValueError):
-            partial_trace(rho, {3})
+            partial_trace(rho.entries, {3})
 
 
 class TestDensityMatrix:
@@ -243,3 +221,12 @@ class TestDensityMatrix:
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):
             DensityMatrix(2, np.eye(3, dtype=complex) / 3)
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    @pytest.mark.parametrize("index", [(0, 0), (1, 2), ...], ids=["diagonal", "off-diagonal", "all"])
+    def test_rejects_non_finite_entries(self, index, entry):
+        # NaN fails every comparison, so the Hermitian and trace tests alone cannot refuse it
+        arr = np.eye(4, dtype=complex) / 4
+        arr[index] = entry
+        with pytest.raises(ValueError, match="^matrix has a non-finite entry$"):
+            DensityMatrix(2, arr)

@@ -6,7 +6,8 @@ import sys
 from pathlib import Path
 
 import discordium
-from discordium import binary_h
+
+from reference import binary_h
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 ENV = dict(os.environ, PYTHONPATH=str(Path(discordium.__file__).resolve().parents[1]))

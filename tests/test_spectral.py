@@ -8,7 +8,6 @@ from discordium import (
     DiagonalFieldParams,
     FamilyParams,
     GhzParams,
-    binary_h,
     build_diagonal_field,
     build_noisy_ghz_dense,
     build_symmetric_family,
@@ -19,13 +18,13 @@ from discordium import (
     ghz_spectrum,
     hermitian_eigenvalues,
     realize,
-    spectrum_4q_printed,
     symmetric_spectrum,
     von_neumann_entropy,
     xlog2,
 )
 
 from conftest import sample_physical_family
+from reference import binary_h, spectrum_4q_printed
 
 
 class TestBinaryH:
