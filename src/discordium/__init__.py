@@ -28,7 +28,6 @@ from .oracle import (
     MeasurementTree,
     OracleConfig,
     OracleResult,
-    ReducedPoint,
     minimize_discord,
     minimize_family,
     minimize_reduced,

@@ -18,22 +18,10 @@ import sys
 
 import numpy as np
 
-from .analytic import (
-    NoAnalyticCase,
-    discord_diagonal_field,
-    discord_ghz,
-    discord_symmetric,
-)
+from .analytic import NoAnalyticCase, discord_diagonal_field, discord_ghz, discord_symmetric
 from .decoherence import ChannelParams, detect_freeze_transition, dynamics_sweep
 from .oracle import OracleConfig, minimize_family, minimize_reduced, oracle_reaches
-from .pauli import (
-    DENSE_CAP_ENV,
-    DenseCapExceeded,
-    DiagonalFieldParams,
-    FamilyParams,
-    GhzParams,
-    dense_cap,
-)
+from .pauli import DENSE_CAP_ENV, DenseCapExceeded, DiagonalFieldParams, FamilyParams, GhzParams, dense_cap
 from .spectral import family_spectrum, physicality, require_physical
 
 
@@ -90,10 +78,9 @@ def _cmd_discord(args) -> int:
             res = _analytic_result(params)
             value, branch = res.value, res.branch
         except NoAnalyticCase:
-            if args.fallback == "oracle":
-                value, branch = minimize_family(params, cfg).value, "oracle[fallback]"
-            else:
+            if args.fallback != "oracle":
                 raise
+            value, branch = minimize_family(params, cfg).value, "oracle[fallback]"
     elif args.method == "oracle":
         value, branch = minimize_family(params, cfg).value, "oracle"
     else:
@@ -116,10 +103,7 @@ def _cmd_spectrum(args) -> int:
             f"dense cap {cap} (set {DENSE_CAP_ENV} to raise it)"
         )
     spectrum = family_spectrum(params)
-    payload = {
-        "eigenvalues": [float(v) for v in spectrum.eigenvalues],
-        "entropy_bits": spectrum.entropy_bits(),
-    }
+    payload = {"eigenvalues": spectrum.eigenvalues.tolist(), "entropy_bits": spectrum.entropy_bits()}
     _write(json.dumps(payload) + "\n", args.out)
     return 0
 
@@ -132,9 +116,9 @@ def _cmd_ghz_curve(args) -> int:
     cfg = _oracle_config(args)
     lines = ["n,mu,discord_bits" + (",oracle_bits" if args.oracle_check else "")]
     for n in range(args.n_min, args.n_max + 1):
-        for mu in np.linspace(0.0, 1.0, args.mu_steps):
-            params = GhzParams(n, float(mu))
-            row = f"{n},{_fmt(float(mu))},{_fmt(discord_ghz(params).value)}"
+        for mu in np.linspace(0.0, 1.0, args.mu_steps).tolist():
+            params = GhzParams(n, mu)
+            row = f"{n},{_fmt(mu)},{_fmt(discord_ghz(params).value)}"
             if args.oracle_check:
                 extra = _fmt(minimize_family(params, cfg).value) if oracle_reaches(params) else ""
                 row += f",{extra}"
@@ -150,20 +134,18 @@ def _cmd_dynamics(args) -> int:
     if not isinstance(params, FamilyParams):
         raise ValueError("dynamics sweeps apply to the symmetric family")
     require_physical(params)
+    if args.gamma is not None and args.t_max is None:
+        raise ValueError("--gamma requires --t-max")
+    start, stop = (args.p_min, args.p_max) if args.gamma is None else (0.0, args.t_max)
+    with np.errstate(over="ignore"):  # numpy may overflow the last point, then sets it to stop
+        grid = np.linspace(start, stop, args.p_steps).tolist()
     if args.gamma is not None:
-        if args.t_max is None:
-            raise ValueError("--gamma requires --t-max")
-        times = np.linspace(0.0, args.t_max, args.p_steps)
-        grid = [ChannelParams.from_rate_time(args.gamma, t).p for t in times]
-    else:
-        grid = [float(p) for p in np.linspace(args.p_min, args.p_max, args.p_steps)]
+        grid = [ChannelParams.from_rate_time(args.gamma, t).p for t in grid]
     series = dynamics_sweep(params, grid, method=args.method, cfg=_oracle_config(args))
     # flags carry ~10 significant digits, so the coupling equality is loosened
     report = detect_freeze_transition(params, coupling_tol=1e-9)
     if report.frozen:
-        sys.stderr.write(
-            f"freeze: frozen_value={_fmt(report.frozen_value)} p_star={_fmt(report.p_star)}\n"
-        )
+        sys.stderr.write(f"freeze: frozen_value={_fmt(report.frozen_value)} p_star={_fmt(report.p_star)}\n")
     _write(series.to_csv(), args.out)
     return 0
 
@@ -177,18 +159,12 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    if not (np.isfinite(args.tol) and args.tol >= 0.0):
-        raise ValueError(f"--tol must be a finite number >= 0, got {args.tol}")
     params = _family_params(args)
     require_physical(params)
-    cfg = _oracle_config(args)
     analytic = _analytic_result(params).value
-    oracle = minimize_family(params, cfg).value
+    oracle = minimize_family(params, _oracle_config(args)).value
     diff = abs(analytic - oracle)
-    _write(
-        f"analytic={_fmt(analytic)} oracle={_fmt(oracle)} diff={_fmt(diff)} tol={_fmt(args.tol)}\n",
-        args.out,
-    )
+    _write(f"analytic={_fmt(analytic)} oracle={_fmt(oracle)} diff={_fmt(diff)} tol={_fmt(args.tol)}\n", args.out)
     return 0 if diff <= args.tol else 1
 
 
@@ -222,9 +198,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", type=str, default=None)
-    common.add_argument("--config", type=str, default=None)
-    common.add_argument("--seed", type=int, default=None)
+    common.add_argument("--out")
+    common.add_argument("--config")
+    common.add_argument("--seed", type=int)
     family = argparse.ArgumentParser(add_help=False, parents=[common])
     family.add_argument("--family", choices=("symmetric", "diagonal", "ghz"), required=True)
     family.add_argument("--n", type=int, help="qubit count (symmetric, ghz)")
@@ -232,12 +208,12 @@ def _build_parser() -> argparse.ArgumentParser:
     family.add_argument("--c2", type=float, default=0.0)
     family.add_argument("--c3", type=float, default=0.0)
     family.add_argument("--s", type=float, default=0.0)
-    family.add_argument("--fields", type=str, help="comma-separated s_1,...,s_N (diagonal)")
+    family.add_argument("--fields", help="comma-separated s_1,...,s_N (diagonal)")
     family.add_argument("--mu", type=float, help="GHZ mixedness in [0,1]")
 
     p = sub.add_parser("discord", parents=[family], help="discord of one state")
     p.add_argument("--method", choices=("analytic", "oracle", "reduced"), default="analytic")
-    p.add_argument("--fallback", choices=("oracle",), default=None)
+    p.add_argument("--fallback", choices=("oracle",))
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_discord)
 
@@ -256,8 +232,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p-min", type=float, default=0.0)
     p.add_argument("--p-max", type=float, default=0.9)
     p.add_argument("--p-steps", type=int, default=91)
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--t-max", type=float, default=None)
+    p.add_argument("--gamma", type=float)
+    p.add_argument("--t-max", type=float)
     p.set_defaults(func=_cmd_dynamics)
 
     p = sub.add_parser("validate", parents=[family], help="physicality report as JSON")
@@ -280,11 +256,15 @@ def main(argv=None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     try:
+        for flag in ("tol", "gamma", "t-max", "p-min", "p-max"):
+            value = vars(args).get(flag.replace("-", "_"))
+            if value is not None and not 0.0 <= value < np.inf:
+                raise ValueError(f"--{flag} must be a finite number >= 0, got {value}")
         return args.func(args)
     except NoAnalyticCase as exc:
         sys.stderr.write(f"error: {exc}; rerun with --method oracle or --fallback oracle\n")
         return 3
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import NoAnalyticCase, discord_symmetric
-from .oracle import OracleConfig, ReducedPoint, minimize_family
+from .oracle import OracleConfig, minimize_family
 from .pauli import FamilyParams
 from .spectral import h_scalar
 
@@ -105,7 +105,7 @@ def dynamics_sweep(
                 rows.append(SeriesRow(p, float("nan"), "none"))
         elif method == "oracle":
             out = minimize_family(ev, cfg)
-            branch = "oracle[reduced]" if isinstance(out.best_tree, ReducedPoint) else "oracle"
+            branch = "oracle[reduced]" if out.oracle == "reduced" else "oracle"
             rows.append(SeriesRow(p, out.value, branch))
         else:
             raise ValueError(f"unknown method {method!r}")

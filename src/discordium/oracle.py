@@ -28,17 +28,18 @@ evaluation per step for every start still running. Both oracles hand their
 starts to one optimizer seam, `_scipy_minimize`, which moves them slightly
 off the axis trees (stationary points by symmetry) and runs
 `_lockstep_minimize`; both reduce every start that ran with
-`MinimizeResult.reduce`, with no restart rule. The module needs only numpy.
+`MinimizeResult.reduce`, with no restart rule, and both return the
+`MeasurementTree` that attains their value. The module needs only numpy.
 
 A reduced objective specialized to the symmetric family works in the z
 components of the tree directions only. For that family the transverse
 components enter solely through the final-level radicand, where they are
 maximized out exactly (the discord objective is monotone in that radicand),
-so the reduction loses nothing while extending tractable sizes to 10 qubits.
-One per-level kernel gives each branch's term and its exact z gradient, and
-`minimize_reduced` maximizes the objective through the same seam, in
-one angle per prefix with z = cos(theta): a 3-start solve takes about
-0.08 s at 8 qubits and 0.7 s at 10.
+so the reduction loses nothing while extending tractable sizes to 10 qubits:
+the tree with the best z at every prefix and its transverse part along one
+axis attains the reduced value. One per-level kernel gives each branch's term
+and its exact z gradient, and `minimize_reduced` maximizes the objective
+through the same seam, in one angle per prefix with z = cos(theta).
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ import json
 import math
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from itertools import product
 from pathlib import Path
 from typing import NamedTuple
 
@@ -77,71 +77,42 @@ AXIS_ANGLES = (
 )
 
 
-def _prefixes(n_measured: int) -> list[str]:
-    out = [""]
-    for length in range(1, n_measured):
-        out.extend("".join(bits) for bits in product("01", repeat=length))
-    return out
-
-
 @dataclass(frozen=True)
 class MeasurementTree:
-    """Conditional Bloch directions indexed by outcome prefix ('' is the root)."""
+    """Conditional Bloch directions, one unit row per outcome prefix in prefix order.
+
+    directions has shape (2^n_measured - 1, 3). Row 0 is the root, measuring
+    qubit 1; rows 2^m - 1 .. 2^(m+1) - 2 are the 2^m prefixes of length m, as
+    binary numbers with the first outcome most significant (0 for +, 1 for -),
+    and each measures qubit m + 1. This is the order of `_Chain` and
+    `_tree_levels`.
+    """
 
     n_measured: int
-    directions: dict[str, np.ndarray]
+    directions: np.ndarray
 
     def __post_init__(self):
         if self.n_measured < 1:
             raise ValueError("need at least one measured qubit")
-        expected = _prefixes(self.n_measured)
-        if set(self.directions) != set(expected):
-            raise ValueError(
-                f"tree needs exactly the {len(expected)} outcome prefixes of "
-                f"length < {self.n_measured}"
-            )
-        dirs = {}
-        for pref, vec in self.directions.items():
-            v = np.asarray(vec, dtype=float)
-            if v.shape != (3,):
-                raise ValueError(f"direction at {pref!r} is not a 3-vector")
-            # a NaN or infinite component fails this test too
-            if not abs(np.linalg.norm(v) - 1.0) <= 1e-12:
-                problem = "is not unit within 1e-12" if np.isfinite(v).all() else "has a non-finite component"
-                raise ValueError(f"direction at {pref!r} {problem}")
-            dirs[pref] = v
+        dirs = np.array(self.directions, dtype=float)
+        rows = 2**self.n_measured - 1
+        if dirs.shape != (rows, 3):
+            raise ValueError(f"tree of {self.n_measured} measured qubits needs a ({rows}, 3) array, got {dirs.shape}")
+        # a NaN or infinite component fails the unit test too; einsum sets no overflow flag
+        unit = np.abs(np.sqrt(np.einsum("ij,ij->i", dirs, dirs)) - 1.0) <= 1e-12
+        if not unit.all():
+            row = int(unit.argmin())
+            problem = "is not unit within 1e-12" if np.isfinite(dirs[row]).all() else "has a non-finite component"
+            raise ValueError(f"direction row {row} {problem}")
+        dirs.setflags(write=False)
         object.__setattr__(self, "directions", dirs)
-
-    @classmethod
-    def uniform(cls, n_measured: int, direction) -> "MeasurementTree":
-        v = np.asarray(direction, dtype=float)
-        v = v / np.linalg.norm(v)
-        return cls(n_measured, {p: v.copy() for p in _prefixes(n_measured)})
 
     @classmethod
     def from_angles(cls, n_measured: int, angles: np.ndarray) -> "MeasurementTree":
         """Directions from a flat (theta, phi) vector in prefix order."""
-        prefs = _prefixes(n_measured)
-        angles = np.asarray(angles, dtype=float)
-        if angles.shape != (2 * len(prefs),):
-            raise ValueError(f"expected {2 * len(prefs)} angles, got {angles.shape}")
-        dirs = {}
-        for i, pref in enumerate(prefs):
-            th, ph = angles[2 * i], angles[2 * i + 1]
-            dirs[pref] = np.array(
-                [np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)]
-            )
-        return cls(n_measured, dirs)
-
-    @classmethod
-    def random(cls, n_measured: int, rng: np.random.Generator) -> "MeasurementTree":
-        dirs = {}
-        for pref in _prefixes(n_measured):
-            z = rng.uniform(-1.0, 1.0)
-            ph = rng.uniform(0.0, 2 * np.pi)
-            r = np.sqrt(1.0 - z * z)
-            dirs[pref] = np.array([r * np.cos(ph), r * np.sin(ph), z])
-        return cls(n_measured, dirs)
+        angles = np.asarray(angles, dtype=float).reshape(-1, 2)
+        sin, cos = np.sin(angles), np.cos(angles)
+        return cls(n_measured, np.column_stack((sin[:, 0] * cos[:, 1], sin[:, 0] * sin[:, 1], cos[:, 0])))
 
 
 @dataclass(frozen=True)
@@ -186,18 +157,15 @@ class OracleConfig:
 
 
 @dataclass(frozen=True)
-class ReducedPoint:
-    """z components of a tree, keyed by outcome prefix."""
-
-    z3: dict[str, float]
-
-
-@dataclass(frozen=True)
 class OracleResult:
+    """The discord value, the tree that attains it, the converged count and
+    spread over every start, and the oracle that ran ("full" or "reduced")."""
+
     value: float
-    best_tree: MeasurementTree | ReducedPoint | None
+    best_tree: MeasurementTree
     starts_converged: int
     spread: float
+    oracle: str
 
 
 def _clamp_zero(value: float) -> float:
@@ -232,8 +200,7 @@ def _pauli_tensor(rho: DensityMatrix) -> np.ndarray:
 
 
 class _Chain:
-    """The measured conditional-entropy chain of one state, levels 1..levels;
-    `value_and_grad`, the one evaluation, needs levels = N - 1.
+    """The measured conditional-entropy chain of one state, levels 1..N-1.
 
     Built once per state and evaluated for many trees at once: every
     evaluation takes a leading start axis of k trees, and all of them share
@@ -243,11 +210,11 @@ class _Chain:
     `value_and_grad`.
     """
 
-    def __init__(self, rho: DensityMatrix, levels: int):
+    def __init__(self, rho: DensityMatrix):
         self.tensor = _pauli_tensor(rho)
-        self._levels = levels
+        self._levels = rho.n_qubits - 1
         self._halves = self._rows = None
-        self._inputs = [None] * levels
+        self._inputs = [None] * self._levels
 
     def value_and_grad(self, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Chain sums and their exact gradients for k trees of (theta, phi) pairs.
@@ -551,7 +518,7 @@ def minimize_discord(rho: DensityMatrix, cfg: OracleConfig | None = None) -> Ora
     evaluation: a start converges when max|g| <= 1e-10 or a step lowers the
     value by at most 1e-15 relative, and stops unconverged after
     cfg.max_iters steps or a failed line search. Every start counts in the
-    value, starts_converged and spread.
+    value, starts_converged and spread; best_tree is the lowest start's tree.
     """
     cfg = cfg or OracleConfig()
     n = rho.n_qubits
@@ -559,8 +526,8 @@ def minimize_discord(rho: DensityMatrix, cfg: OracleConfig | None = None) -> Ora
         raise ValueError("discord needs at least 2 qubits")
     if n > FULL_ORACLE_CAP:
         raise ValueError(f"n_qubits={n} exceeds oracle cap {FULL_ORACLE_CAP}")
-    npar = len(_prefixes(n - 1))
-    chain = _Chain(rho, n - 1)
+    npar = 2 ** (n - 1) - 1
+    chain = _Chain(rho)
     base = _unmeasured_term(rho, chain)
     axes = np.array([pair * npar for pair in AXIS_ANGLES[: cfg.starts]])
     # per row, npar draws of uniform(0, 1) for cos(theta), then npar for phi
@@ -570,7 +537,7 @@ def minimize_discord(rho: DensityMatrix, cfg: OracleConfig | None = None) -> Ora
     res = _scipy_minimize(chain.value_and_grad, x0, cfg.max_iters)
     best, converged, spread = res.reduce()
     tree = MeasurementTree.from_angles(n - 1, res.x[best])
-    return OracleResult(_clamp_zero(float(res.fun[best]) - base), tree, converged, spread)
+    return OracleResult(_clamp_zero(float(res.fun[best]) - base), tree, converged, spread, "full")
 
 
 # --- reduced optimizer for the symmetric family ---------------------------
@@ -673,6 +640,10 @@ def minimize_reduced(params: FamilyParams, cfg: OracleConfig | None = None) -> O
     each step one batched evaluation of `_reduced_value_and_grad`. A 3-start
     solve takes about 0.08 s at 8 qubits and 0.7 s at 10; the cap is 10
     qubits.
+
+    best_tree is the tree that attains the value: the best start's z at every
+    prefix, with the transverse part sqrt(1 - z^2) along x where |c1| >= |c2|
+    and along y otherwise, the axis of the larger transverse coefficient c.
     """
     cfg = cfg or OracleConfig()
     n = params.n_qubits
@@ -680,8 +651,7 @@ def minimize_reduced(params: FamilyParams, cfg: OracleConfig | None = None) -> O
         raise ValueError("discord needs at least 2 qubits")
     if n > REDUCED_ORACLE_CAP:
         raise ValueError(f"n_qubits={n} exceeds reduced-oracle cap {REDUCED_ORACLE_CAP}")
-    prefs = _prefixes(n - 1)
-    d = len(prefs)
+    d = 2 ** (n - 1) - 1
     drawn = np.random.default_rng(cfg.seed).random((max(0, min(cfg.starts, 12) - 3), d))
     theta0 = np.arccos(np.concatenate((np.array([np.ones(d), np.zeros(d), np.full(d, 0.5)]), drawn)))
 
@@ -692,28 +662,42 @@ def minimize_reduced(params: FamilyParams, cfg: OracleConfig | None = None) -> O
     res = _scipy_minimize(negated, theta0, cfg.max_iters)
     best, converged, spread = res.reduce()
     value = symmetric_spectrum(params).sum_xlog2() + n - 0.5 * h_scalar(params.s) + float(res.fun[best])
-    point = ReducedPoint(dict(zip(prefs, np.cos(res.x[best]).tolist())))
-    return OracleResult(_clamp_zero(value), point, converged, spread)
+    z = np.cos(res.x[best])
+    dirs = np.zeros((d, 3))
+    dirs[:, 0 if abs(params.c1) >= abs(params.c2) else 1] = np.sqrt(1.0 - z * z)
+    dirs[:, 2] = z
+    return OracleResult(_clamp_zero(value), MeasurementTree(n - 1, dirs), converged, spread, "reduced")
+
+
+def _family_oracle(params) -> tuple[str, int]:
+    """The one cap rule: the oracle that solves a family state, named as in
+    `OracleResult.oracle`, and its qubit cap. A symmetric-family state past
+    the full oracle's cap goes to the reduced oracle, every other to the full one."""
+    if isinstance(params, FamilyParams) and params.n_qubits > FULL_ORACLE_CAP:
+        return "reduced", REDUCED_ORACLE_CAP
+    return "full", FULL_ORACLE_CAP
 
 
 def minimize_family(params, cfg: OracleConfig | None = None) -> OracleResult:
     """Oracle discord of a family state, the one place that picks the oracle.
 
-    Unphysical states raise ValueError first. A symmetric-family state above
-    the full oracle's 4-qubit cap goes to `minimize_reduced` (its best_tree is
-    a ReducedPoint); any other state past that cap is refused before it is
-    realized, and the rest go densely to `minimize_discord`.
+    Unphysical states raise ValueError first, and a state past its oracle's
+    cap is refused before it is realized. A symmetric-family state above the
+    full oracle's 4-qubit cap goes to `minimize_reduced`, up to 10 qubits;
+    the rest go densely to `minimize_discord`. Either way best_tree is a
+    `MeasurementTree` that attains the value, and the result's oracle field
+    says which oracle ran.
     """
     require_physical(params)
-    if isinstance(params, FamilyParams) and params.n_qubits > FULL_ORACLE_CAP:
+    oracle, cap = _family_oracle(params)
+    if oracle == "reduced":
         return minimize_reduced(params, cfg)
-    if params.n_qubits > FULL_ORACLE_CAP:
-        raise ValueError(f"n_qubits={params.n_qubits} exceeds oracle cap {FULL_ORACLE_CAP}")
+    if params.n_qubits > cap:
+        raise ValueError(f"n_qubits={params.n_qubits} exceeds oracle cap {cap}")
     return minimize_discord(family_dense(params), cfg)
 
 
 def oracle_reaches(params) -> bool:
     """Whether `minimize_family` can solve this family state: up to 10 qubits
     for the symmetric family (reduced oracle), up to 4 for the others."""
-    cap = REDUCED_ORACLE_CAP if isinstance(params, FamilyParams) else FULL_ORACLE_CAP
-    return params.n_qubits <= cap
+    return params.n_qubits <= _family_oracle(params)[1]

@@ -362,6 +362,26 @@ class TestDynamicsCommand:
         assert out == "" and not out_path.exists()
         assert err == "error: need at least 1 p step\n"
 
+    @pytest.mark.parametrize("extra, message", [
+        (["--p-max", "inf"], "--p-max must be a finite number >= 0, got inf"),
+        (["--p-min", "nan"], "--p-min must be a finite number >= 0, got nan"),
+        (["--p-min", "-1e308", "--p-max", "1e308"], "--p-min must be a finite number >= 0, got -1e+308"),
+        (["--gamma", "1", "--t-max", "inf"], "--t-max must be a finite number >= 0, got inf"),
+        (["--gamma", "inf", "--t-max", "1"], "--gamma must be a finite number >= 0, got inf"),
+        (["--gamma", "-1", "--t-max", "1"], "--gamma must be a finite number >= 0, got -1.0"),
+        # gamma * t is inf, so every p past t = 0 is 1
+        (["--gamma", "1e308", "--t-max", "1e308"], "p grid must be strictly increasing"),
+        # the last point of a grid to the largest float overflows before numpy sets it
+        (["--p-max", "1.7976931348623157e308", "--p-steps", "4"], "p grid must lie in [0, 1]"),
+        (["--gamma", "1", "--t-max", "1.7976931348623157e308", "--p-steps", "4"], "p grid must be strictly increasing"),
+    ])
+    def test_out_of_range_grid_exit_2(self, capsys, tmp_path, extra, message):
+        # a numpy warning would be an error here, so none is raised either
+        out_path = tmp_path / "none.csv"
+        code, out, err = run(["dynamics"] + FIG3_ARGS + extra + ["--out", str(out_path)], capsys)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert not out_path.exists()
+
     def test_stdout_when_no_out(self, capsys):
         code, out, _ = run(["dynamics"] + FIG3_ARGS + ["--p-steps", "2"], capsys)
         assert code == 0
@@ -527,6 +547,17 @@ class TestArgumentParsing:
         code, out, err = run(argv, capsys)
         assert (code, out) == (2, "")
         assert err.startswith("error:") and err.count("\n") == 1 and err.endswith("\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["ghz-curve", "--n-min", "2", "--n-max", "2", "--mu-steps", "1000000000000000"],
+        ["dynamics", *FIG3_ARGS, "--p-steps", "1000000000000000"],
+        ["dynamics", *FIG3_ARGS, "--gamma", "1", "--t-max", "1", "--p-steps", "1000000000000000"],
+    ])
+    def test_unallocatable_step_count_exit_2(self, argv, capsys):
+        # numpy refuses the 8 PB grid at once, so no memory is touched
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
 
     @pytest.mark.parametrize("argv", [["--help"], ["discord", "--help"]])
     def test_help_exits_0(self, argv, capsys):

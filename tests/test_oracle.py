@@ -18,7 +18,6 @@ from discordium import (
     GhzParams,
     MeasurementTree,
     OracleConfig,
-    ReducedPoint,
     build_noisy_ghz_dense,
     build_symmetric_family,
     classify_region,
@@ -36,7 +35,6 @@ from discordium.oracle import (
     _Chain,
     _branch_gains,
     _pauli_tensor,
-    _prefixes,
     _reduced_value_and_grad,
     _tree_levels,
 )
@@ -45,8 +43,32 @@ from discordium.pauli import PAULI
 from conftest import sample_case1_family, sample_physical_family
 from reference import binary_h, conditional_ensemble, partial_trace
 
-Z_TREE3 = MeasurementTree.uniform(2, [0, 0, 1])
 FAST = OracleConfig(starts=10, seed=7)
+
+
+def z_tree(m):
+    """The tree that measures every qubit along +z."""
+    return MeasurementTree(m, np.tile([0.0, 0.0, 1.0], (2**m - 1, 1)))
+
+
+def random_tree(m, rng):
+    """Directions uniform on the sphere: per row, z on [-1, 1] then phi on [0, 2 pi)."""
+    z, phi = rng.uniform((-1.0, 0.0), (1.0, 2 * np.pi), (2**m - 1, 2)).T
+    r = np.sqrt(1.0 - z * z)
+    return MeasurementTree(m, np.column_stack((r * np.cos(phi), r * np.sin(phi), z)))
+
+
+def prefix_strings(m):
+    """The outcome prefixes of length < m in the tree's row order ("" is the root)."""
+    return ["".join(bits) for length in range(m) for bits in itertools.product("01", repeat=length)]
+
+
+def by_prefix(tree):
+    """The tree as the prefix-keyed dict that `reference.conditional_ensemble` reads."""
+    return dict(zip(prefix_strings(tree.n_measured), tree.directions))
+
+
+Z_TREE3 = z_tree(2)
 
 
 def all_ones(n):
@@ -75,7 +97,7 @@ def reduced_value(params, z):
 
 def tree_angles(tree):
     """A tree's (theta, phi) pairs in prefix order, as one row of `_Chain.value_and_grad`."""
-    dirs = np.array([tree.directions[p] for p in _prefixes(tree.n_measured)])
+    dirs = tree.directions
     theta = np.arctan2(np.hypot(dirs[:, 0], dirs[:, 1]), dirs[:, 2])
     return np.column_stack((theta, np.arctan2(dirs[:, 1], dirs[:, 0]))).reshape(1, -1)
 
@@ -84,7 +106,7 @@ def chain_levels(rho, tree):
     """One tree through the oracle's chain: the value `_Chain.value_and_grad`
     returns, and the entropy sum of each level 1..N-1 from the branch rows
     that call fills."""
-    chain = _Chain(rho, rho.n_qubits - 1)
+    chain = _Chain(rho)
     value = float(chain.value_and_grad(tree_angles(tree))[0][0])
     lam, _, log_ratio, _, _ = chain._eigen_terms()
     rows = -(lam * log_ratio).sum(axis=-1)[0]
@@ -93,7 +115,7 @@ def chain_levels(rho, tree):
 
 def objective(rho, tree):
     """The full oracle's objective of one tree: its chain minus S(rho) - S(rho_A1)."""
-    return chain_levels(rho, tree)[0] - oracle._unmeasured_term(rho, _Chain(rho, rho.n_qubits - 1))
+    return chain_levels(rho, tree)[0] - oracle._unmeasured_term(rho, _Chain(rho))
 
 
 def random_full_rank(rng, n):
@@ -105,7 +127,7 @@ def random_full_rank(rng, n):
 def ensemble_entropy(rho, tree, k):
     """Level-k entropy sum through the full-dimension ensemble."""
     total = 0.0
-    for b in conditional_ensemble(rho.entries, tree.directions, k):
+    for b in conditional_ensemble(rho.entries, by_prefix(tree), k):
         if not b.negligible:
             total += b.probability * von_neumann_entropy(DensityMatrix(1, partial_trace(b.state, {k + 1})))
     return total
@@ -113,44 +135,42 @@ def ensemble_entropy(rho, tree, k):
 
 class TestMeasurementTree:
     def test_completeness_enforced(self):
-        with pytest.raises(ValueError):
-            MeasurementTree(2, {"": np.array([0.0, 0.0, 1.0])})
+        for rows in (1, 2, 4, 7):
+            with pytest.raises(ValueError, match=rf"^tree of 2 measured qubits needs a \(3, 3\) array, got \({rows}, 3\)$"):
+                MeasurementTree(2, np.tile([0.0, 0.0, 1.0], (rows, 1)))
 
     def test_unit_norm_enforced(self):
-        dirs = {"": np.array([0.0, 0.0, 2.0]),
-                "0": np.array([0.0, 0.0, 1.0]),
-                "1": np.array([0.0, 0.0, 1.0])}
-        with pytest.raises(ValueError):
-            MeasurementTree(2, dirs)
+        # a component too large to square is refused too, with no overflow warning
+        for big in (2.0, 1e200):
+            dirs = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [0.0, 0.0, big]])
+            with pytest.raises(ValueError, match="^direction row 2 is not unit within 1e-12$"):
+                MeasurementTree(2, dirs)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_direction_refused(self, bad):
         # NaN fails every comparison, so the unit-norm test alone cannot refuse [nan, 0, 1]
-        dirs = {"": np.array([0.0, 0.0, 1.0]),
-                "0": np.array([bad, 0.0, 1.0]),
-                "1": np.array([0.0, 0.0, 1.0])}
-        with pytest.raises(ValueError, match="^direction at '0' has a non-finite component$"):
+        dirs = np.array([[0.0, 0.0, 1.0], [bad, 0.0, 1.0], [0.0, 0.0, 1.0]])
+        with pytest.raises(ValueError, match="^direction row 1 has a non-finite component$"):
             MeasurementTree(2, dirs)
 
-    def test_uniform_and_random(self, rng):
-        t = MeasurementTree.uniform(3, [1, 0, 0])
-        assert len(t.directions) == 7
-        t2 = MeasurementTree.random(3, rng)
-        for v in t2.directions.values():
-            assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
+    def test_directions_are_a_read_only_copy(self):
+        dirs = np.tile([1.0, 0.0, 0.0], (7, 1))
+        tree = MeasurementTree(3, dirs)
+        dirs[0] = 0.0
+        assert tree.directions.shape == (7, 3) and tree.directions[0].tolist() == [1.0, 0.0, 0.0]
+        with pytest.raises(ValueError):
+            tree.directions[0, 0] = 0.0
 
     def test_from_angles_round_trip(self):
         t = MeasurementTree.from_angles(2, np.array([0.0, 0.0, np.pi / 2, 0.0, np.pi / 2, np.pi / 2]))
-        assert np.allclose(t.directions[""], [0, 0, 1], atol=1e-12)
-        assert np.allclose(t.directions["0"], [1, 0, 0], atol=1e-12)
-        assert np.allclose(t.directions["1"], [0, 1, 0], atol=1e-12)
+        assert np.allclose(t.directions, [[0, 0, 1], [1, 0, 0], [0, 1, 0]], atol=1e-12)
 
 
 class TestConditionalEnsemble:
     def test_family_first_level_probabilities(self, rng):
         params = sample_physical_family(rng, 3)
         rho = realize(build_symmetric_family(params))
-        branches = conditional_ensemble(rho.entries, Z_TREE3.directions, 1)
+        branches = conditional_ensemble(rho.entries, by_prefix(Z_TREE3), 1)
         probs = sorted(b.probability for b in branches)
         expected = sorted([(1 + params.s) / 2, (1 - params.s) / 2])
         assert np.allclose(probs, expected, atol=1e-12)
@@ -158,13 +178,13 @@ class TestConditionalEnsemble:
     def test_maximally_mixed_uniform(self):
         rho = DensityMatrix(3, np.eye(8) / 8)
         for k in (1, 2):
-            branches = conditional_ensemble(rho.entries, Z_TREE3.directions, k)
+            branches = conditional_ensemble(rho.entries, by_prefix(Z_TREE3), k)
             assert np.allclose([b.probability for b in branches], 1 / 2**k, atol=1e-12)
 
     def test_ghz_pure_outcomes(self):
         rho = build_noisy_ghz_dense(GhzParams(2, 1.0))
-        tree = MeasurementTree.uniform(1, [0, 0, 1])
-        branches = conditional_ensemble(rho.entries, tree.directions, 1)
+        tree = z_tree(1)
+        branches = conditional_ensemble(rho.entries, by_prefix(tree), 1)
         assert np.allclose([b.probability for b in branches], 0.5, atol=1e-12)
         ket00 = np.zeros((4, 4))
         ket00[0, 0] = 1.0
@@ -177,9 +197,9 @@ class TestConditionalEnsemble:
     def test_probabilities_sum_to_one(self, rng):
         params = sample_physical_family(rng, 3)
         rho = realize(build_symmetric_family(params))
-        tree = MeasurementTree.random(2, rng)
+        tree = random_tree(2, rng)
         for k in (1, 2):
-            branches = conditional_ensemble(rho.entries, tree.directions, k)
+            branches = conditional_ensemble(rho.entries, by_prefix(tree), k)
             assert sum(b.probability for b in branches) == pytest.approx(1.0, abs=1e-12)
             for b in branches:
                 if not b.negligible:
@@ -191,7 +211,7 @@ class TestConditionalEnsemble:
         arr = np.zeros((4, 4), dtype=complex)
         arr[0, 0] = 1.0
         rho = DensityMatrix(2, arr)
-        branches = conditional_ensemble(rho.entries, MeasurementTree.uniform(1, [0, 0, 1]).directions, 1)
+        branches = conditional_ensemble(rho.entries, by_prefix(z_tree(1)), 1)
         flags = {b.prefix: b.negligible for b in branches}
         assert flags == {"0": False, "1": True}
         assert [b for b in branches if b.negligible][0].state is None
@@ -199,7 +219,7 @@ class TestConditionalEnsemble:
     def test_invalid_k(self):
         rho = DensityMatrix(3, np.eye(8) / 8)
         with pytest.raises(ValueError):
-            conditional_ensemble(rho.entries, Z_TREE3.directions, 3)
+            conditional_ensemble(rho.entries, by_prefix(Z_TREE3), 3)
 
 
 class TestPauliTensor:
@@ -220,10 +240,10 @@ class TestMeasuredConditionalEntropy:
         # random full-rank states, and pure GHZ whose z tree has zero-probability branches
         for n in (2, 3, 4, 5):
             ghz = build_noisy_ghz_dense(GhzParams(n, 1.0))
-            cases = [(random_full_rank(rng, n), MeasurementTree.random(n - 1, rng)) for _ in range(3)]
+            cases = [(random_full_rank(rng, n), random_tree(n - 1, rng)) for _ in range(3)]
             cases += [
-                (ghz, MeasurementTree.random(n - 1, rng)),
-                (ghz, MeasurementTree.uniform(n - 1, [0, 0, 1])),
+                (ghz, random_tree(n - 1, rng)),
+                (ghz, z_tree(n - 1)),
             ]
             for rho, tree in cases:
                 value, levels = chain_levels(rho, tree)
@@ -247,7 +267,7 @@ class TestMeasuredConditionalEntropy:
         rho = DensityMatrix(3, arr)
         marginal = -sum(p * np.log2(p) for p in ((1 + s2) / 2, (1 - s2) / 2))
         for _ in range(3):
-            tree = MeasurementTree.random(2, rng)
+            tree = random_tree(2, rng)
             got = chain_levels(rho, tree)[1][0]
             assert got == pytest.approx(marginal, abs=1e-11)
 
@@ -264,7 +284,7 @@ def lbfgsb_reference(rho, cfg):
 
     n = rho.n_qubits
     npar = 2 ** (n - 1) - 1
-    chain = _Chain(rho, n - 1)
+    chain = _Chain(rho)
     starts = [np.array(pair * npar) for pair in oracle.AXIS_ANGLES[: cfg.starts]]
     rng = np.random.default_rng(cfg.seed)
     while len(starts) < 2 * cfg.starts:
@@ -294,7 +314,7 @@ class TestChainGradient:
             states = [random_full_rank(rng, n), build_noisy_ghz_dense(GhzParams(n, 1.0)),
                       DensityMatrix(n, np.eye(2**n) / 2**n)]
             for rho in states:
-                chain = _Chain(rho, n - 1)
+                chain = _Chain(rho)
                 for k in range(1, 7):
                     angles = np.empty((k, 2 * npar))
                     angles[:, 0::2] = np.arccos(rng.uniform(-1.0, 1.0, (k, npar)))
@@ -315,7 +335,7 @@ class TestChainGradient:
             states += [build_noisy_ghz_dense(GhzParams(n, mu)) for mu in (0.4, 1.0)]
             npar = 2 ** (n - 1) - 1
             for rho in states:
-                chain = _Chain(rho, n - 1)
+                chain = _Chain(rho)
                 for _ in range(3):
                     angles = np.empty(2 * npar)
                     angles[0::2] = np.arccos(rng.uniform(-1.0, 1.0, npar))
@@ -330,7 +350,7 @@ class TestChainGradient:
 
     def test_finite_at_zero_bloch_vector(self):
         # maximally mixed: every branch has w = 0, and the gradient is exactly flat
-        chain = _Chain(DensityMatrix(3, np.eye(8) / 8), 2)
+        chain = _Chain(DensityMatrix(3, np.eye(8) / 8))
         value, grad = (a[0] for a in chain.value_and_grad(np.array([[0.3, 1.0, 2.0, -0.5, 1.2, 0.1]])))
         assert value == pytest.approx(2.0, abs=1e-14)
         assert np.all(np.isfinite(grad))
@@ -341,13 +361,13 @@ class TestDiscordObjective:
     def test_maximally_mixed_any_tree(self, rng):
         rho = DensityMatrix(3, np.eye(8) / 8)
         for _ in range(3):
-            tree = MeasurementTree.random(2, rng)
+            tree = random_tree(2, rng)
             assert objective(rho, tree) == pytest.approx(0.0, abs=1e-11)
 
     def test_bell_diagonal_z_tree_hand_value(self):
         params = FamilyParams(2, 0.3, 0.2, 0.1, 0.0)
         rho = realize(build_symmetric_family(params))
-        tree = MeasurementTree.uniform(1, [0, 0, 1])
+        tree = z_tree(1)
         slog = float(np.sum([lam * np.log2(lam) for lam in np.linalg.eigvalsh(rho.entries)]))
         expected = 2 + slog - 0.5 * binary_h(0.1)
         assert objective(rho, tree) == pytest.approx(expected, abs=1e-11)
@@ -366,13 +386,13 @@ class TestDiscordObjective:
         rho = realize(build_symmetric_family(params))
 
         def relabeled(tree):
-            comp = lambda p: "".join("1" if b == "0" else "0" for b in p)
-            return MeasurementTree(
-                tree.n_measured, {p: -tree.directions[comp(p)] for p in tree.directions}
-            )
+            # complementing a prefix of length m reverses its level's block of rows
+            dirs = tree.directions
+            blocks = [dirs[2**m - 1 : 2 ** (m + 1) - 1][::-1] for m in range(tree.n_measured)]
+            return MeasurementTree(tree.n_measured, -np.concatenate(blocks))
 
         for _ in range(5):
-            tree = MeasurementTree.random(2, rng)
+            tree = random_tree(2, rng)
             assert objective(rho, tree) == pytest.approx(
                 objective(rho, relabeled(tree)), abs=1e-9
             )
@@ -397,7 +417,7 @@ class TestDiscordObjective:
         rho = family_dense(params)
         closed = discord_symmetric(params).value
         for _ in range(5):
-            tree = MeasurementTree.random(n - 1, rng)
+            tree = random_tree(n - 1, rng)
             assert objective(rho, tree) >= closed - 1e-9
 
 
@@ -459,7 +479,7 @@ class TestMinimizeDiscord:
         rho = realize(build_symmetric_family(params))
         out = minimize_discord(rho, FAST)
         for _ in range(20):
-            tree = MeasurementTree.random(2, rng)
+            tree = random_tree(2, rng)
             assert objective(rho, tree) >= out.value - 1e-9
 
     def test_deterministic_given_seed(self):
@@ -576,7 +596,7 @@ class TestReduction:
             rho = family_dense(FamilyParams(3, -0.37, 0.78, 0.17, -0.02))
             out = minimize_discord(rho, cfg)
             [res] = calls
-            best = oracle._clamp_zero(res.fun.min() - oracle._unmeasured_term(rho, _Chain(rho, 2)))
+            best = oracle._clamp_zero(res.fun.min() - oracle._unmeasured_term(rho, _Chain(rho)))
         else:
             params = FamilyParams(5, 0.1, 0.1, -0.2, 0.05)
             out = minimize_reduced(params, cfg)
@@ -635,14 +655,14 @@ class TestMinimizeFamily:
         params = FamilyParams(5, 0.1, 0.1, -0.2, 0.05)
         cfg = OracleConfig(starts=4, seed=2)
         out = minimize_family(params, cfg)
-        assert isinstance(out.best_tree, ReducedPoint)
+        assert out.oracle == "reduced" and isinstance(out.best_tree, MeasurementTree)
         assert out.value == minimize_reduced(params, cfg).value
 
     def test_other_states_go_full(self):
         cfg = OracleConfig(starts=3, seed=2)
         params = FamilyParams(3, 0.1, 0.1, -0.2, 0.3)
         out = minimize_family(params, cfg)
-        assert isinstance(out.best_tree, MeasurementTree)
+        assert out.oracle == "full" and isinstance(out.best_tree, MeasurementTree)
         assert out.value == minimize_discord(realize(build_symmetric_family(params)), cfg).value
         ghz = GhzParams(2, 0.5)
         assert minimize_family(ghz, cfg).value == minimize_discord(build_noisy_ghz_dense(ghz), cfg).value
@@ -671,7 +691,7 @@ class TestReducedObjective:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_batch_matches_rows(self, rng, n):
         params = sample_physical_family(rng, n)
-        d = len(_prefixes(n - 1))
+        d = 2 ** (n - 1) - 1
         zs = rng.uniform(-1.0, 1.0, (40, d))
         zs[::4] = 0.0
         zs[1::4, 0] = 1.0
@@ -687,7 +707,7 @@ class TestReducedObjective:
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_tree_levels_match_outcome_strings(self, n):
         # the outcome strings of every branch, read directly
-        index = {p: i for i, p in enumerate(_prefixes(n - 1))}
+        index = {p: i for i, p in enumerate(prefix_strings(n - 1))}
         for m, (anc, sign, parity) in enumerate(_tree_levels(n), start=1):
             branches = ["".join(b) for b in itertools.product("01", repeat=m)]
             np.testing.assert_array_equal(anc, [[index[u[:t]] for t in range(m)] for u in branches])
@@ -731,7 +751,7 @@ class TestReducedObjective:
     def test_gradient_matches_central_differences(self, rng, n):
         # in the angles z = cos(theta) of the reduced search: interior ones,
         # and ones near 0 and pi/2, where z is near 1 and near 0
-        step, d = 1e-6, len(_prefixes(n - 1))
+        step, d = 1e-6, 2 ** (n - 1) - 1
         for s_zero in (False, True):
             params = sample_physical_family(rng, n, s_zero=s_zero)
             for theta in (rng.uniform(0.1, np.pi - 0.1, d), rng.uniform(1e-4, 1e-3, d),
@@ -749,7 +769,23 @@ class TestMinimizeReduced:
         params = FamilyParams(3, 0.1, 0.1, -0.2, 0.3)
         out = minimize_reduced(params, OracleConfig(starts=4, seed=2))
         assert out.value == pytest.approx(discord_symmetric(params).value, abs=1e-7)
-        assert all(abs(z - 1.0) <= 1e-5 for z in out.best_tree.z3.values())
+        assert np.all(np.abs(out.best_tree.directions[:, 2] - 1.0) <= 1e-5)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_best_tree_reproduces_value(self, rng, n):
+        # the reduced optimum is a tree the full oracle's chain can play: the
+        # best z at every prefix, transverse part along x or y
+        # two case-1, two case-2 (s = 0) and two region-none draws
+        draws = [sample_case1_family(rng, n) for _ in range(2)]
+        draws += [sample_physical_family(rng, n, s_zero=True) for _ in range(2)]
+        while len(draws) < 6:
+            params = sample_physical_family(rng, n)
+            if classify_region(params).region == "none":
+                draws.append(params)
+        for params in draws:
+            out = minimize_reduced(params, OracleConfig(starts=4, seed=3))
+            assert out.oracle == "reduced" and out.best_tree.n_measured == n - 1
+            assert objective(family_dense(params), out.best_tree) == pytest.approx(out.value, abs=1e-12), params
 
     def test_s_zero_matches_case2(self, rng):
         params = sample_physical_family(rng, 4, s_zero=True)

@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import importlib
+import inspect
 import pkgutil
 import sys
 from pathlib import Path
@@ -19,7 +20,7 @@ MOVED = [
 ]
 DELETED = [
     "_tree_directions", "measured_conditional_entropy", "discord_objective", "reduced_objective",
-    "ReducedObjective", "_branch_terms", "freeze_changepoint",
+    "ReducedObjective", "_branch_terms", "freeze_changepoint", "ReducedPoint", "_prefixes",
 ]
 
 
@@ -53,5 +54,7 @@ def test_package_keeps_no_moved_or_deleted_name():
         for name in MOVED + DELETED:
             assert not hasattr(module, name), f"{module.__name__}.{name}"
     assert not hasattr(discordium.oracle._Chain, "at_directions")
+    assert not hasattr(discordium.MeasurementTree, "uniform") and not hasattr(discordium.MeasurementTree, "random")
+    assert list(inspect.signature(discordium.oracle._Chain).parameters) == ["rho"]
     assert not hasattr(discordium.PauliSum, "to_json") and not hasattr(discordium.PauliSum, "from_json")
     assert [f.name for f in dataclasses.fields(discordium.FreezeReport)] == ["frozen", "frozen_value", "p_star"]
