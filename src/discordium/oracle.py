@@ -31,15 +31,14 @@ off the axis trees (stationary points by symmetry) and runs
 `MinimizeResult.reduce`, with no restart rule, and both return the
 `MeasurementTree` that attains their value. The module needs only numpy.
 
-A reduced objective specialized to the symmetric family works in the z
-components of the tree directions only. For that family the transverse
-components enter solely through the final-level radicand, where they are
-maximized out exactly (the discord objective is monotone in that radicand),
-so the reduction loses nothing while extending tractable sizes to 10 qubits:
-the tree with the best z at every prefix and its transverse part along one
-axis attains the reduced value. One per-level kernel gives each branch's term
-and its exact z gradient, and `minimize_reduced` maximizes the objective
-through the same seam, in one angle per prefix with z = cos(theta).
+For the symmetric family the transverse components of a tree enter the chain
+only through the final level's Bloch norms, with a weight of at most
+c^2 prod(1 - z^2), c the larger of |c1| and |c2|. Trees in the plane of z and
+T, the letter of that word (X on ties), attain it, and the chain falls as
+those norms grow, so the reduced oracle searches that plane alone: `_Chain`
+on the family's 3^N (I, T, Z) Pauli tensor, built without a dense state, is
+the chain in the z-T plane, and `minimize_reduced` minimizes it through the
+same seam in one angle per prefix, up to 10 qubits.
 """
 
 from __future__ import annotations
@@ -47,14 +46,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
-from functools import lru_cache
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from .pauli import PAULI, DensityMatrix, FamilyParams, family_dense
-from .spectral import h_scalar, require_physical, symmetric_spectrum, von_neumann_entropy, xlog2
+from .spectral import require_physical, symmetric_spectrum, von_neumann_entropy, xlog2
 
 PROB_FLOOR = 1e-14
 # the full oracle's stopping tests: relative decrease of f and largest gradient
@@ -84,8 +82,8 @@ class MeasurementTree:
     directions has shape (2^n_measured - 1, 3). Row 0 is the root, measuring
     qubit 1; rows 2^m - 1 .. 2^(m+1) - 2 are the 2^m prefixes of length m, as
     binary numbers with the first outcome most significant (0 for +, 1 for -),
-    and each measures qubit m + 1. This is the order of `_Chain` and
-    `_tree_levels`.
+    and each measures qubit m + 1. This is the order of `_Chain`. Trees
+    compare and hash by value, so results that hold them do too.
     """
 
     n_measured: int
@@ -106,6 +104,15 @@ class MeasurementTree:
             raise ValueError(f"direction row {row} {problem}")
         dirs.setflags(write=False)
         object.__setattr__(self, "directions", dirs)
+
+    def __eq__(self, other):
+        if not isinstance(other, MeasurementTree):
+            return NotImplemented
+        return self.n_measured == other.n_measured and np.array_equal(self.directions, other.directions)
+
+    def __hash__(self):
+        # + 0.0 turns -0.0 into 0.0, which compares equal to it
+        return hash((self.n_measured, (self.directions + 0.0).tobytes()))
 
     @classmethod
     def from_angles(cls, n_measured: int, angles: np.ndarray) -> "MeasurementTree":
@@ -188,8 +195,18 @@ _TRIG_SIGN = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, -1.0], [1.0, -1.0, 
 _ROW_GRAD = np.array([[-0.5, -0.5], [-0.5, 0.5], [1.0 / _LN2, 0.0], [1.0 / _LN2, 0.0]])
 
 
-def _pauli_tensor(rho: DensityMatrix) -> np.ndarray:
-    """Flat T[a1..aN] = Tr[rho s_a1 x .. x s_aN], a1 most significant; 4^N reals."""
+def _pauli_tensor(rho) -> np.ndarray:
+    """Flat T[a1..aN] = Tr[rho s_a1 x .. x s_aN], a1 most significant: 4^N reals
+    over (I, X, Y, Z) for a dense state, and 3^N over (I, T, Z) for symmetric-
+    family parameters, T the letter of the larger of their X..X and Y..Y words
+    (X on ties). The family weights only I..I, T..T, Z..Z and the single Z's."""
+    if isinstance(rho, FamilyParams):
+        # T..T sits at sum_i 3^i, Z..Z at twice that, and the Z on qubit N - i at 2 3^i
+        n, uniform = rho.n_qubits, (3**rho.n_qubits - 1) // 2
+        tensor = np.zeros(3**n)
+        tensor[[0, uniform, 2 * uniform]] = 1.0, rho.c1 if abs(rho.c1) >= abs(rho.c2) else rho.c2, rho.c3
+        tensor[2 * 3 ** np.arange(n)] = rho.s
+        return tensor
     acc = rho.entries.reshape(1, rho.dim, rho.dim)
     for _ in range(rho.n_qubits):
         a, d = acc.shape[0], acc.shape[1] // 2
@@ -208,11 +225,22 @@ class _Chain:
     projector (I +- r.s)/2 in Pauli coordinates, (1, +-r_x, +-r_y, +-r_z)/2;
     `_inputs` keeps each level's branch tensors for the backward pass of
     `value_and_grad`.
+
+    The tensor's length tells its letters: a dense state's 4^N tensor takes
+    every direction, the symmetric family's 3^N (I, T, Z) one the chain in
+    the z-T plane, each direction (sin theta cos phi, cos theta) in (T, Z).
+    The gather columns and the projector and Bloch-norm weights of those
+    letters are chosen here, once.
     """
 
-    def __init__(self, rho: DensityMatrix):
+    def __init__(self, rho):
         self.tensor = _pauli_tensor(rho)
         self._levels = rho.n_qubits - 1
+        self.letters = 4 if self.tensor.size == 4**rho.n_qubits else 3
+        # every column of the letter-indexed constants, or those of I, T and Z, T in x's place
+        cols = slice(None) if self.letters == 4 else [0, 1, 3]
+        self._trig = _TRIG_A[:, cols], _TRIG_B[:, cols], _TRIG_SIGN[:, cols]
+        self._half_signs, self._bloch_norm = _HALF_SIGNS[:, cols], _BLOCH_NORM[cols]
         self._halves = self._rows = None
         self._inputs = [None] * self._levels
 
@@ -237,7 +265,8 @@ class _Chain:
         np.cos(angles.reshape(k, npar, 2), out=trig[..., 1:3])
         np.sin(angles.reshape(k, npar, 2), out=trig[..., 3:5])
         # (1, r), dr/dtheta and dr/dphi of every prefix
-        rows_and_jac = trig[..., _TRIG_A] * trig[..., _TRIG_B] * _TRIG_SIGN
+        trig_a, trig_b, trig_sign = self._trig
+        rows_and_jac = trig[..., trig_a] * trig[..., trig_b] * trig_sign
         self._propagate(rows_and_jac[:, :, 0])
         lam, ratio, log_ratio, keep, norm = self._eigen_terms()
         value = -(lam * log_ratio).sum(axis=(1, 2))
@@ -256,33 +285,34 @@ class _Chain:
             w_in = self._inputs[level]
             width = w_in.shape[-1]
             if level < self._levels - 1:
-                g_out[..., :: width // 4] += grad_rows[:, 2 * b - 2 : 4 * b - 2]
+                g_out[..., :: width // self.letters] += grad_rows[:, 2 * b - 2 : 4 * b - 2]
             g_out = g_out.reshape(k, b, 2, width)
             np.matmul(g_out, w_in.swapaxes(-1, -2), out=grad_halves[:, b - 1 : 2 * b - 1])
             if level:
                 g_out = np.matmul(halves[:, b - 1 : 2 * b - 1].swapaxes(-1, -2), g_out).reshape(k, b, -1)
 
-        grad_plus = (grad_halves * _HALF_SIGNS).sum(axis=-2)
+        grad_plus = (grad_halves * self._half_signs).sum(axis=-2)
         grad = rows_and_jac[:, :, 1:] @ grad_plus[..., None]
         return value, grad.reshape(k, 2 * npar)
 
     def _propagate(self, plus: np.ndarray) -> None:
-        """Fill every level's rows for k trees given as (1, r) rows, shape (k, P, 4).
+        """Fill every level's rows for k trees given as (1, r) rows, shape (k, P, letters).
 
         Level m holds 2^m branches per tree (rows 2^m - 2 .. 2^(m+1) - 3).
         Measuring with outcome +- maps a branch tensor W to (W[0] +- r.W[1:])/2,
         one batched contraction per level for all trees.
         """
         k = plus.shape[0]
-        halves = self._halves = plus[:, :, None, :] * _HALF_SIGNS
-        rows = self._rows = np.empty((k, (2 << self._levels) - 2, 4))
+        letters = self.letters
+        halves = self._halves = plus[:, :, None, :] * self._half_signs
+        rows = self._rows = np.empty((k, (2 << self._levels) - 2, letters))
         w = self.tensor.reshape(1, 1, -1)
         for m in range(self._levels):
             b = 1 << m
-            w = self._inputs[m] = w.reshape(w.shape[0], b, 4, -1)
+            w = self._inputs[m] = w.reshape(w.shape[0], b, letters, -1)
             w = np.matmul(halves[:, b - 1 : 2 * b - 1], w).reshape(k, 2 * b, -1)
-            # next qubit's (p, w_x, w_y, w_z), identity on every later qubit
-            rows[:, 2 * b - 2 : 4 * b - 2] = w[..., :: w.shape[-1] // 4]
+            # next qubit's (p, w) in the tensor's letters, identity on every later qubit
+            rows[:, 2 * b - 2 : 4 * b - 2] = w[..., :: w.shape[-1] // letters]
 
     def _eigen_terms(self):
         """Each row's eigenvalues (p +- |w|)/2, lam/p, log2(lam/p), the keep mask and |w|.
@@ -292,20 +322,21 @@ class _Chain:
         """
         q = self._rows
         p = q[..., :1]
-        norm = np.sqrt((q * q) @ _BLOCH_NORM)
+        norm = np.sqrt((q * q) @ self._bloch_norm)
         lam = 0.5 * (p + norm[..., None] * _PLUS_MINUS)
         keep = (lam > PROB_FLOOR) & (p >= PROB_FLOOR)
         ratio = np.divide(lam, p, out=np.ones_like(lam), where=keep)
         return lam, ratio, np.log2(ratio), keep, norm
 
 
-def _unmeasured_term(rho: DensityMatrix, chain: _Chain) -> float:
-    """S(rho) - S(rho_A1), with rho_A1 = (T0 I + t.s)/2 read off the chain's
-    Pauli tensor (identity on every later qubit), so its eigenvalues are
-    (T0 +- |t|)/2."""
-    first = chain.tensor[:: chain.tensor.size // 4]
+def _unmeasured_term(rho, chain: _Chain) -> float:
+    """S(rho) - S(rho_A1), S(rho) from a dense state's eigenvalues or the family's
+    block spectrum; rho_A1 = (T0 I + t.s)/2 is read off the chain's tensor
+    (identity on every later qubit), so its eigenvalues are (T0 +- |t|)/2."""
+    entropy = symmetric_spectrum(rho).entropy_bits() if isinstance(rho, FamilyParams) else von_neumann_entropy(rho)
+    first = chain.tensor[:: chain.tensor.size // chain.letters]
     lam = 0.5 * (first[0] + np.sqrt(first[1:] @ first[1:]) * _PLUS_MINUS)
-    return von_neumann_entropy(rho) + float(xlog2(lam).sum())
+    return entropy + float(xlog2(lam).sum())
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -381,14 +412,17 @@ class _SearchStarts:
         h, fresh = self.hess[rows], self.fresh[rows]
         if fresh.any():
             # the first update scales the identity by s.y / y.y (Nocedal and Wright, eq. 6.20)
-            h = h * np.where(fresh, sy / _rowdot(y, y), 1.0)[:, None, None]
+            h *= np.where(fresh, sy / _rowdot(y, y), 1.0)[:, None, None]
             self.fresh[rows] = False
         hy = (h @ y[:, :, None])[:, :, 0]
         rho = 1.0 / sy
         # H' = H + v s^T + s v^T is the BFGS inverse update; s.y > 0 after a strong-Wolfe step
         v = (0.5 * rho * (1.0 + rho * _rowdot(y, hy)))[:, None] * s - rho[:, None] * hy
         vs = v[:, :, None] * s[:, None, :]
-        h = self.hess[rows] = h + vs + vs.transpose(0, 2, 1)
+        # in place: for rows = slice(None), h is a view of self.hess and the store is free
+        h += vs
+        h += vs.transpose(0, 2, 1)
+        self.hess[rows] = h
 
         f_old, f_new, g_new = self.f[rows], ft[rows], gt[rows]
         slack = F_TOL * np.maximum(np.abs(f_new), 1.0)
@@ -543,130 +577,45 @@ def minimize_discord(rho: DensityMatrix, cfg: OracleConfig | None = None) -> Ora
 # --- reduced optimizer for the symmetric family ---------------------------
 
 
-@lru_cache(maxsize=None)
-def _tree_levels(n: int) -> list:
-    """(ancestors, signs, parity) of the branches of each level m = 1..n-1.
-
-    Branch b of level m has the outcomes of the m bits of b, first outcome
-    most significant. Its length-t ancestor is prefix (1 << t) - 1 + (b >> (m - t))
-    in prefix order, with outcome sign 1 - 2 * bit (m - 1 - t) of b there; the
-    arrays have shape (2^m, m), (2^m, m) and (2^m,).
-    """
-    levels = []
-    for m in range(1, n):
-        b, t = np.arange(1 << m)[:, None], np.arange(m)
-        sign = 1.0 - 2.0 * ((b >> (m - 1 - t)) & 1)
-        levels.append(((1 << t) - 1 + (b >> (m - t)), sign, sign.prod(axis=1)))
-    return levels
-
-
-def _leave_one_out(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Product over the last axis, and the products of all entries but each one."""
-    ones = np.ones_like(v[..., :1])
-    before = np.cumprod(np.concatenate((ones, v[..., :-1]), axis=-1), axis=-1)
-    after = np.cumprod(np.concatenate((ones, v[..., :0:-1]), axis=-1), axis=-1)[..., ::-1]
-    return before[..., -1] * v[..., -1], before * after
-
-
-def _branch_gains(params: FamilyParams, zm, sign, eps) -> tuple[np.ndarray, np.ndarray]:
-    """H_y(x) - H_y(0) of branches of one level, one per branch, and its gradient in zm.
-
-    zm holds each branch's ancestor z values, shape (..., B, m) with column t
-    the z of its length-t prefix, and sign their outcome signs, shape (B, m);
-    y = s sum_t sign_t z_t. x = s below the final level; there it is the
-    square root of the radicand s^2 + 2 eps s c3 P3 + c^2 prod(1 - z^2) +
-    (c3 P3)^2, with P3 = prod z and eps the branch's cross-term sign: the
-    attainable maximum over the transverse components. With h(v) = v log2 v
-    and h' = log2 v + 1/ln 2 (0 for v <= 0, where h is 0), the gain's y
-    derivative is h'(1+y+x) + h'(1+y-x) - 2 h'(1+y), and its radicand
-    derivative (h'(1+y+x) - h'(1+y-x)) / 2x, taken as 0 at x = 0, where the
-    radicand (s + eps c3 P3)^2 + c^2 prod(1 - z^2) sits at its minimum 0 in
-    the angles; the radicand's z derivatives come from the products of all
-    but one z and all but one 1 - z^2.
-    """
-    n, s, c3 = params.n_qubits, params.s, params.c3
-    y = (sign * (s * zm)).sum(axis=-1)
-    final = zm.shape[-1] == n - 1
-    if not final:
-        x = s
-    else:
-        c = max(abs(params.c1), abs(params.c2))
-        p3, p3_without = _leave_one_out(zm)
-        transverse, transverse_without = _leave_one_out(1.0 - zm * zm)
-        rad = s * s + 2.0 * eps * s * c3 * p3 + c * c * transverse + (c3 * p3) ** 2
-        x = np.sqrt(np.maximum(rad, 0.0))
-    one_y = 1.0 + y
-    v = np.stack((one_y + x, one_y - x, one_y))
-    h = xlog2(v)
-    gains = h[0] + h[1] - 2.0 * h[2]
-    dh = np.log2(v, out=np.zeros_like(v), where=v > 0.0) + (v > 0.0) / _LN2
-    grad = (dh[0] + dh[1] - 2.0 * dh[2])[..., None] * (s * sign)
-    if final:
-        d_rad = np.divide(dh[0] - dh[1], 2.0 * x, out=np.zeros_like(x), where=x > 0.0)
-        cross = (eps * s * c3 + c3 * c3 * p3)[..., None] * p3_without
-        grad += 2.0 * d_rad[..., None] * (cross - c * c * zm * transverse_without)
-    return gains, grad
-
-
-def _reduced_value_and_grad(params: FamilyParams, zvec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The reduced objective of z vectors of shape (..., d), and its exact z gradient.
-
-    The z of a length-t prefix is column t of the branches of every later
-    level m that start with that prefix, one contiguous block of 2^(m-t)
-    branches each, so each column's branch gradients are summed by block.
-    """
-    value, grad = np.zeros(zvec.shape[:-1]), np.zeros_like(zvec)
-    for m, (anc, sign, parity) in enumerate(_tree_levels(params.n_qubits), start=1):
-        gains, d_zm = _branch_gains(params, zvec[..., anc], sign, parity)
-        value += gains.sum(axis=-1) / 2 ** (m + 1)
-        for t in range(m):
-            block = d_zm[..., t].reshape(*zvec.shape[:-1], 1 << t, -1).sum(axis=-1)
-            grad[..., (1 << t) - 1 : (2 << t) - 1] += block / 2 ** (m + 1)
-    return value, grad
-
-
 def minimize_reduced(params: FamilyParams, cfg: OracleConfig | None = None) -> OracleResult:
-    """Symmetric-family discord by maximizing the reduced z-coordinate objective.
+    """Symmetric-family discord by minimizing the chain in the z-T plane.
 
-    The objective is maximized over one angle theta per outcome prefix, with
-    z = cos(theta), so every z stays in [-1, 1] without bounds; negating the
-    z of a prefix and swapping the subtrees of its two outcomes leaves the
-    objective unchanged, so its maximum there is the one over [0, 1]^d. The
-    starts are all-ones, all-zeros and all-0.5 z, then seeded random ones on
-    [0, 1]^d up to min(cfg.starts, 12) in all: at least 3 and at most 12
+    `_Chain` on the family's (I, T, Z) Pauli tensor is minimized over one
+    angle theta per outcome prefix with phi = 0, each direction (sin theta,
+    cos theta) in (T, Z). Negating the z of a prefix and swapping the
+    subtrees of its two outcomes leaves the chain unchanged, so the starts
+    need z in [0, 1] only: all-ones, all-zeros and all-0.5 z, then seeded
+    random ones on [0, 1]^d up to min(cfg.starts, 12) in all, at least 3
     whatever cfg.starts says. They run in one `_scipy_minimize` call, whose
-    start offset is needed here too (theta = 0, where z = 1, is a stationary
-    point in theta), with the full oracle's stopping tests and cfg.max_iters,
-    each step one batched evaluation of `_reduced_value_and_grad`. A 3-start
-    solve takes about 0.08 s at 8 qubits and 0.7 s at 10; the cap is 10
-    qubits.
+    start offset is needed here too (theta = 0 is a stationary point), with
+    the full oracle's stopping tests and cfg.max_iters, each step one batched
+    chain evaluation. A 3-start solve takes about 0.03 s at 8 qubits and
+    0.4 s at 10; the cap is 10 qubits.
 
-    best_tree is the tree that attains the value: the best start's z at every
-    prefix, with the transverse part sqrt(1 - z^2) along x where |c1| >= |c2|
-    and along y otherwise, the axis of the larger transverse coefficient c.
+    best_tree attains the value: the best start's theta at every prefix,
+    with phi = 0 (T = X) where |c1| >= |c2| and pi/2 (T = Y) otherwise.
     """
     cfg = cfg or OracleConfig()
     n = params.n_qubits
-    if n < 2:
-        raise ValueError("discord needs at least 2 qubits")
     if n > REDUCED_ORACLE_CAP:
         raise ValueError(f"n_qubits={n} exceeds reduced-oracle cap {REDUCED_ORACLE_CAP}")
     d = 2 ** (n - 1) - 1
+    chain = _Chain(params)
+    base = _unmeasured_term(params, chain)
     drawn = np.random.default_rng(cfg.seed).random((max(0, min(cfg.starts, 12) - 3), d))
     theta0 = np.arccos(np.concatenate((np.array([np.ones(d), np.zeros(d), np.full(d, 0.5)]), drawn)))
 
-    def negated(theta):
-        value, grad = _reduced_value_and_grad(params, np.cos(theta))
-        return -value, np.sin(theta) * grad
+    def in_plane(theta):
+        angles = np.zeros((len(theta), 2 * d))
+        angles[:, ::2] = theta
+        value, grad = chain.value_and_grad(angles)
+        return value, grad[:, ::2]
 
-    res = _scipy_minimize(negated, theta0, cfg.max_iters)
+    res = _scipy_minimize(in_plane, theta0, cfg.max_iters)
     best, converged, spread = res.reduce()
-    value = symmetric_spectrum(params).sum_xlog2() + n - 0.5 * h_scalar(params.s) + float(res.fun[best])
-    z = np.cos(res.x[best])
-    dirs = np.zeros((d, 3))
-    dirs[:, 0 if abs(params.c1) >= abs(params.c2) else 1] = np.sqrt(1.0 - z * z)
-    dirs[:, 2] = z
-    return OracleResult(_clamp_zero(value), MeasurementTree(n - 1, dirs), converged, spread, "reduced")
+    phi = 0.0 if abs(params.c1) >= abs(params.c2) else np.pi / 2
+    tree = MeasurementTree.from_angles(n - 1, np.column_stack((res.x[best], np.full(d, phi))))
+    return OracleResult(_clamp_zero(float(res.fun[best]) - base), tree, converged, spread, "reduced")
 
 
 def _family_oracle(params) -> tuple[str, int]:

@@ -31,13 +31,7 @@ from discordium import (
     von_neumann_entropy,
 )
 from discordium import oracle
-from discordium.oracle import (
-    _Chain,
-    _branch_gains,
-    _pauli_tensor,
-    _reduced_value_and_grad,
-    _tree_levels,
-)
+from discordium.oracle import _Chain, _pauli_tensor
 from discordium.pauli import PAULI
 
 from conftest import sample_case1_family, sample_physical_family
@@ -76,14 +70,26 @@ def all_ones(n):
     return np.ones(2 ** (n - 1) - 1)
 
 
+def in_plane(theta):
+    """(theta, 0) pairs of angle vectors of shape (..., d), as rows of
+    `_Chain.value_and_grad` on the (I, T, Z) tensor: each direction
+    (sin theta, cos theta) in (T, Z)."""
+    theta = np.asarray(theta).reshape(-1, np.shape(theta)[-1])
+    angles = np.zeros((len(theta), 2 * theta.shape[1]))
+    angles[:, ::2] = theta
+    return angles
+
+
 def level_terms(params, z):
-    """Weighted branch terms of the reduced objective at z vectors of shape
-    (..., d): one (..., 2^m) array per level m, from `_branch_gains` over
-    `_tree_levels`."""
-    return [
-        _branch_gains(params, z[..., anc], sign, parity)[0] / 2 ** (m + 1)
-        for m, (anc, sign, parity) in enumerate(_tree_levels(params.n_qubits), start=1)
-    ]
+    """Reduced branch terms of the chain in the z-T plane at z vectors of
+    shape (..., d): one (..., 2^m) array per level m, each branch's
+    probability less its entropy, from the rows of the (I, T, Z) chain.
+    Level m sums to 1 less its conditional entropy."""
+    chain = _Chain(params)
+    chain.value_and_grad(in_plane(np.arccos(z)))
+    lam, _, log_ratio, _, _ = chain._eigen_terms()
+    terms = (chain._rows[..., 0] + (lam * log_ratio).sum(axis=-1)).reshape(*np.shape(z)[:-1], -1)
+    return [terms[..., 2**m - 2 : 2 ** (m + 1) - 2] for m in range(1, params.n_qubits)]
 
 
 def level_sums(params, z):
@@ -91,8 +97,8 @@ def level_sums(params, z):
 
 
 def reduced_value(params, z):
-    """The reduced objective through its one entry point."""
-    return float(_reduced_value_and_grad(params, z)[0])
+    """The reduced objective, N - 1 less the (I, T, Z) chain's value."""
+    return params.n_qubits - 1 - float(_Chain(params).value_and_grad(in_plane(np.arccos(z)))[0][0])
 
 
 def tree_angles(tree):
@@ -160,6 +166,14 @@ class TestMeasurementTree:
         assert tree.directions.shape == (7, 3) and tree.directions[0].tolist() == [1.0, 0.0, 0.0]
         with pytest.raises(ValueError):
             tree.directions[0, 0] = 0.0
+
+    def test_compares_and_hashes_by_value(self):
+        tree = MeasurementTree(2, np.tile([0.0, 0.0, 1.0], (3, 1)))
+        # -0.0 equals 0.0, so it hashes alike
+        same = MeasurementTree(2, np.tile([-0.0, 0.0, 1.0], (3, 1)))
+        assert tree == same and hash(tree) == hash(same)
+        assert tree != MeasurementTree(2, np.tile([0.0, 0.0, -1.0], (3, 1)))
+        assert tree != MeasurementTree(1, [[0.0, 0.0, 1.0]]) and tree != tree.directions.tolist()
 
     def test_from_angles_round_trip(self):
         t = MeasurementTree.from_angles(2, np.array([0.0, 0.0, np.pi / 2, 0.0, np.pi / 2, np.pi / 2]))
@@ -233,6 +247,17 @@ class TestPauliTensor:
             for t, word in zip(tensor, itertools.product("IXYZ", repeat=n))
         ) / 2**n
         assert np.max(np.abs(rebuilt - rho.entries)) <= 1e-14
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_family_plane_tensor_is_the_dense_one_on_i_t_z(self, rng, n):
+        # T is X where |c1| >= |c2| and Y otherwise; the swapped draw takes the other
+        params = sample_physical_family(rng, n)
+        for c1, c2 in ((params.c1, params.c2), (params.c2, params.c1), (0.3, -0.3)):
+            state = FamilyParams(n, c1, c2, params.c3, params.s)
+            letters = [0, 1 if abs(c1) >= abs(c2) else 2, 3]
+            dense = _pauli_tensor(family_dense(state)).reshape((4,) * n)[np.ix_(*[letters] * n)]
+            plane = _pauli_tensor(state)
+            assert plane.shape == (3**n,) and np.max(np.abs(plane - dense.ravel())) <= 1e-15
 
 
 class TestMeasuredConditionalEntropy:
@@ -355,6 +380,24 @@ class TestChainGradient:
         assert value == pytest.approx(2.0, abs=1e-14)
         assert np.all(np.isfinite(grad))
         assert np.max(np.abs(grad)) <= 1e-14
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_plane_chain_matches_four_letters(self, rng, n):
+        # the (I, T, Z) chain of a family state at (theta, 0) pairs is the
+        # 4-letter chain of its dense state with phi pinned to T's axis
+        d = 2 ** (n - 1) - 1
+        params = sample_physical_family(rng, n)
+        big, small = sorted((params.c1, params.c2), key=abs, reverse=True)
+        for c1, c2 in ((big, small), (small, big)):
+            state = FamilyParams(n, c1, c2, params.c3, params.s)
+            angles = in_plane(rng.uniform(-2 * np.pi, 2 * np.pi, (8, d)))
+            pinned = angles.copy()
+            pinned[:, 1::2] = 0.0 if abs(c1) >= abs(c2) else np.pi / 2
+            value, grad = _Chain(state).value_and_grad(angles)
+            dense_value, dense_grad = _Chain(family_dense(state)).value_and_grad(pinned)
+            assert np.max(np.abs(value - dense_value)) <= 1e-13, (n, c1, c2)
+            assert np.max(np.abs(grad[:, ::2] - dense_grad[:, ::2])) <= 1e-13, (n, c1, c2)
+            assert not grad[:, 1::2].any()
 
 
 class TestDiscordObjective:
@@ -593,22 +636,32 @@ class TestReduction:
         monkeypatch.setattr(oracle, "_scipy_minimize", spy)
         cfg = OracleConfig(starts=4, max_iters=max_iters, seed=1)
         if solver == "full":
-            rho = family_dense(FamilyParams(3, -0.37, 0.78, 0.17, -0.02))
-            out = minimize_discord(rho, cfg)
-            [res] = calls
-            best = oracle._clamp_zero(res.fun.min() - oracle._unmeasured_term(rho, _Chain(rho)))
+            state = family_dense(FamilyParams(3, -0.37, 0.78, 0.17, -0.02))
+            out = minimize_discord(state, cfg)
         else:
-            params = FamilyParams(5, 0.1, 0.1, -0.2, 0.05)
-            out = minimize_reduced(params, cfg)
-            [res] = calls
-            base = oracle.symmetric_spectrum(params).sum_xlog2() + 5 - 0.5 * binary_h(params.s)
-            best = oracle._clamp_zero(base + res.fun.min())
+            state = FamilyParams(5, 0.1, 0.1, -0.2, 0.05)
+            out = minimize_reduced(state, cfg)
+        [res] = calls
+        best = oracle._clamp_zero(res.fun.min() - oracle._unmeasured_term(state, _Chain(state)))
         assert out.value == best
         assert out.starts_converged == res.success.sum()
         if res.success.any():
             assert out.spread == np.ptp(res.fun[res.success])
         else:
             assert np.isnan(out.spread)
+
+    @pytest.mark.parametrize(
+        "solve, state",
+        [(minimize_discord, family_dense(FamilyParams(3, 0.2, 0.1, -0.3, 0.05))),
+         (minimize_reduced, FamilyParams(5, 0.2, 0.1, -0.3, 0.05))],
+        ids=["full", "reduced"],
+    )
+    def test_equal_solves_compare_and_hash_equal(self, solve, state):
+        cfg = OracleConfig(starts=3, seed=1)
+        first, second = solve(state, cfg), solve(state, cfg)
+        assert first is not second and first.best_tree.directions is not second.best_tree.directions
+        assert first == second and hash(first) == hash(second)
+        assert len({first, second}) == 1
 
 
 class TestLockstepBfgs:
@@ -704,16 +757,6 @@ class TestReducedObjective:
                 assert terms.shape == (2 ** (level + 1),)
                 assert np.max(np.abs(batch[level][i] - terms)) <= 1e-15
 
-    @pytest.mark.parametrize("n", [2, 3, 5])
-    def test_tree_levels_match_outcome_strings(self, n):
-        # the outcome strings of every branch, read directly
-        index = {p: i for i, p in enumerate(prefix_strings(n - 1))}
-        for m, (anc, sign, parity) in enumerate(_tree_levels(n), start=1):
-            branches = ["".join(b) for b in itertools.product("01", repeat=m)]
-            np.testing.assert_array_equal(anc, [[index[u[:t]] for t in range(m)] for u in branches])
-            np.testing.assert_array_equal(sign, [[1.0 - 2.0 * int(c) for c in u] for u in branches])
-            np.testing.assert_array_equal(parity, [(-1.0) ** u.count("1") for u in branches])
-
     def test_g_values(self):
         params = FamilyParams(3, 0.1, 0.1, -0.2, 0.3)
         # z at the prefixes "", "0" and "1"
@@ -756,12 +799,17 @@ class TestReducedObjective:
             params = sample_physical_family(rng, n, s_zero=s_zero)
             for theta in (rng.uniform(0.1, np.pi - 0.1, d), rng.uniform(1e-4, 1e-3, d),
                           np.pi / 2 + rng.uniform(-1e-3, 1e-3, d)):
-                value, grad = _reduced_value_and_grad(params, np.cos(theta))
-                assert abs(value - sum(t.sum() for t in level_terms(params, np.cos(theta)))) <= 1e-15
+                chain = _Chain(params)
+                value, grad = (a[0] for a in chain.value_and_grad(in_plane(theta)))
+                # the value, some N - 1 bits, is the sum of the level rows the call fills
+                lam, _, log_ratio, _, _ = chain._eigen_terms()
+                rows = -(lam * log_ratio).sum(axis=-1)[0]
+                levels = [rows[2**m - 2 : 2 ** (m + 1) - 2].sum() for m in range(1, n)]
+                assert value == pytest.approx(sum(levels), rel=1e-15, abs=0.0)
                 shifted = theta + np.concatenate((np.eye(d), -np.eye(d))) * step
-                up, down = np.split(_reduced_value_and_grad(params, np.cos(shifted))[0], 2)
+                up, down = np.split(chain.value_and_grad(in_plane(shifted))[0], 2)
                 central = (up - down) / (2 * step)
-                assert np.max(np.abs(-np.sin(theta) * grad - central)) <= 1e-7, (n, s_zero)
+                assert np.max(np.abs(grad[::2] - central)) <= 1e-7, (n, s_zero)
 
 
 class TestMinimizeReduced:
@@ -868,7 +916,7 @@ class TestMinimizeReduced:
         params = FamilyParams(2, 0.1453316506496225, 0.5391143119644839, 0.23383147702614804, -0.44096304452516066)
         out = minimize_reduced(params, OracleConfig(starts=3, seed=4))
         assert out.starts_converged == 3
-        assert out.value == 0.0879595188743057
+        assert out.value == 0.08795951887430564
 
     # N = 4n+3, a second 4n, a second 4n+1 and a second 4n+2, where only this
     # oracle reaches

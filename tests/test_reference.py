@@ -21,6 +21,7 @@ MOVED = [
 DELETED = [
     "_tree_directions", "measured_conditional_entropy", "discord_objective", "reduced_objective",
     "ReducedObjective", "_branch_terms", "freeze_changepoint", "ReducedPoint", "_prefixes",
+    "_tree_levels", "_leave_one_out", "_branch_gains", "_reduced_value_and_grad",
 ]
 
 
