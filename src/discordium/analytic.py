@@ -17,16 +17,27 @@ is known in two parameter regions:
 * case 2 (s = 0): discord = sum_i lambda_i log2 lambda_i + N - H(C)/2 with
   C = max{|c1|, |c2|, |c3|}.
 
-Everything is evaluated in bits. Values carry region and branch provenance.
+Everything is evaluated in bits. `symmetric_row` holds the dispatch once, on
+floats: the region test, the block-spectrum sum and the case assembly.
+`discord_symmetric`, `classify_region` and `symmetric_spectrum` wrap it or
+its parts and attach the provenance records.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, log2
+from math import comb, log2, nan
 
 from .pauli import DiagonalFieldParams, FamilyParams, GhzParams
-from .spectral import SpectrumResult, ghz_spectrum, h_scalar, symmetric_spectrum, xlog2_scalar
+from .spectral import (
+    SOURCE_BLOCKS,
+    SpectrumResult,
+    ghz_spectrum,
+    h_scalar,
+    sum_xlog2,
+    symmetric_blocks,
+    xlog2_scalar,
+)
 
 REGION_CASE1 = "case1"
 REGION_CASE2_S0 = "case2_s0"
@@ -39,7 +50,7 @@ class NoAnalyticCase(ValueError):
     """No closed form applies to these parameters; use the oracle instead."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CaseRegion:
     region: str
     c: float
@@ -47,7 +58,7 @@ class CaseRegion:
     condition_detail: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DiscordResult:
     """Discord value in bits plus provenance of the branch that produced it."""
 
@@ -60,17 +71,21 @@ class DiscordResult:
 
 def classify_region(params: FamilyParams) -> CaseRegion:
     """Decide which closed form applies; s = 0 takes precedence over case 1."""
-    c = max(abs(params.c1), abs(params.c2))
-    C = max(c, abs(params.c3))
-    c3, s, n = params.c3, params.s, params.n_qubits
+    return CaseRegion(*_region(params.n_qubits, params.c1, params.c2, params.c3, params.s))
+
+
+def _region(n: int, c1: float, c2: float, c3: float, s: float) -> tuple[str, float, float, str]:
+    """CaseRegion's fields for (N, c1, c2, c3, s)."""
+    c = max(abs(c1), abs(c2))
+    C = max(c, abs(c3))
     if abs(s) <= S_ZERO_TOL:
-        return CaseRegion(REGION_CASE2_S0, c, C, "s=0")
+        return REGION_CASE2_S0, c, C, "s=0"
     if c3 <= 0.0 and c3 * c3 >= c * c:
-        return CaseRegion(REGION_CASE1, c, C, "c3<=0 and c3^2>=c^2")
+        return REGION_CASE1, c, C, "c3<=0 and c3^2>=c^2"
     denom = 1.0 - (n - 2) * abs(s)
     if c3 < 0.0 and denom > 0.0 and s * s / denom >= (c3 * c3 - c * c) / c3:
-        return CaseRegion(REGION_CASE1, c, C, "s^2/(1-(N-2)|s|) >= (c3^2-c^2)/c3")
-    return CaseRegion(REGION_NONE, c, C, "no analytic case")
+        return REGION_CASE1, c, C, "s^2/(1-(N-2)|s|) >= (c3^2-c^2)/c3"
+    return REGION_NONE, c, C, "no analytic case"
 
 
 def max_w(params: FamilyParams, pattern: str = "parity") -> float:
@@ -99,26 +114,35 @@ def max_w(params: FamilyParams, pattern: str = "parity") -> float:
     raise ValueError(f"unknown pattern {pattern!r}")
 
 
-def _argmax_c_name(params: FamilyParams) -> str:
-    vals = {"c1": abs(params.c1), "c2": abs(params.c2), "c3": abs(params.c3)}
-    return max(vals, key=vals.get)
+def symmetric_row(n: int, c1: float, c2: float, c3: float, s: float, w_of):
+    """Closed-form discord of the symmetric state (N, c1, c2, c3, s), from floats.
+
+    Returns (value, branch, region, max W, blocks): region holds CaseRegion's
+    fields and blocks `symmetric_blocks`' values and multiplicities. w_of()
+    returns max W of (N, c3, s) and is called in case 1 only. Outside both
+    regions the value is NaN, the branch "none" and the blocks None.
+    """
+    region = _region(n, c1, c2, c3, s)
+    if region[0] == REGION_NONE:
+        return nan, REGION_NONE, region, None, None
+    blocks = symmetric_blocks(n, c1, c2, c3, s)
+    base = sum_xlog2(*blocks) + n
+    if region[0] == REGION_CASE2_S0:
+        C = region[2]
+        name = "c1" if abs(c1) == C else "c2" if abs(c2) == C else "c3"
+        return base - 0.5 * h_scalar(C), f"case2[s=0,C={name}]", region, None, blocks
+    w = w_of()
+    return base - w, "case1[parity]", region, w, blocks
 
 
 def discord_symmetric(params: FamilyParams) -> DiscordResult:
     """Closed-form discord of the symmetric family; raises NoAnalyticCase
     when neither region applies (callers fall back to the oracle)."""
-    region = classify_region(params)
-    if region.region == REGION_NONE:
-        raise NoAnalyticCase(
-            f"no closed form for c=({params.c1},{params.c2},{params.c3}) s={params.s}"
-        )
-    spectrum = symmetric_spectrum(params)
-    base = spectrum.sum_xlog2() + params.n_qubits
-    if region.region == REGION_CASE2_S0:
-        branch = f"case2[s=0,C={_argmax_c_name(params)}]"
-        return DiscordResult(base - 0.5 * h_scalar(region.C), branch, region, None, spectrum)
-    w = max_w(params, "parity")
-    return DiscordResult(base - w, "case1[parity]", region, w, spectrum)
+    n, c1, c2, c3, s = params.n_qubits, params.c1, params.c2, params.c3, params.s
+    value, branch, region, w, blocks = symmetric_row(n, c1, c2, c3, s, lambda: max_w(params, "parity"))
+    if blocks is None:
+        raise NoAnalyticCase(f"no closed form for c=({c1},{c2},{c3}) s={s}")
+    return DiscordResult(value, branch, CaseRegion(*region), w, SpectrumResult(*blocks, SOURCE_BLOCKS))
 
 
 def discord_diagonal_field(params: DiagonalFieldParams) -> DiscordResult:

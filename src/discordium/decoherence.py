@@ -4,7 +4,10 @@ The per-site channel has Kraus pair {sqrt(1-p/2) I, sqrt(p/2) Z}; composing
 it over all N sites multiplies every Pauli word's weight by (1-p)^w where w
 counts the X and Y letters (I and Z letters pass through). The symmetric
 family is closed under the channel: c1, c2 pick up (1-p)^N while c3 and s
-are untouched.
+are untouched. So an analytic sweep runs the one-state row function,
+`symmetric_row`, with c1 and c2 damped, and calls `max_w`, which reads only
+N, c3 and s, at most once; each row is bit-identical to
+`discord_symmetric(evolved_params(params, p))`.
 
 With s = 0 and c2 = +-c1*c3 (sign (-1)^{N/2} for even N) the discord stays
 pinned at H(c3)/2 as long as |c1|(1-p)^N >= |c3|, then decays; the boundary
@@ -14,13 +17,12 @@ p* = 1 - (|c3|/|c1|)^{1/N} is where the dominant coefficient switches.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .analytic import NoAnalyticCase, discord_symmetric
+from .analytic import max_w, symmetric_row
 from .oracle import OracleConfig, minimize_family
 from .pauli import FamilyParams
 from .spectral import h_scalar
@@ -43,7 +45,7 @@ class ChannelParams:
         return cls(p=1.0 - math.exp(-gamma * t))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SeriesRow:
     p: float
     value: float
@@ -60,7 +62,7 @@ class DynamicsSeries:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["p", "discord_bits", "branch"])
         for row in self.rows:
-            val = "nan" if not np.isfinite(row.value) else f"{row.value:.9g}"
+            val = f"{row.value:.9g}" if math.isfinite(row.value) else "nan"
             writer.writerow([f"{row.p:.9g}", val, row.branch])
         return out.getvalue()
 
@@ -86,29 +88,33 @@ def dynamics_sweep(
 ) -> DynamicsSeries:
     """Discord along a decoherence-probability grid.
 
-    Analytic rows that fall outside both closed-form regions are marked with
-    branch "none" and a NaN value instead of aborting the sweep.
+    The analytic rows are `symmetric_row` of the damped c1 and c2, the same
+    function and floats as `discord_symmetric(evolved_params(params, p))`,
+    with max W, which the channel leaves alone, computed at most once. Rows
+    that fall outside both closed-form regions are marked with branch "none"
+    and a NaN value instead of aborting the sweep.
     """
+    if method not in ("analytic", "oracle"):
+        raise ValueError(f"unknown method {method!r}")
+    if not isinstance(params, FamilyParams):
+        raise ValueError("dynamics sweeps apply to the symmetric family")
     grid = [float(p) for p in p_grid]
     if any(not 0.0 <= p <= 1.0 for p in grid):
         raise ValueError("p grid must lie in [0, 1]")
     if sorted(grid) != grid or len(set(grid)) != len(grid):
         raise ValueError("p grid must be strictly increasing")
     rows = []
+    if method == "oracle":
+        for p in grid:
+            out = minimize_family(evolved_params(params, p), cfg)
+            rows.append(SeriesRow(p, out.value, "oracle[reduced]" if out.oracle == "reduced" else "oracle"))
+        return DynamicsSeries(rows)
+    n, c1, c2, c3, s = params.n_qubits, params.c1, params.c2, params.c3, params.s
+    w_of = functools.cache(lambda: max_w(params, "parity"))
     for p in grid:
-        ev = evolved_params(params, p)
-        if method == "analytic":
-            try:
-                res = discord_symmetric(ev)
-                rows.append(SeriesRow(p, res.value, res.branch))
-            except NoAnalyticCase:
-                rows.append(SeriesRow(p, float("nan"), "none"))
-        elif method == "oracle":
-            out = minimize_family(ev, cfg)
-            branch = "oracle[reduced]" if out.oracle == "reduced" else "oracle"
-            rows.append(SeriesRow(p, out.value, branch))
-        else:
-            raise ValueError(f"unknown method {method!r}")
+        damp = (1.0 - p) ** n
+        row = symmetric_row(n, c1 * damp, c2 * damp, c3, s, w_of)
+        rows.append(SeriesRow(p, row[0], row[1]))
     return DynamicsSeries(rows)
 
 

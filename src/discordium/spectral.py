@@ -55,6 +55,18 @@ def h_scalar(x: float, y: float = 0.0) -> float:
     return xlog2_scalar(1.0 + y + x) + xlog2_scalar(1.0 + y - x)
 
 
+def sum_xlog2(values, multiplicities) -> float:
+    """sum_i m_i v_i log2 v_i over values v_i listed m_i times; v <= 0 gives 0.
+
+    Added left to right: the builtin sum() compensates float rounding from
+    Python 3.12 on, which would make the digits depend on the interpreter.
+    """
+    total = 0.0
+    for v, m in zip(values, multiplicities):
+        total += m * xlog2_scalar(v)
+    return total
+
+
 @dataclass(frozen=True)
 class SpectrumResult:
     """A spectrum as values with multiplicities, plus the source that produced it.
@@ -79,7 +91,7 @@ class SpectrumResult:
 
     def sum_xlog2(self) -> float:
         """sum_i lambda_i log2 lambda_i over the full spectrum; lambda <= 0 gives 0."""
-        return sum(m * xlog2_scalar(v) for v, m in zip(self.values, self.multiplicities))
+        return sum_xlog2(self.values, self.multiplicities)
 
     def entropy_bits(self) -> float:
         return -self.sum_xlog2()
@@ -106,7 +118,13 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
 
 
 def symmetric_spectrum(params: FamilyParams) -> SpectrumResult:
-    """Symmetric-family spectrum from its 2x2 blocks, in O(N).
+    """Symmetric-family spectrum from its 2x2 blocks, in O(N)."""
+    values, mults = symmetric_blocks(params.n_qubits, params.c1, params.c2, params.c3, params.s)
+    return SpectrumResult(values, mults, SOURCE_BLOCKS)
+
+
+def symmetric_blocks(n: int, c1: float, c2: float, c3: float, s: float) -> tuple[tuple, tuple]:
+    """(values, multiplicities) of the symmetric-family spectrum, in O(N).
 
     X..X and Y..Y flip every bit while Z..Z and the single-site Z are
     diagonal, so the state splits into blocks on |b>, |b with every bit
@@ -118,7 +136,6 @@ def symmetric_spectrum(params: FamilyParams) -> SpectrumResult:
     and it appears C(N, k) times for k < N/2 and C(N, k)/2 times for k = N/2.
     |z| is hypot(c1, c2) for odd N and |c1 + (-1)^(N/2+k) c2| for even N.
     """
-    n, c1, c2, c3, s = params.n_qubits, params.c1, params.c2, params.c3, params.s
     dim = _float_dim(n)
     values, mults = [], []
     for k in range(n // 2 + 1):
@@ -131,7 +148,7 @@ def symmetric_spectrum(params: FamilyParams) -> SpectrumResult:
         mult = math.comb(n, k) // 2 if 2 * k == n else math.comb(n, k)
         values += [(mid + r) / dim, (mid - r) / dim]
         mults += [mult, mult]
-    return SpectrumResult(tuple(values), tuple(mults), SOURCE_BLOCKS)
+    return tuple(values), tuple(mults)
 
 
 def closed_form_spectrum_3q(params: FamilyParams) -> SpectrumResult:

@@ -1,14 +1,17 @@
 import csv
 import io
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from discordium import (
     ChannelParams,
     FamilyParams,
+    GhzParams,
+    NoAnalyticCase,
     OracleConfig,
     PauliSum,
     build_symmetric_family,
@@ -19,6 +22,7 @@ from discordium import (
     minimize_reduced,
     realize,
 )
+from discordium.analytic import S_ZERO_TOL
 from discordium.spectral import PHYSICAL_TOL
 
 from conftest import sample_physical_family
@@ -172,6 +176,10 @@ class TestDynamicsSweep:
             dynamics_sweep(FIG3_4Q, [0.2, 0.1])
         with pytest.raises(ValueError):
             dynamics_sweep(FIG3_4Q, [0.0, 1.5])
+        with pytest.raises(ValueError, match="unknown method"):
+            dynamics_sweep(FIG3_4Q, [], method="bogus")
+        with pytest.raises(ValueError, match="symmetric family"):
+            dynamics_sweep(GhzParams(3, 0.5), [0.1])
 
     def test_region_error_marks_row(self):
         # c3 > 0 with s != 0 never has a closed form; rows marked, not fatal
@@ -228,6 +236,74 @@ class TestDynamicsSweep:
             assert all(len(row) == 3 for row in rows)
             assert [row[2] for row in rows[1:]] == [r.branch for r in series.rows]
             assert any("," in row[2] for row in rows[1:])
+
+
+def _assert_rows_are_one_state_results(params, grid):
+    """Each analytic row equals discord_symmetric of the evolved state, bit for bit."""
+    series = dynamics_sweep(params, grid)
+    assert [row.p for row in series.rows] == grid
+    for row in series.rows:
+        try:
+            res = discord_symmetric(evolved_params(params, row.p))
+        except NoAnalyticCase:
+            assert row.branch == "none" and math.isnan(row.value)
+            continue
+        assert (row.value, row.branch) == (res.value, res.branch)
+    return [row.branch for row in series.rows]
+
+
+S_NEAR_ZERO = [
+    0.0,
+    S_ZERO_TOL,
+    -S_ZERO_TOL,
+    math.nextafter(S_ZERO_TOL, 1.0),
+    -math.nextafter(S_ZERO_TOL, 1.0),
+    math.nextafter(S_ZERO_TOL, 0.0),
+]
+coefficient = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+class TestOneDispatch:
+    @given(
+        n=st.integers(2, 14),
+        c=st.tuples(coefficient, coefficient, coefficient),
+        s=st.one_of(st.sampled_from(S_NEAR_ZERO), st.floats(-0.3, 0.3, allow_nan=False)),
+        inner=st.lists(st.floats(0.0, 1.0, allow_nan=False), max_size=12),
+    )
+    @example(n=3, c=(0.5, 0.1, -0.3), s=0.05, inner=[0.05, 0.1, 0.2])
+    @example(n=4, c=(0.8, -0.16, -0.2), s=0.0, inner=[0.2, 0.3, 0.5])
+    @settings(max_examples=300, deadline=None)
+    def test_rows_equal_one_state_results(self, n, c, s, inner):
+        grid = sorted({0.0, 1.0, *inner})
+        _assert_rows_are_one_state_results(FamilyParams(n, *c, s), grid)
+
+    @pytest.mark.parametrize(
+        "params, crossing",
+        [
+            (FamilyParams(3, 0.5, 0.1, -0.3, 0.05), ["none", "case1[parity]"]),
+            (FamilyParams(5, 0.4, 0.3, -0.3, 0.02), ["none", "case1[parity]"]),
+            (FIG3_4Q, ["case2[s=0,C=c1]", "case2[s=0,C=c3]"]),
+            (FamilyParams(7, 0.1, -0.6, 0.3, 0.0), ["case2[s=0,C=c2]", "case2[s=0,C=c3]"]),
+        ],
+    )
+    def test_rows_across_a_branch_change(self, params, crossing):
+        branches = _assert_rows_are_one_state_results(params, np.linspace(0.0, 1.0, 91).tolist())
+        assert list(dict.fromkeys(branches)) == crossing
+
+
+class TestFreezeContinuity:
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_value_is_continuous_at_p_star(self, n):
+        # a kink, not a jump: the difference across p* shrinks as fast as h does
+        sign = -1.0 if (n // 2) % 2 else 1.0
+        params = FamilyParams(n, 0.8, sign * 0.8 * -0.2, -0.2, 0.0)
+        p_star = detect_freeze_transition(params).p_star
+        diffs = []
+        for h in (1e-4, 1e-6):
+            below, above = dynamics_sweep(params, [p_star - h, p_star + h]).rows
+            assert (below.branch, above.branch) == ("case2[s=0,C=c1]", "case2[s=0,C=c3]")
+            diffs.append(above.value - below.value)
+        assert 50.0 <= diffs[0] / diffs[1] <= 200.0
 
 
 class TestFreezeDetection:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,8 @@ from discordium import (
     von_neumann_entropy,
     xlog2,
 )
+
+from discordium.spectral import sum_xlog2, xlog2_scalar
 
 from conftest import sample_physical_family
 from reference import binary_h, spectrum_4q_printed
@@ -124,6 +128,14 @@ class TestXlog2:
 
     def test_nan_propagates(self):
         assert np.isnan(xlog2(np.array([np.nan, 0.5]))[0])
+
+    def test_sum_adds_left_to_right(self):
+        # ten terms of -6.3e-18, each under half an ulp of 0.5: adding left to
+        # right drops every one, while a compensated sum, as the builtin sum()
+        # does from Python 3.12 on, keeps them and ends one ulp lower
+        values = (0.5,) + (1e-19,) * 10
+        assert sum_xlog2(values, (1,) * 11) == -0.5
+        assert math.fsum(xlog2_scalar(v) for v in values) < -0.5
 
 
 class TestClosedForm3q:
