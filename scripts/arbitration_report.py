@@ -2,11 +2,13 @@
 """Arbitrate the two case-1 H-pairing patterns against the measurement oracle.
 
 For random physical 3-qubit draws in the c3-dominant region with s != 0, the
-closed form with the parity pattern and the alternative "printed" pairing are
+closed form with the package's parity pattern (`max_w`) and the alternative
+"printed" pairing (`max_w_printed`, kept here and nowhere in the package) are
 both compared to the full sequential-measurement minimum. Results land in a
 JSON report (default ./reports/case1_arbitration.json) with per-draw values
-and aggregate error statistics. The sampler, the per-draw row and the report
-assembly are importable, so the acceptance suite builds the same report.
+and aggregate error statistics. The sampler, the printed pairing, the
+per-draw row and the report assembly are importable, so the tests and the
+acceptance suite use the same code.
 """
 
 import argparse
@@ -24,7 +26,7 @@ from discordium import (
     realize,
     symmetric_spectrum,
 )
-from discordium.spectral import physicality
+from discordium.spectral import h_scalar, physicality
 
 AGREE_TOL = 5e-3
 
@@ -44,11 +46,25 @@ def sample_case1(rng, n: int = 3, max_tries: int = 10000) -> FamilyParams:
     raise RuntimeError("rejection sampling failed")
 
 
+def max_w_printed(params: FamilyParams) -> float:
+    """The printed three-qubit pairing of max W's H terms; it differs from the
+    parity pattern for s != 0."""
+    if params.n_qubits != 3:
+        raise ValueError("printed pattern is defined for n_qubits == 3 only")
+    c3, s = params.c3, params.s
+    return (
+        h_scalar(abs(s + c3), 2 * s)
+        + h_scalar(abs(s - c3), -2 * s)
+        + h_scalar(abs(s + c3))
+        + h_scalar(abs(s - c3))
+    ) / 8
+
+
 def case1_row(params: FamilyParams, cfg: OracleConfig) -> dict:
     """Both patterns' closed forms against the oracle for one draw."""
     base = symmetric_spectrum(params).sum_xlog2() + params.n_qubits
-    parity = base - max_w(params, "parity")
-    printed = base - max_w(params, "printed")
+    parity = base - max_w(params)
+    printed = base - max_w_printed(params)
     oracle = minimize_discord(realize(build_symmetric_family(params)), cfg).value
     return {
         "c1": params.c1,

@@ -11,8 +11,8 @@ is known in two parameter regions:
       max W = (1/2^N) sum_{j=0}^{N-1} C(N-1, j) H_{(N-1-2j)s}(|s + (-1)^j c3|).
 
   An alternative three-qubit pairing of the same H terms ("printed") differs
-  numerically for s != 0; it is retained only for the discrepancy report and
-  is arbitrated against the measurement oracle in the test suite.
+  numerically for s != 0; it lives in scripts/arbitration_report.py, which
+  arbitrates both against the measurement oracle.
 
 * case 2 (s = 0): discord = sum_i lambda_i log2 lambda_i + N - H(C)/2 with
   C = max{|c1|, |c2|, |c3|}.
@@ -88,30 +88,18 @@ def _region(n: int, c1: float, c2: float, c3: float, s: float) -> tuple[str, flo
     return REGION_NONE, c, C, "no analytic case"
 
 
-def max_w(params: FamilyParams, pattern: str = "parity") -> float:
+def max_w(params: FamilyParams) -> float:
     """Minimized conditional-entropy chain term for the all-z measurement tree.
 
     The parity pattern pairs H_{(N-1-2j)s} with |s + (-1)^j c3| across the
-    2^{N-1} outcome branches grouped by their number of minus signs j. The
-    "printed" pattern is the alternative three-qubit pairing kept for
-    discrepancy reporting only. Meaningful as the discord term in case 1.
+    2^{N-1} outcome branches grouped by their number of minus signs j.
+    Meaningful as the discord term in case 1.
     """
     n, c3, s = params.n_qubits, params.c3, params.s
-    if pattern == "parity":
-        total = 0.0
-        for j in range(n):
-            total += comb(n - 1, j) * h_scalar(abs(s + (-1) ** j * c3), (n - 1 - 2 * j) * s)
-        return total / 2**n
-    if pattern == "printed":
-        if n != 3:
-            raise ValueError("printed pattern is defined for n_qubits == 3 only")
-        return (
-            h_scalar(abs(s + c3), 2 * s)
-            + h_scalar(abs(s - c3), -2 * s)
-            + h_scalar(abs(s + c3))
-            + h_scalar(abs(s - c3))
-        ) / 8
-    raise ValueError(f"unknown pattern {pattern!r}")
+    total = 0.0
+    for j in range(n):
+        total += comb(n - 1, j) * h_scalar(abs(s + (-1) ** j * c3), (n - 1 - 2 * j) * s)
+    return total / 2**n
 
 
 def symmetric_row(n: int, c1: float, c2: float, c3: float, s: float, w_of):
@@ -139,7 +127,7 @@ def discord_symmetric(params: FamilyParams) -> DiscordResult:
     """Closed-form discord of the symmetric family; raises NoAnalyticCase
     when neither region applies (callers fall back to the oracle)."""
     n, c1, c2, c3, s = params.n_qubits, params.c1, params.c2, params.c3, params.s
-    value, branch, region, w, blocks = symmetric_row(n, c1, c2, c3, s, lambda: max_w(params, "parity"))
+    value, branch, region, w, blocks = symmetric_row(n, c1, c2, c3, s, lambda: max_w(params))
     if blocks is None:
         raise NoAnalyticCase(f"no closed form for c=({c1},{c2},{c3}) s={s}")
     return DiscordResult(value, branch, CaseRegion(*region), w, SpectrumResult(*blocks, SOURCE_BLOCKS))

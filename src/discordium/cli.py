@@ -20,7 +20,7 @@ import numpy as np
 
 from .analytic import NoAnalyticCase, discord_diagonal_field, discord_ghz, discord_symmetric
 from .decoherence import ChannelParams, detect_freeze_transition, dynamics_sweep
-from .oracle import OracleConfig, minimize_family, minimize_reduced, oracle_reaches
+from .oracle import OracleConfig, minimize_family, oracle_reaches
 from .pauli import DENSE_CAP_ENV, DenseCapExceeded, DiagonalFieldParams, FamilyParams, GhzParams, dense_cap
 from .spectral import family_spectrum, physicality, require_physical
 
@@ -73,20 +73,13 @@ def _cmd_discord(args) -> int:
     params = _family_params(args)
     require_physical(params)
     cfg = _oracle_config(args)
-    if args.method == "analytic":
-        try:
-            res = _analytic_result(params)
-            value, branch = res.value, res.branch
-        except NoAnalyticCase:
-            if args.fallback != "oracle":
-                raise
-            value, branch = minimize_family(params, cfg).value, "oracle[fallback]"
-    elif args.method == "oracle":
-        value, branch = minimize_family(params, cfg).value, "oracle"
-    else:
-        if not isinstance(params, FamilyParams):
-            raise ValueError("--method reduced applies to the symmetric family only")
-        value, branch = minimize_reduced(params, cfg).value, "reduced"
+    try:
+        res = minimize_family(params, cfg) if args.method == "oracle" else _analytic_result(params)
+        value, branch = res.value, res.branch
+    except NoAnalyticCase:
+        if args.fallback != "oracle":
+            raise
+        value, branch = minimize_family(params, cfg).value, "oracle[fallback]"
     if args.format == "json":
         _write(json.dumps({"value_bits": value, "branch": branch}) + "\n", args.out)
     else:
@@ -131,8 +124,6 @@ def _cmd_dynamics(args) -> int:
     if args.p_steps < 1:
         raise ValueError("need at least 1 p step")
     params = _family_params(args)
-    if not isinstance(params, FamilyParams):
-        raise ValueError("dynamics sweeps apply to the symmetric family")
     require_physical(params)
     if args.gamma is not None and args.t_max is None:
         raise ValueError("--gamma requires --t-max")
@@ -212,7 +203,7 @@ def _build_parser() -> argparse.ArgumentParser:
     family.add_argument("--mu", type=float, help="GHZ mixedness in [0,1]")
 
     p = sub.add_parser("discord", parents=[family], help="discord of one state")
-    p.add_argument("--method", choices=("analytic", "oracle", "reduced"), default="analytic")
+    p.add_argument("--method", choices=("analytic", "oracle"), default="analytic")
     p.add_argument("--fallback", choices=("oracle",))
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_discord)

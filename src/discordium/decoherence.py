@@ -107,10 +107,10 @@ def dynamics_sweep(
     if method == "oracle":
         for p in grid:
             out = minimize_family(evolved_params(params, p), cfg)
-            rows.append(SeriesRow(p, out.value, "oracle[reduced]" if out.oracle == "reduced" else "oracle"))
+            rows.append(SeriesRow(p, out.value, out.branch))
         return DynamicsSeries(rows)
     n, c1, c2, c3, s = params.n_qubits, params.c1, params.c2, params.c3, params.s
-    w_of = functools.cache(lambda: max_w(params, "parity"))
+    w_of = functools.cache(lambda: max_w(params))
     for p in grid:
         damp = (1.0 - p) ** n
         row = symmetric_row(n, c1 * damp, c2 * damp, c3, s, w_of)

@@ -31,14 +31,14 @@ off the axis trees (stationary points by symmetry) and runs
 `MinimizeResult.reduce`, with no restart rule, and both return the
 `MeasurementTree` that attains their value. The module needs only numpy.
 
-For the symmetric family the transverse components of a tree enter the chain
-only through the final level's Bloch norms, with a weight of at most
-c^2 prod(1 - z^2), c the larger of |c1| and |c2|. Trees in the plane of z and
-T, the letter of that word (X on ties), attain it, and the chain falls as
-those norms grow, so the reduced oracle searches that plane alone: `_Chain`
-on the family's 3^N (I, T, Z) Pauli tensor, built without a dense state, is
-the chain in the z-T plane, and `minimize_reduced` minimizes it through the
-same seam in one angle per prefix, up to 10 qubits.
+For the symmetric and GHZ families the transverse components of a tree enter
+the chain only through the final level's Bloch norms, with a weight of at most
+c^2 prod(1 - z^2), c the larger of |c1| and |c2| (mu for GHZ). Trees in the
+plane of z and T, the letter `_transverse` picks, attain it, and the chain
+falls as those norms grow, so the reduced oracle searches that plane alone:
+`_Chain` on the state's 3^N (I, T, Z) Pauli tensor, built without a dense
+state, is the chain in the z-T plane, and `minimize_reduced` minimizes it
+through the same seam in one angle per prefix, up to 10 qubits.
 """
 
 from __future__ import annotations
@@ -46,13 +46,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
+from functools import reduce
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .pauli import PAULI, DensityMatrix, FamilyParams, family_dense
-from .spectral import require_physical, symmetric_spectrum, von_neumann_entropy, xlog2
+from .pauli import PAULI, DensityMatrix, FamilyParams, GhzParams, family_dense
+from .spectral import family_spectrum, require_physical, von_neumann_entropy, xlog2
 
 PROB_FLOOR = 1e-14
 # the full oracle's stopping tests: relative decrease of f and largest gradient
@@ -174,6 +175,11 @@ class OracleResult:
     spread: float
     oracle: str
 
+    @property
+    def branch(self) -> str:
+        """The output label: "oracle" for the full oracle, "oracle[reduced]" for the reduced one."""
+        return "oracle" if self.oracle == "full" else f"oracle[{self.oracle}]"
+
 
 def _clamp_zero(value: float) -> float:
     return 0.0 if abs(value) <= ZERO_CLAMP else value
@@ -195,17 +201,32 @@ _TRIG_SIGN = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, -1.0], [1.0, -1.0, 
 _ROW_GRAD = np.array([[-0.5, -0.5], [-0.5, 0.5], [1.0 / _LN2, 0.0], [1.0 / _LN2, 0.0]])
 
 
+def _transverse(params) -> tuple[float, float]:
+    """T..T's weight and T's azimuth for a symmetric or GHZ state: T is X (phi = 0)
+    unless |Y..Y| > |X..X|, then Y (phi = pi/2). GHZ has X..X = mu and Y..Y = mu Re(i^N)."""
+    if isinstance(params, GhzParams):
+        x, y = params.mu, (0.0 if params.n_qubits % 2 else (-1) ** (params.n_qubits // 2) * params.mu)
+    else:
+        x, y = params.c1, params.c2
+    return (x, 0.0) if abs(x) >= abs(y) else (y, np.pi / 2)
+
+
 def _pauli_tensor(rho) -> np.ndarray:
     """Flat T[a1..aN] = Tr[rho s_a1 x .. x s_aN], a1 most significant: 4^N reals
     over (I, X, Y, Z) for a dense state, and 3^N over (I, T, Z) for symmetric-
-    family parameters, T the letter of the larger of their X..X and Y..Y words
-    (X on ties). The family weights only I..I, T..T, Z..Z and the single Z's."""
-    if isinstance(rho, FamilyParams):
+    family or GHZ parameters, T as `_transverse` picks it. Those weight I..I,
+    T..T and either Z..Z and the single Z's, or every {I, Z}^N word (GHZ)."""
+    if not isinstance(rho, DensityMatrix):
         # T..T sits at sum_i 3^i, Z..Z at twice that, and the Z on qubit N - i at 2 3^i
         n, uniform = rho.n_qubits, (3**rho.n_qubits - 1) // 2
-        tensor = np.zeros(3**n)
-        tensor[[0, uniform, 2 * uniform]] = 1.0, rho.c1 if abs(rho.c1) >= abs(rho.c2) else rho.c2, rho.c3
-        tensor[2 * 3 ** np.arange(n)] = rho.s
+        if isinstance(rho, GhzParams):
+            # mu/2 (1 + (-1)^#Z) on every {I, Z}^N word: the product words of (1, 0, 1) and (1, 0, -1)
+            tensor = 0.5 * rho.mu * sum(reduce(np.kron, [np.array([1.0, 0.0, z])] * n) for z in (1.0, -1.0))
+        else:
+            tensor = np.zeros(3**n)
+            tensor[2 * uniform] = rho.c3
+            tensor[2 * 3 ** np.arange(n)] = rho.s
+        tensor[[0, uniform]] = 1.0, _transverse(rho)[0]
         return tensor
     acc = rho.entries.reshape(1, rho.dim, rho.dim)
     for _ in range(rho.n_qubits):
@@ -330,10 +351,10 @@ class _Chain:
 
 
 def _unmeasured_term(rho, chain: _Chain) -> float:
-    """S(rho) - S(rho_A1), S(rho) from a dense state's eigenvalues or the family's
-    block spectrum; rho_A1 = (T0 I + t.s)/2 is read off the chain's tensor
-    (identity on every later qubit), so its eigenvalues are (T0 +- |t|)/2."""
-    entropy = symmetric_spectrum(rho).entropy_bits() if isinstance(rho, FamilyParams) else von_neumann_entropy(rho)
+    """S(rho) - S(rho_A1), S(rho) from a dense state's eigenvalues or a family
+    state's closed-form spectrum; rho_A1 = (T0 I + t.s)/2 is read off the chain's
+    tensor (identity on every later qubit), so its eigenvalues are (T0 +- |t|)/2."""
+    entropy = von_neumann_entropy(rho) if isinstance(rho, DensityMatrix) else family_spectrum(rho).entropy_bits()
     first = chain.tensor[:: chain.tensor.size // chain.letters]
     lam = 0.5 * (first[0] + np.sqrt(first[1:] @ first[1:]) * _PLUS_MINUS)
     return entropy + float(xlog2(lam).sum())
@@ -574,13 +595,13 @@ def minimize_discord(rho: DensityMatrix, cfg: OracleConfig | None = None) -> Ora
     return OracleResult(_clamp_zero(float(res.fun[best]) - base), tree, converged, spread, "full")
 
 
-# --- reduced optimizer for the symmetric family ---------------------------
+# --- reduced optimizer for the permutation-symmetric families --------------
 
 
-def minimize_reduced(params: FamilyParams, cfg: OracleConfig | None = None) -> OracleResult:
-    """Symmetric-family discord by minimizing the chain in the z-T plane.
+def minimize_reduced(params, cfg: OracleConfig | None = None) -> OracleResult:
+    """Discord of a symmetric-family or GHZ state by minimizing the chain in the z-T plane.
 
-    `_Chain` on the family's (I, T, Z) Pauli tensor is minimized over one
+    `_Chain` on the state's (I, T, Z) Pauli tensor is minimized over one
     angle theta per outcome prefix with phi = 0, each direction (sin theta,
     cos theta) in (T, Z). Negating the z of a prefix and swapping the
     subtrees of its two outcomes leaves the chain unchanged, so the starts
@@ -590,10 +611,10 @@ def minimize_reduced(params: FamilyParams, cfg: OracleConfig | None = None) -> O
     start offset is needed here too (theta = 0 is a stationary point), with
     the full oracle's stopping tests and cfg.max_iters, each step one batched
     chain evaluation. A 3-start solve takes about 0.03 s at 8 qubits and
-    0.4 s at 10; the cap is 10 qubits.
+    0.4 s at 10; the cap is 10 qubits. Physicality is not checked here.
 
     best_tree attains the value: the best start's theta at every prefix,
-    with phi = 0 (T = X) where |c1| >= |c2| and pi/2 (T = Y) otherwise.
+    with T's azimuth from `_transverse` (phi = 0 for X, pi/2 for Y).
     """
     cfg = cfg or OracleConfig()
     n = params.n_qubits
@@ -613,16 +634,16 @@ def minimize_reduced(params: FamilyParams, cfg: OracleConfig | None = None) -> O
 
     res = _scipy_minimize(in_plane, theta0, cfg.max_iters)
     best, converged, spread = res.reduce()
-    phi = 0.0 if abs(params.c1) >= abs(params.c2) else np.pi / 2
+    phi = _transverse(params)[1]
     tree = MeasurementTree.from_angles(n - 1, np.column_stack((res.x[best], np.full(d, phi))))
     return OracleResult(_clamp_zero(float(res.fun[best]) - base), tree, converged, spread, "reduced")
 
 
 def _family_oracle(params) -> tuple[str, int]:
     """The one cap rule: the oracle that solves a family state, named as in
-    `OracleResult.oracle`, and its qubit cap. A symmetric-family state past
-    the full oracle's cap goes to the reduced oracle, every other to the full one."""
-    if isinstance(params, FamilyParams) and params.n_qubits > FULL_ORACLE_CAP:
+    `OracleResult.oracle`, and its qubit cap. A symmetric-family or GHZ state
+    past the full oracle's cap goes to the reduced oracle, every other to the full one."""
+    if isinstance(params, (FamilyParams, GhzParams)) and params.n_qubits > FULL_ORACLE_CAP:
         return "reduced", REDUCED_ORACLE_CAP
     return "full", FULL_ORACLE_CAP
 
@@ -631,11 +652,11 @@ def minimize_family(params, cfg: OracleConfig | None = None) -> OracleResult:
     """Oracle discord of a family state, the one place that picks the oracle.
 
     Unphysical states raise ValueError first, and a state past its oracle's
-    cap is refused before it is realized. A symmetric-family state above the
-    full oracle's 4-qubit cap goes to `minimize_reduced`, up to 10 qubits;
-    the rest go densely to `minimize_discord`. Either way best_tree is a
-    `MeasurementTree` that attains the value, and the result's oracle field
-    says which oracle ran.
+    cap is refused before it is realized. A symmetric-family or GHZ state
+    above the full oracle's 4-qubit cap goes to `minimize_reduced`, up to 10
+    qubits; the rest go densely to `minimize_discord`. Either way best_tree
+    is a `MeasurementTree` that attains the value, and the result's oracle
+    field and branch label say which oracle ran.
     """
     require_physical(params)
     oracle, cap = _family_oracle(params)
@@ -647,6 +668,6 @@ def minimize_family(params, cfg: OracleConfig | None = None) -> OracleResult:
 
 
 def oracle_reaches(params) -> bool:
-    """Whether `minimize_family` can solve this family state: up to 10 qubits
-    for the symmetric family (reduced oracle), up to 4 for the others."""
+    """Whether `minimize_family` can solve this family state: up to 10 qubits for
+    the symmetric and GHZ families (reduced oracle), up to 4 for the diagonal one."""
     return params.n_qubits <= _family_oracle(params)[1]

@@ -139,13 +139,13 @@ class GhzParams:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Dense complex 2^N x 2^N state (Hermitian, unit trace)."""
+    """Dense complex 2^N x 2^N state (Hermitian, unit trace), kept as a read-only copy."""
 
     n_qubits: int
     entries: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=complex)
+        arr = np.array(self.entries, dtype=complex)
         dim = 2**self.n_qubits
         if arr.shape != (dim, dim):
             raise ValueError(f"expected shape {(dim, dim)}, got {arr.shape}")
@@ -155,6 +155,7 @@ class DensityMatrix:
             raise ValueError("matrix is not Hermitian within 1e-12")
         if abs(np.trace(arr).real - 1.0) > 1e-12 or abs(np.trace(arr).imag) > 1e-12:
             raise ValueError("trace differs from 1 by more than 1e-12")
+        arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
     @property

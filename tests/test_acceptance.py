@@ -130,13 +130,13 @@ def test_criterion_5_pattern_consistency(rng):
                 + 3 * binary_h(abs(s - c3), s)
                 + 3 * binary_h(abs(s + c3), -s)
             ) / 16
-            assert abs(max_w(params, "parity") - bracket) <= 1e-12
+            assert abs(max_w(params) - bracket) <= 1e-12
         for n in range(4, 12):
             for _ in range(20):
                 s = float(rng.uniform(-1.0, 1.0)) / (n + 1)
                 c3 = float(rng.uniform(-1.0, 1.0)) * (1.0 - n * abs(s))
                 params = FamilyParams(n, 0.05, 0.05, c3, s)
-                assert abs(max_w_mod4(params) - max_w(params, "parity")) <= 1e-12
+                assert abs(max_w_mod4(params) - max_w(params)) <= 1e-12
 
 
 def test_criterion_6_spectra(rng):

@@ -21,7 +21,7 @@ from discordium import (
     xlog2,
 )
 
-from conftest import sample_case1_family, sample_physical_family
+from conftest import arbitration, sample_case1_family, sample_physical_family
 from reference import binary_h, diagonal_cancellation, max_w_mod4
 
 
@@ -65,16 +65,16 @@ class TestMaxW:
                 + 3 * binary_h(abs(s - c3), s)
                 + 3 * binary_h(abs(s + c3), -s)
             ) / 16
-            assert max_w(params, "parity") == pytest.approx(bracket, abs=1e-12)
+            assert max_w(params) == pytest.approx(bracket, abs=1e-12)
 
     def test_s_zero_reduces_to_half_h(self, rng):
         for n in (2, 3, 4, 5, 7):
             c3 = float(rng.uniform(-1, 1))
             params = FamilyParams(n, 0.1, 0.1, c3, 0.0)
             expected = 0.5 * binary_h(abs(c3))
-            assert max_w(params, "parity") == pytest.approx(expected, abs=1e-12)
+            assert max_w(params) == pytest.approx(expected, abs=1e-12)
             if n == 3:
-                assert max_w(params, "printed") == pytest.approx(expected, abs=1e-12)
+                assert arbitration.max_w_printed(params) == pytest.approx(expected, abs=1e-12)
 
     def test_n3_patterns_differ_for_s_nonzero(self):
         params = FamilyParams(3, 0.1, 0.1, -0.3, 0.1)
@@ -84,17 +84,13 @@ class TestMaxW:
         printed = (
             binary_h(0.2, 0.2) + binary_h(0.4, -0.2) + binary_h(0.2) + binary_h(0.4)
         ) / 8
-        assert max_w(params, "parity") == pytest.approx(parity, abs=1e-14)
-        assert max_w(params, "printed") == pytest.approx(printed, abs=1e-14)
+        assert max_w(params) == pytest.approx(parity, abs=1e-14)
+        assert arbitration.max_w_printed(params) == pytest.approx(printed, abs=1e-14)
         assert abs(parity - printed) > 1e-4
 
     def test_printed_restricted_to_3q(self):
         with pytest.raises(ValueError):
-            max_w(FamilyParams(4, 0.1, 0.1, -0.2, 0.1), "printed")
-
-    def test_unknown_pattern(self):
-        with pytest.raises(ValueError):
-            max_w(FamilyParams(3, 0.1, 0.1, -0.2, 0.1), "other")
+            arbitration.max_w_printed(FamilyParams(4, 0.1, 0.1, -0.2, 0.1))
 
     def test_mod4_dispatch_equals_parity(self, rng):
         for n in range(4, 12):
@@ -103,7 +99,7 @@ class TestMaxW:
                 c3 = float(rng.uniform(-1.0, 1.0)) * (1 - n * abs(s))
                 params = FamilyParams(n, 0.05, 0.05, c3, s)
                 assert max_w_mod4(params) == pytest.approx(
-                    max_w(params, "parity"), abs=1e-12
+                    max_w(params), abs=1e-12
                 )
 
     def test_mod4_needs_n4(self):

@@ -13,6 +13,7 @@ from discordium import (
     DiagonalFieldParams,
     FamilyParams,
     GhzParams,
+    OracleConfig,
     build_symmetric_family,
     discord_ghz,
     discord_symmetric,
@@ -155,7 +156,7 @@ class TestDiscordCommand:
         code, out, err = run(
             ["discord", "--family", "ghz", "--n", "12", "--mu", "0.5", "--method", "oracle"], capsys
         )
-        assert (code, out, err) == (2, "", "error: n_qubits=12 exceeds oracle cap 4\n")
+        assert (code, out, err) == (2, "", "error: n_qubits=12 exceeds reduced-oracle cap 10\n")
 
     @pytest.mark.parametrize(
         "family_args",
@@ -199,17 +200,24 @@ class TestDiscordCommand:
         code, out, _ = run(["discord", "--family", "diagonal", "--fields", ",".join(["0.01"] * 30)], capsys)
         assert (code, out) == (0, "value_bits=0 branch=diagonal-field\n")
 
-    def test_reduced_method(self, capsys):
+    def test_reduced_method_is_gone(self, capsys):
+        code, out, err = run(
+            ["discord", "--family", "symmetric", "--n", "3", "--c3", "-0.2", "--method", "reduced"], capsys
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: argument --method: invalid choice: 'reduced'")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("n, branch", [(3, "oracle"), (5, "oracle[reduced]")])
+    def test_oracle_labels_the_oracle_that_ran(self, capsys, n, branch):
+        params = FamilyParams(n, 0.1, 0.1, -0.2, 0.05)
         code, out, _ = run(
-            ["discord", "--family", "symmetric", "--n", "3",
-             "--c1", "0.1", "--c2", "0.1", "--c3", "-0.2", "--s", "0.3",
-             "--method", "reduced", "--seed", "4"],
+            ["discord", "--family", "symmetric", "--n", str(n), "--c1", "0.1", "--c2", "0.1",
+             "--c3", "-0.2", "--s", "0.05", "--method", "oracle", "--seed", "2", "--format", "json"],
             capsys,
         )
-        assert code == 0
-        fields = dict(kv.split("=") for kv in out.split())
-        expected = discord_symmetric(FamilyParams(3, 0.1, 0.1, -0.2, 0.3)).value
-        assert float(fields["value_bits"]) == pytest.approx(expected, abs=1e-6)
+        expected = minimize_family(params, OracleConfig(seed=2)).value
+        assert (code, json.loads(out)) == (0, {"value_bits": expected, "branch": branch})
 
 
 class TestSpectrumCommand:
@@ -303,16 +311,16 @@ class TestGhzCurveCommand:
         cfg.write_text('{"starts": 4}')
         out_path = tmp_path / "c.csv"
         code, _, _ = run(
-            ["ghz-curve", "--n-min", "4", "--n-max", "5", "--mu-steps", "2",
+            ["ghz-curve", "--n-min", "10", "--n-max", "11", "--mu-steps", "2",
              "--oracle-check", "--config", str(cfg), "--out", str(out_path)],
             capsys,
         )
         assert code == 0
         rows = [line.split(",") for line in out_path.read_text().strip().split("\n")[1:]]
-        assert [r[0] for r in rows] == ["4", "4", "5", "5"]
+        assert [r[0] for r in rows] == ["10", "10", "11", "11"]
         for n, mu, _, oracle in rows:
-            if n == "4":
-                closed = discord_ghz(GhzParams(4, float(mu))).value
+            if n == "10":
+                closed = discord_ghz(GhzParams(10, float(mu))).value
                 assert float(oracle) == pytest.approx(closed, abs=1e-9)
             else:
                 assert oracle == ""
@@ -622,7 +630,7 @@ ORACLE_COMMANDS = [
 ]
 REDUCED_COMMANDS = [
     ["discord", "--family", "symmetric", "--n", "5", "--c1", "0.3", "--c2", "0.2", "--c3", "0.25",
-     "--s", "0.1", "--method", "reduced", "--seed", "3"],
+     "--s", "0.1", "--method", "oracle", "--seed", "3"],
     ["dynamics", "--family", "symmetric", "--n", "5", "--c1", "0.3", "--c2", "0.2", "--c3", "0.25",
      "--s", "0.1", "--method", "oracle", "--p-steps", "2", "--p-max", "0.5"],
 ]
@@ -694,10 +702,10 @@ PINNED = [
      0, "analytic=0.262483184 oracle=0.262483184 diff=0 tol=0.005\n", ""),
     (["discord", "--family", "symmetric", "--n", "6", "--c1", "0.1", "--c2", "-0.05",
       "--c3", "0.2", "--s", "0.1", "--method", "oracle", "--seed", "7"],
-     0, "value_bits=0.00805239874 branch=oracle\n", ""),
+     0, "value_bits=0.00805239874 branch=oracle[reduced]\n", ""),
     (["discord", "--family", "symmetric", "--n", "5", "--c1", "0.3", "--c2", "0.2",
-      "--c3", "0.25", "--s", "0.1", "--method", "reduced", "--seed", "3", "--format", "json"],
-     0, '{"value_bits": 0.0839760524265607, "branch": "reduced"}\n', ""),
+      "--c3", "0.25", "--s", "0.1", "--method", "oracle", "--seed", "3", "--format", "json"],
+     0, '{"value_bits": 0.0839760524265607, "branch": "oracle[reduced]"}\n', ""),
     (["dynamics", "--family", "symmetric", "--n", "3", "--c1", "0.3", "--c2", "0.2",
       "--c3", "-0.1", "--s", "0.1", "--method", "oracle", "--p-steps", "3", "--seed", "2",
       "--config", "{cfg}"],
@@ -719,6 +727,8 @@ PINNED = [
      2, "", "error: unphysical parameters: min eigenvalue -5.000e-01\n"),
     (["discord", "--family", "diagonal", "--fields", "0.2,-0.1,0.3", "--method", "oracle"],
      0, "value_bits=0 branch=oracle\n", ""),
+    (["spectrum", "--family", "diagonal", "--fields", "0.2,-0.1"],
+     0, '{"eigenvalues": [0.325, 0.275, 0.225, 0.175], "entropy_bits": 1.9634212546816494}\n', ""),
 ]
 
 

@@ -21,6 +21,7 @@ from discordium import (
     build_noisy_ghz_dense,
     build_symmetric_family,
     classify_region,
+    discord_ghz,
     discord_symmetric,
     family_dense,
     minimize_discord,
@@ -258,6 +259,16 @@ class TestPauliTensor:
             dense = _pauli_tensor(family_dense(state)).reshape((4,) * n)[np.ix_(*[letters] * n)]
             plane = _pauli_tensor(state)
             assert plane.shape == (3**n,) and np.max(np.abs(plane - dense.ravel())) <= 1e-15
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_ghz_plane_tensor_is_the_dense_one_on_i_x_z(self, n):
+        # T is X for GHZ at every N; at even N, |Y..Y| = mu ties with X..X
+        params = GhzParams(n, 0.6)
+        dense = _pauli_tensor(family_dense(params)).reshape((4,) * n)
+        plane = _pauli_tensor(params)
+        assert plane.shape == (3**n,)
+        assert np.max(np.abs(plane - dense[np.ix_(*[[0, 1, 3]] * n)].ravel())) <= 1e-15
+        assert abs(abs(dense[(2,) * n]) - (0.6 if n % 2 == 0 else 0.0)) <= 1e-15
 
 
 class TestMeasuredConditionalEntropy:
@@ -728,16 +739,25 @@ class TestMinimizeFamily:
 
     def test_past_reach_builds_nothing(self, monkeypatch):
         monkeypatch.setattr(oracle, "family_dense", lambda p: pytest.fail("family_dense called"))
-        with pytest.raises(ValueError, match="exceeds oracle cap 4"):
+        with pytest.raises(ValueError, match="exceeds reduced-oracle cap 10"):
             minimize_family(GhzParams(12, 0.5), FAST)
         with pytest.raises(ValueError, match="exceeds reduced-oracle cap 10"):
             minimize_family(FamilyParams(11, 0.05, 0.05, -0.1, 0.0), FAST)
+        with pytest.raises(ValueError, match="exceeds oracle cap 4"):
+            minimize_family(DiagonalFieldParams((0.1,) * 5), FAST)
 
     def test_reach(self):
         assert oracle_reaches(FamilyParams(10, 0.05, 0.05, -0.1, 0.0))
         assert not oracle_reaches(FamilyParams(11, 0.05, 0.05, -0.1, 0.0))
-        assert oracle_reaches(GhzParams(4, 0.5))
-        assert not oracle_reaches(GhzParams(5, 0.5))
+        assert oracle_reaches(GhzParams(5, 0.5))
+        assert not oracle_reaches(GhzParams(11, 0.5))
+        assert oracle_reaches(DiagonalFieldParams((0.1,) * 4))
+        assert not oracle_reaches(DiagonalFieldParams((0.1,) * 5))
+
+    def test_ghz_past_full_cap_goes_reduced(self):
+        out = minimize_family(GhzParams(5, 0.4), OracleConfig(starts=3, seed=1))
+        assert (out.oracle, out.branch) == ("reduced", "oracle[reduced]")
+        assert out.value == minimize_reduced(GhzParams(5, 0.4), OracleConfig(starts=3, seed=1)).value
 
 
 class TestReducedObjective:
@@ -788,7 +808,7 @@ class TestReducedObjective:
 
         params = sample_case1_family(rng, 3)
         total = reduced_value(params, all_ones(3)) + 0.5 * binary_h(params.s)
-        assert total == pytest.approx(max_w(params, "parity"), abs=1e-11)
+        assert total == pytest.approx(max_w(params), abs=1e-11)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
     def test_gradient_matches_central_differences(self, rng, n):
@@ -933,6 +953,24 @@ class TestMinimizeReduced:
         assert closed.branch.startswith("case2" if s_zero else "case1")
         out = minimize_reduced(params, OracleConfig(starts=3, seed=1))
         assert out.value == pytest.approx(closed.value, abs=1e-9)
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_ghz_matches_closed_form(self, n):
+        # the GHZ class at every residue mod 4, where only this oracle reaches
+        for mu in (0.1, 0.4, 0.7, 1.0):
+            params = GhzParams(n, mu)
+            out = minimize_reduced(params, OracleConfig(starts=3, seed=1))
+            assert out.value == pytest.approx(discord_ghz(params).value, abs=1e-12), mu
+
+    def test_ghz_matches_full_oracle_at_five(self, monkeypatch):
+        # the full oracle optimizes every direction of the dense GHZ state's
+        # tree, so it checks independently that the z-T plane loses nothing
+        monkeypatch.setattr(oracle, "FULL_ORACLE_CAP", 5)
+        cfg = OracleConfig(starts=4, seed=1)
+        for mu in (0.3, 0.8):
+            params = GhzParams(5, mu)
+            full = minimize_discord(family_dense(params), cfg)
+            assert full.value == pytest.approx(minimize_reduced(params, cfg).value, abs=1e-9)
 
     def test_reduction_matches_full_oracle_at_five(self, rng, monkeypatch):
         # the full oracle optimizes every direction of the tree, so it checks

@@ -218,6 +218,15 @@ class TestDensityMatrix:
         with pytest.raises(ValueError):
             DensityMatrix(2, np.eye(4, dtype=complex))
 
+    def test_entries_are_a_read_only_copy(self):
+        # the checks cannot be undone by a later write, through the state or the caller's array
+        arr = np.eye(4, dtype=complex) / 4
+        rho = DensityMatrix(2, arr)
+        with pytest.raises(ValueError, match="read-only"):
+            rho.entries[0, 1] = 0.1
+        arr[0, 1] = 0.1
+        assert rho.entries[0, 1] == 0.0 and arr.flags.writeable
+
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):
             DensityMatrix(2, np.eye(3, dtype=complex) / 3)

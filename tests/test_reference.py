@@ -57,5 +57,7 @@ def test_package_keeps_no_moved_or_deleted_name():
     assert not hasattr(discordium.oracle._Chain, "at_directions")
     assert not hasattr(discordium.MeasurementTree, "uniform") and not hasattr(discordium.MeasurementTree, "random")
     assert list(inspect.signature(discordium.oracle._Chain).parameters) == ["rho"]
+    # one max W formula, the parity one; the printed pairing lives in scripts/arbitration_report.py
+    assert list(inspect.signature(discordium.max_w).parameters) == ["params"]
     assert not hasattr(discordium.PauliSum, "to_json") and not hasattr(discordium.PauliSum, "from_json")
     assert [f.name for f in dataclasses.fields(discordium.FreezeReport)] == ["frozen", "frozen_value", "p_star"]
