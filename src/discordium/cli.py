@@ -21,7 +21,7 @@ import numpy as np
 from .analytic import NoAnalyticCase, discord_diagonal_field, discord_ghz, discord_symmetric
 from .decoherence import ChannelParams, detect_freeze_transition, dynamics_sweep
 from .oracle import OracleConfig, minimize_family, oracle_reaches
-from .pauli import DENSE_CAP_ENV, DenseCapExceeded, DiagonalFieldParams, FamilyParams, GhzParams, dense_cap
+from .pauli import DENSE_CAP, DenseCapExceeded, DiagonalFieldParams, FamilyParams, GhzParams
 from .spectral import family_spectrum, physicality, require_physical
 
 
@@ -89,11 +89,9 @@ def _cmd_discord(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     params = _family_params(args)
-    cap = dense_cap()
-    if params.n_qubits > cap:
+    if params.n_qubits > DENSE_CAP:
         raise DenseCapExceeded(
-            f"spectrum lists all 2^N eigenvalues; n_qubits={params.n_qubits} exceeds "
-            f"dense cap {cap} (set {DENSE_CAP_ENV} to raise it)"
+            f"spectrum lists all 2^N eigenvalues; n_qubits={params.n_qubits} exceeds dense cap {DENSE_CAP}"
         )
     spectrum = family_spectrum(params)
     payload = {"eigenvalues": spectrum.eigenvalues.tolist(), "entropy_bits": spectrum.entropy_bits()}

@@ -52,7 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .pauli import PAULI, DensityMatrix, FamilyParams, GhzParams, family_dense
+from .pauli import PAULI, DensityMatrix, FamilyParams, GhzParams, family_dense, require_count
 from .spectral import family_spectrum, require_physical, von_neumann_entropy, xlog2
 
 PROB_FLOOR = 1e-14
@@ -91,8 +91,7 @@ class MeasurementTree:
     directions: np.ndarray
 
     def __post_init__(self):
-        if self.n_measured < 1:
-            raise ValueError("need at least one measured qubit")
+        require_count("n_measured", self.n_measured, 1)
         dirs = np.array(self.directions, dtype=float)
         rows = 2**self.n_measured - 1
         if dirs.shape != (rows, 3):
@@ -126,7 +125,8 @@ class MeasurementTree:
 @dataclass(frozen=True)
 class OracleConfig:
     """Both oracles' start count, steps per start and seed: `minimize_discord`
-    runs 2 * starts starts, `minimize_reduced` max(3, min(starts, 12))."""
+    runs 2 * starts starts, `minimize_reduced` max(3, min(starts, 12)). Each is a
+    whole number by `pauli.require_count`: starts and max_iters >= 1, seed >= 0."""
 
     starts: int = 64
     max_iters: int = 2000
@@ -134,30 +134,18 @@ class OracleConfig:
 
     def __post_init__(self):
         for name, least in (("starts", 1), ("max_iters", 1), ("seed", 0)):
-            if getattr(self, name) < least:
-                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
+            require_count(name, getattr(self, name), least)
 
     @classmethod
     def from_json(cls, path: str | Path) -> "OracleConfig":
-        """Keys named like a field, cast to that field's type; other keys are ignored.
-        A payload that is not an object, a value that is a string or does not
-        cast (an infinite one included), a boolean or fractional one, or one out
-        of its field's range raises ValueError naming the file."""
+        """Keys named like a field, other keys ignored; a finite integral float
+        (16.0) counts as that int. A payload that is not an object, or a value
+        the constructor refuses, raises ValueError naming the file."""
         payload = json.loads(Path(path).read_text())
         if not isinstance(payload, dict):
             raise ValueError(f"{path}: oracle config must be a JSON object, got {type(payload).__name__}")
-        kwargs = {}
-        for f in fields(cls):
-            if f.name in payload:
-                value = payload[f.name]
-                try:
-                    if isinstance(value, str):
-                        raise TypeError
-                    kwargs[f.name] = type(f.default)(value)
-                except (TypeError, ValueError, OverflowError):
-                    raise ValueError(f"{path}: {f.name} must be a number, got {value!r}") from None
-                if isinstance(value, bool) or (isinstance(value, float) and value != kwargs[f.name]):
-                    raise ValueError(f"{path}: {f.name} must be a whole number, got {value!r}")
+        kwargs = {f.name: payload[f.name] for f in fields(cls) if f.name in payload}
+        kwargs = {k: int(v) if isinstance(v, float) and v.is_integer() else v for k, v in kwargs.items()}
         try:
             return cls(**kwargs)
         except ValueError as exc:
@@ -369,7 +357,7 @@ class _SearchStarts:
 
     Each start has its point x, value f, the roundoff allowance
     slack = F_TOL * max(|f|, 1), gradient g, dense inverse-Hessian estimate
-    (the identity until its first update, `fresh`), accepted steps,
+    (the identity until its first update, while iters is 0), accepted steps,
     direction p with slope0 = g.p, and trial step. A start whose line search
     has made tries > 0 trials without accepting one also has the bracket ends
     lo and hi as (step, value, slope) rows; hi's step is inf until the
@@ -381,7 +369,6 @@ class _SearchStarts:
         self.ids, self.x, self.f, self.g = ids, x, f, g
         self.slack = F_TOL * np.maximum(np.abs(f), 1.0)
         self.hess = np.tile(np.eye(d), (k, 1, 1))
-        self.fresh = np.ones(k, dtype=bool)
         self.iters = np.zeros(k, dtype=int)
         self.p, self.slope0 = -g, -_rowdot(g, g)
         self.step = 1.0 / np.sqrt(-self.slope0)
@@ -430,11 +417,10 @@ class _SearchStarts:
         converged, and whether it stops."""
         s, y = trial[rows] - self.x[rows], gt[rows] - self.g[rows]
         sy = _rowdot(s, y)
-        h, fresh = self.hess[rows], self.fresh[rows]
+        h, fresh = self.hess[rows], self.iters[rows] == 0
         if fresh.any():
             # the first update scales the identity by s.y / y.y (Nocedal and Wright, eq. 6.20)
             h *= np.where(fresh, sy / _rowdot(y, y), 1.0)[:, None, None]
-            self.fresh[rows] = False
         hy = (h @ y[:, :, None])[:, :, 0]
         rho = 1.0 / sy
         # H' = H + v s^T + s v^T is the BFGS inverse update; s.y > 0 after a strong-Wolfe step

@@ -10,14 +10,14 @@ always carries weight 1 (unit trace). The three supported families are
   its own weight s_i (diagonal in the computational basis);
 * the noisy GHZ family: mu * |GHZ><GHZ| + (1-mu)/2^N * identity.
 
-Dense matrices are realized on demand and capped at a configurable qubit
-count since they cost 4^N memory. Qubit indices are 1-based in all public
-interfaces.
+Dense matrices are realized on demand and cost 4^N memory, so every dense
+builder refuses more than DENSE_CAP = 8 qubits before it allocates anything.
+Every count (qubits, measured qubits) is a whole number by one rule,
+`require_count`. Qubit indices are 1-based in all public interfaces.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from functools import reduce
 
@@ -33,20 +33,30 @@ PAULI = {
 # a Pauli word is an uppercase letter string over IXYZ, one letter per qubit
 PauliWord = str
 
-DENSE_CAP_DEFAULT = 8
-DENSE_CAP_ENV = "DISCORDIUM_DENSE_CAP"
+DENSE_CAP = 8
 
 
 class DenseCapExceeded(ValueError):
     """Raised when a dense 2^N x 2^N realization would exceed the qubit cap."""
 
 
-def dense_cap() -> int:
-    """Current dense-realization qubit cap (env DISCORDIUM_DENSE_CAP or 8)."""
-    cap = int(os.environ.get(DENSE_CAP_ENV, DENSE_CAP_DEFAULT))
-    if cap < 1:
-        raise ValueError(f"{DENSE_CAP_ENV} must be >= 1, got {cap}")
-    return cap
+def _dense_dim(n: int) -> int:
+    """2^n for a dense builder, refused above DENSE_CAP qubits before any allocation."""
+    if n > DENSE_CAP:
+        raise DenseCapExceeded(f"n_qubits={n} exceeds dense cap {DENSE_CAP}")
+    return 2**n
+
+
+def require_count(name: str, value, least: int) -> None:
+    """The one count rule: an int or numpy integer, never a bool, at least `least`;
+    anything else raises ValueError naming the field, "must be a whole number"
+    for a finite float or a bool and "must be a number" for a string, None, inf or nan."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
+        return
+    kind = "a whole number" if isinstance(value, (bool, float)) and np.isfinite(value) else "a number"
+    raise ValueError(f"{name} must be {kind}, got {value!r}")
 
 
 def _check_word(word: str, n_qubits: int) -> None:
@@ -65,8 +75,7 @@ class PauliSum:
     terms: dict[PauliWord, float]
 
     def __post_init__(self):
-        if self.n_qubits < 1:
-            raise ValueError("n_qubits must be >= 1")
+        require_count("n_qubits", self.n_qubits, 1)
         identity = "I" * self.n_qubits
         pruned = {}
         for word, w in self.terms.items():
@@ -95,8 +104,7 @@ class FamilyParams:
     s: float = 0.0
 
     def __post_init__(self):
-        if self.n_qubits < 2:
-            raise ValueError("symmetric family needs n_qubits >= 2")
+        require_count("n_qubits", self.n_qubits, 2)
         for name in ("c1", "c2", "c3", "s"):
             v = getattr(self, name)
             if not -1.0 <= v <= 1.0:
@@ -131,8 +139,7 @@ class GhzParams:
     mu: float
 
     def __post_init__(self):
-        if self.n_qubits < 2:
-            raise ValueError("GHZ family needs n_qubits >= 2")
+        require_count("n_qubits", self.n_qubits, 2)
         if not 0.0 <= self.mu <= 1.0:
             raise ValueError(f"mu={self.mu} outside [0, 1]")
 
@@ -145,6 +152,7 @@ class DensityMatrix:
     entries: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        require_count("n_qubits", self.n_qubits, 1)
         arr = np.array(self.entries, dtype=complex)
         dim = 2**self.n_qubits
         if arr.shape != (dim, dim):
@@ -194,7 +202,7 @@ def build_diagonal_field(params: DiagonalFieldParams) -> PauliSum:
 def build_noisy_ghz_dense(params: GhzParams) -> DensityMatrix:
     """Dense noisy GHZ state: mu|GHZ><GHZ| + (1-mu)/2^N identity."""
     n, mu = params.n_qubits, params.mu
-    dim = 2**n
+    dim = _dense_dim(n)
     arr = np.zeros((dim, dim), dtype=complex)
     np.fill_diagonal(arr, (1.0 - mu) / dim)
     # mu/2 on the four corners: mu |GHZ><GHZ|
@@ -212,13 +220,11 @@ def family_dense(params) -> DensityMatrix:
 
 
 def realize(psum: PauliSum) -> DensityMatrix:
-    """Dense realization (1/2^N) sum_P w(P) P via Kronecker products, up to `dense_cap()` qubits."""
-    cap = dense_cap()
+    """Dense realization (1/2^N) sum_P w(P) P via Kronecker products, up to DENSE_CAP qubits."""
     n = psum.n_qubits
-    if n > cap:
-        raise DenseCapExceeded(f"n_qubits={n} exceeds dense cap {cap}")
-    dim = 2**n
+    dim = _dense_dim(n)
     arr = np.zeros((dim, dim), dtype=complex)
     for word, w in psum.terms.items():
         arr += w * reduce(np.kron, (PAULI[ch] for ch in word))
-    return DensityMatrix(n, arr / dim)
+    arr /= dim
+    return DensityMatrix(n, arr)

@@ -4,7 +4,8 @@ Each one is written from its definition with numpy and the standard library
 only, so no reference runs the code it checks: the full-dimension
 conditional ensemble and partial trace, the dense phase-flip Kraus channel
 and its per-word weight rule, the noisy GHZ Pauli expansion, the paper's
-printed four-qubit spectrum, the N mod 4 displays of max W, the diagonal
+three- and four-qubit spectrum displays (the four-qubit one also as
+printed), the N mod 4 displays of max W, the diagonal
 family's term-by-term cancellation, and H_y. Family parameters are read by
 attribute (n_qubits, c1, c2, c3, s, mu); states are complex arrays and Pauli
 sums dicts from word to weight.
@@ -75,25 +76,52 @@ def max_w_mod4(params) -> float:
     return total / 2**n
 
 
+def spectrum_3q_display(params) -> np.ndarray:
+    """The paper's three-qubit spectrum display: (1 +- r1)/8 three times each,
+    r1^2 = c1^2 + c2^2 + (c3 - s)^2, and (1 +- r2)/8 once each,
+    r2^2 = c1^2 + c2^2 + (c3 + 3s)^2."""
+    if params.n_qubits != 3:
+        raise ValueError("spectrum_3q_display needs n_qubits == 3")
+    c1, c2, c3, s = params.c1, params.c2, params.c3, params.s
+    r1 = np.sqrt(c1**2 + c2**2 + (c3 - s) ** 2)
+    r2 = np.sqrt(c1**2 + c2**2 + (c3 + 3 * s) ** 2)
+    return np.array([(1 + r1) / 8] * 3 + [(1 - r1) / 8] * 3 + [(1 + r2) / 8, (1 - r2) / 8])
+
+
+def _spectrum_4q(params, lam_j: tuple[float, float], name: str) -> np.ndarray:
+    """The four-qubit display with lambda_j = lam_j three times each, then
+    (1 - c3 +- rk)/16 four times each, rk^2 = (c1-c2)^2 + 4 s^2, and
+    (1 + c3 +- rl)/16 once each, rl^2 = (c1+c2)^2 + 16 s^2."""
+    if params.n_qubits != 4:
+        raise ValueError(f"{name} needs n_qubits == 4")
+    c1, c2, c3, s = params.c1, params.c2, params.c3, params.s
+    rk = np.sqrt((c1 - c2) ** 2 + 4 * s**2)
+    rl = np.sqrt((c1 + c2) ** 2 + 16 * s**2)
+    ev = (
+        [lam_j[0]] * 3
+        + [lam_j[1]] * 3
+        + [(1 - c3 + rk) / 16] * 4
+        + [(1 - c3 - rk) / 16] * 4
+        + [(1 + c3 + rl) / 16, (1 + c3 - rl) / 16]
+    )
+    return np.array(ev)
+
+
+def spectrum_4q_display(params) -> np.ndarray:
+    """The paper's four-qubit display in its trace-correct form, with
+    lambda_j = (1 + c3 +- (c1+c2))/16."""
+    c = params.c1 + params.c2
+    return _spectrum_4q(params, ((1 + params.c3 + c) / 16, (1 + params.c3 - c) / 16), "spectrum_4q_display")
+
+
 def spectrum_4q_printed(params) -> np.ndarray:
     """The paper's printed four-qubit spectrum, with lambda_j = (1 +- (c1+c2+c3))/16.
 
     It violates unit trace by 6 c3/16 whenever c3 != 0, so the tests can
     assert the deficit against the true spectrum.
     """
-    if params.n_qubits != 4:
-        raise ValueError("spectrum_4q_printed needs n_qubits == 4")
-    c1, c2, c3, s = params.c1, params.c2, params.c3, params.s
-    rk = np.sqrt((c1 - c2) ** 2 + 4 * s**2)
-    rl = np.sqrt((c1 + c2) ** 2 + 16 * s**2)
-    ev = (
-        [(1 + (c1 + c2 + c3)) / 16] * 3
-        + [(1 - (c1 + c2 + c3)) / 16] * 3
-        + [(1 - c3 + rk) / 16] * 4
-        + [(1 - c3 - rk) / 16] * 4
-        + [(1 + c3 + rl) / 16, (1 + c3 - rl) / 16]
-    )
-    return np.array(ev)
+    c = params.c1 + params.c2 + params.c3
+    return _spectrum_4q(params, ((1 + c) / 16, (1 - c) / 16), "spectrum_4q_printed")
 
 
 def diagonal_cancellation(fields) -> float:

@@ -130,7 +130,7 @@ class TestDiscordCommand:
 
     def test_closed_form_past_dense_cap(self, capsys, monkeypatch):
         # the closed form and its physicality gate need no dense matrix
-        monkeypatch.setenv("DISCORDIUM_DENSE_CAP", "2")
+        refuse_dense(monkeypatch)
         argv = ["discord", "--family", "symmetric", "--c1", "0.1", "--c2", "0.1", "--c3", "-0.3",
                 "--s", "0.01", "--format", "json"]
         for n in ("3", "12", "40"):
@@ -244,24 +244,12 @@ class TestSpectrumCommand:
         assert np.all(np.diff(got) <= 0)
         assert np.max(np.abs(got - dense)) <= 1e-12
 
-    def test_past_dense_cap_exit_2(self, capsys, monkeypatch):
-        monkeypatch.delenv("DISCORDIUM_DENSE_CAP", raising=False)
+    def test_past_dense_cap_exit_2(self, capsys):
         code, out, err = run(
             ["spectrum", "--family", "symmetric", "--n", "20", "--c3", "0.1"], capsys
         )
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error:") and "dense cap 8" in err
-        assert err.count("\n") == 1
-
-    def test_raised_cap_lists_every_eigenvalue(self, capsys, monkeypatch):
-        monkeypatch.setenv("DISCORDIUM_DENSE_CAP", "10")
-        code, out, _ = run(
-            ["spectrum", "--family", "symmetric", "--n", "10", "--c3", "0.1", "--s", "0.02"],
-            capsys,
-        )
-        assert code == 0
-        assert len(json.loads(out)["eigenvalues"]) == 1024
+        assert (code, out) == (2, "")
+        assert err == "error: spectrum lists all 2^N eigenvalues; n_qubits=20 exceeds dense cap 8\n"
 
 
 class TestGhzCurveCommand:

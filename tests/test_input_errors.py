@@ -11,54 +11,69 @@ from discordium import (
     DensityMatrix,
     DiagonalFieldParams,
     FamilyParams,
+    GhzParams,
     MeasurementTree,
+    OracleConfig,
     PauliSum,
     closed_form_spectrum_4q,
     discord_diagonal_field,
     minimize_discord,
 )
 from discordium.cli import main
-from discordium.pauli import DENSE_CAP_ENV, dense_cap
 
-# (id, environment, argv or callable, message)
+# (id, argv or callable, message)
 CASES = [
-    ("cli-symmetric-without-n", {}, ["discord", "--family", "symmetric"],
+    ("cli-symmetric-without-n", ["discord", "--family", "symmetric"],
      "--n is required for the symmetric family"),
-    ("cli-diagonal-without-fields", {}, ["discord", "--family", "diagonal"],
+    ("cli-diagonal-without-fields", ["discord", "--family", "diagonal"],
      "--fields is required for the diagonal family"),
-    ("cli-ghz-without-mu", {}, ["discord", "--family", "ghz", "--n", "3"],
+    ("cli-ghz-without-mu", ["discord", "--family", "ghz", "--n", "3"],
      "--n and --mu are required for the ghz family"),
-    ("cli-ghz-curve-n-range", {}, ["ghz-curve", "--n-min", "3", "--n-max", "2"],
+    ("cli-ghz-curve-n-range", ["ghz-curve", "--n-min", "3", "--n-max", "2"],
      "need 2 <= n-min <= n-max"),
-    ("cli-ghz-curve-one-mu-step", {}, ["ghz-curve", "--mu-steps", "1"],
+    ("cli-ghz-curve-one-mu-step", ["ghz-curve", "--mu-steps", "1"],
      "need at least 2 mu steps"),
-    ("cli-dynamics-ghz", {}, ["dynamics", "--family", "ghz", "--n", "3", "--mu", "0.5"],
+    ("cli-dynamics-ghz", ["dynamics", "--family", "ghz", "--n", "3", "--mu", "0.5"],
      "dynamics sweeps apply to the symmetric family"),
-    ("cli-gamma-without-t-max", {}, ["dynamics", "--family", "symmetric", "--n", "3", "--gamma", "0.5"],
+    ("cli-gamma-without-t-max", ["dynamics", "--family", "symmetric", "--n", "3", "--gamma", "0.5"],
      "--gamma requires --t-max"),
-    ("channel-negative-rate", {}, lambda: ChannelParams.from_rate_time(-1, 1),
+    ("channel-negative-rate", lambda: ChannelParams.from_rate_time(-1, 1),
      "gamma and t must be nonnegative"),
-    ("dense-cap-zero", {DENSE_CAP_ENV: "0"}, dense_cap,
-     f"{DENSE_CAP_ENV} must be >= 1, got 0"),
-    ("pauli-sum-no-qubits", {}, lambda: PauliSum(0, {"": 1.0}),
-     "n_qubits must be >= 1"),
-    ("diagonal-no-fields", {}, lambda: DiagonalFieldParams(()),
+    ("pauli-sum-no-qubits", lambda: PauliSum(0, {"": 1.0}),
+     "n_qubits must be >= 1, got 0"),
+    ("pauli-sum-fractional-qubits", lambda: PauliSum(2.5, {"II": 1.0}),
+     "n_qubits must be a whole number, got 2.5"),
+    ("family-fractional-qubits", lambda: FamilyParams(3.5, 0.1, 0.1, 0.1),
+     "n_qubits must be a whole number, got 3.5"),
+    ("ghz-fractional-qubits", lambda: GhzParams(2.5, 0.5),
+     "n_qubits must be a whole number, got 2.5"),
+    ("density-matrix-no-qubits", lambda: DensityMatrix(0, [[1]]),
+     "n_qubits must be >= 1, got 0"),
+    ("diagonal-no-fields", lambda: DiagonalFieldParams(()),
      "need at least one field strength"),
-    ("tree-no-measured-qubit", {}, lambda: MeasurementTree(0, np.zeros((0, 3))),
-     "need at least one measured qubit"),
-    ("oracle-one-qubit", {}, lambda: minimize_discord(DensityMatrix(1, np.eye(2) / 2)),
+    ("tree-no-measured-qubit", lambda: MeasurementTree(0, np.zeros((0, 3))),
+     "n_measured must be >= 1, got 0"),
+    ("tree-fractional-measured", lambda: MeasurementTree(1.5, np.array([[0.0, 0.0, 1.0]])),
+     "n_measured must be a whole number, got 1.5"),
+    ("oracle-config-fractional-starts", lambda: OracleConfig(starts=2.5),
+     "starts must be a whole number, got 2.5"),
+    ("oracle-config-fractional-seed", lambda: OracleConfig(seed=1.5),
+     "seed must be a whole number, got 1.5"),
+    ("oracle-config-boolean-starts", lambda: OracleConfig(starts=True),
+     "starts must be a whole number, got True"),
+    ("oracle-config-string-starts", lambda: OracleConfig(starts="3"),
+     "starts must be a number, got '3'"),
+    ("oracle-one-qubit", lambda: minimize_discord(DensityMatrix(1, np.eye(2) / 2)),
      "discord needs at least 2 qubits"),
-    ("diagonal-discord-one-qubit", {}, lambda: discord_diagonal_field(DiagonalFieldParams((0.1,))),
+    ("diagonal-discord-one-qubit", lambda: discord_diagonal_field(DiagonalFieldParams((0.1,))),
      "discord needs at least 2 qubits"),
-    ("spectrum-4q-at-three", {}, lambda: closed_form_spectrum_4q(FamilyParams(3, 0.1, 0.1, 0.1)),
+    ("spectrum-4q-at-three", lambda: closed_form_spectrum_4q(FamilyParams(3, 0.1, 0.1, 0.1)),
      "closed_form_spectrum_4q needs n_qubits == 4"),
 ]
 
 
-@pytest.mark.parametrize("env, target, message", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
-def test_input_error(env, target, message, capsys, monkeypatch):
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
+@pytest.mark.parametrize("target, message", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
+def test_input_error(target, message, capsys):
     if callable(target):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             target()

@@ -731,6 +731,14 @@ class TestMinimizeFamily:
         ghz = GhzParams(2, 0.5)
         assert minimize_family(ghz, cfg).value == minimize_discord(build_noisy_ghz_dense(ghz), cfg).value
 
+    def test_reach_ignores_the_environment(self, monkeypatch):
+        # the dense cap is a constant: no environment variable narrows the full oracle
+        params, cfg = FamilyParams(4, 0.2, 0.1, -0.3, 0.05), OracleConfig(starts=3)
+        expected = minimize_family(params, cfg)
+        monkeypatch.setenv("DISCORDIUM_DENSE_CAP", "3")
+        assert oracle_reaches(params)
+        assert minimize_family(params, cfg) == expected
+
     @pytest.mark.parametrize("params", [FamilyParams(5, 0.9, 0.9, 0.9, 0.5), FamilyParams(3, 0.9, 0.9, 0.9)])
     def test_refuses_unphysical(self, params, monkeypatch):
         monkeypatch.setattr(oracle, "family_dense", lambda p: pytest.fail("family_dense called"))

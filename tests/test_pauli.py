@@ -139,18 +139,20 @@ class TestRealize:
                 assert np.max(np.abs(a - b)) <= 1e-12
 
     def test_cap_error(self, monkeypatch):
-        monkeypatch.delenv("DISCORDIUM_DENSE_CAP", raising=False)
-        ps = PauliSum(9, {"I" * 9: 1.0})
-        with pytest.raises(DenseCapExceeded):
-            realize(ps)
-        monkeypatch.setenv("DISCORDIUM_DENSE_CAP", "2")
-        with pytest.raises(DenseCapExceeded):
-            realize(PauliSum(3, {"III": 1.0}))
+        # every dense builder refuses 9 qubits before it allocates its matrix
+        psum, ghz = PauliSum(9, {"I" * 9: 1.0}), GhzParams(9, 0.5)
 
-    def test_cap_env_override(self, monkeypatch):
-        monkeypatch.setenv("DISCORDIUM_DENSE_CAP", "2")
-        with pytest.raises(DenseCapExceeded):
-            realize(PauliSum(3, {"III": 1.0}))
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense matrix allocated")
+
+        monkeypatch.setattr(np, "zeros", refuse)
+        for build, arg in ((realize, psum), (build_noisy_ghz_dense, ghz)):
+            with pytest.raises(DenseCapExceeded, match="^n_qubits=9 exceeds dense cap 8$"):
+                build(arg)
+
+    def test_cap_is_eight_qubits(self):
+        assert realize(PauliSum(8, {"I" * 8: 1.0})).dim == 256
+        assert build_noisy_ghz_dense(GhzParams(8, 0.5)).dim == 256
 
     def test_linearity(self, rng):
         params = sample_physical_family(rng, 3)

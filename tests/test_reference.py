@@ -16,7 +16,7 @@ REFERENCE = Path(__file__).with_name("reference.py")
 MOVED = [
     "conditional_ensemble", "EnsembleBranch", "partial_trace", "phase_flip_kraus", "KrausSet",
     "apply_phase_flip_dense", "apply_phase_flip", "build_noisy_ghz_pauli", "spectrum_4q_printed",
-    "max_w_mod4", "binary_h",
+    "spectrum_3q_display", "spectrum_4q_display", "max_w_mod4", "binary_h",
 ]
 DELETED = [
     "_tree_directions", "measured_conditional_entropy", "discord_objective", "reduced_objective",

@@ -28,7 +28,7 @@ from discordium import (
 from discordium.spectral import sum_xlog2, xlog2_scalar
 
 from conftest import sample_physical_family
-from reference import binary_h, spectrum_4q_printed
+from reference import binary_h, spectrum_3q_display, spectrum_4q_display, spectrum_4q_printed
 
 
 class TestBinaryH:
@@ -217,6 +217,16 @@ class TestClosedForm4q:
             assert np.max(np.abs(printed - nv)) > 1e-10
             found += 1
         assert found >= 10
+
+
+class TestPaperDisplays:
+    # the paper's displayed spectra, written out independently, as a second reference
+    @pytest.mark.parametrize("n, display", [(3, spectrum_3q_display), (4, spectrum_4q_display)], ids=["3q", "4q"])
+    def test_symmetric_spectrum_matches_display(self, rng, n, display):
+        for _ in range(50):
+            params = sample_physical_family(rng, n)
+            expanded = np.sort(symmetric_spectrum(params).eigenvalues)
+            assert np.max(np.abs(expanded - np.sort(display(params)))) <= 1e-15
 
 
 def _dense_sorted(params):
