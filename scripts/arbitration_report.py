@@ -20,7 +20,6 @@ import numpy as np
 from discordium import (
     FamilyParams,
     OracleConfig,
-    build_symmetric_family,
     max_w,
     minimize_discord,
     realize,
@@ -65,7 +64,7 @@ def case1_row(params: FamilyParams, cfg: OracleConfig) -> dict:
     base = symmetric_spectrum(params).sum_xlog2() + params.n_qubits
     parity = base - max_w(params)
     printed = base - max_w_printed(params)
-    oracle = minimize_discord(realize(build_symmetric_family(params)), cfg).value
+    oracle = minimize_discord(realize(params), cfg).value
     return {
         "c1": params.c1,
         "c2": params.c2,

@@ -39,12 +39,6 @@ from .pauli import (
     DiagonalFieldParams,
     FamilyParams,
     GhzParams,
-    PauliSum,
-    PauliWord,
-    build_diagonal_field,
-    build_noisy_ghz_dense,
-    build_symmetric_family,
-    family_dense,
     realize,
 )
 from .spectral import (

@@ -4,7 +4,8 @@ For the symmetric family the minimum over sequential conditional measurements
 is known in two parameter regions:
 
 * case 1 (roughly: c3 dominant and nonpositive, or a field-strength
-  inequality involving s): the minimizing chain measures every qubit along
+  inequality involving s where the all-z tree is not above the
+  all-transverse one): the minimizing chain measures every qubit along
   z, and the discord is sum_i lambda_i log2 lambda_i + N - max W with the
   parity-pattern closed form
 
@@ -26,7 +27,7 @@ its parts and attach the provenance records.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, log2, nan
+from math import comb, log2, nan, sqrt
 
 from .pauli import DiagonalFieldParams, FamilyParams, GhzParams
 from .spectral import (
@@ -71,21 +72,35 @@ class DiscordResult:
 
 def classify_region(params: FamilyParams) -> CaseRegion:
     """Decide which closed form applies; s = 0 takes precedence over case 1."""
-    return CaseRegion(*_region(params.n_qubits, params.c1, params.c2, params.c3, params.s))
+    n, c1, c2, c3, s = params.n_qubits, params.c1, params.c2, params.c3, params.s
+    return CaseRegion(*_region(n, c1, c2, c3, s, lambda: max_w(params))[0])
 
 
-def _region(n: int, c1: float, c2: float, c3: float, s: float) -> tuple[str, float, float, str]:
-    """CaseRegion's fields for (N, c1, c2, c3, s)."""
+def _region(n: int, c1: float, c2: float, c3: float, s: float, w_of) -> tuple[tuple, float | None]:
+    """CaseRegion's fields for (N, c1, c2, c3, s), and max W where the test read it
+    (None elsewhere); w_of() returns max W.
+
+    Case 1 reports the all-z tree's value D_z = sum lambda log2 lambda + N - max W.
+    The paper's second condition, s^2/(1-(N-2)|s|) >= (c3^2-c^2)/c3, is
+    necessary here but not sufficient: the all-T tree (every direction along
+    the transverse letter) attains D_T = sum lambda log2 lambda + N
+    - ((N-1) H(|s|) + H(sqrt(s^2+c^2)))/2, which is lower on part of that
+    condition from 3 qubits up. So a state enters case 1 by it only where
+    D_z <= D_T, and w_of is called on that branch alone.
+    """
     c = max(abs(c1), abs(c2))
     C = max(c, abs(c3))
     if abs(s) <= S_ZERO_TOL:
-        return REGION_CASE2_S0, c, C, "s=0"
+        return (REGION_CASE2_S0, c, C, "s=0"), None
     if c3 <= 0.0 and c3 * c3 >= c * c:
-        return REGION_CASE1, c, C, "c3<=0 and c3^2>=c^2"
+        return (REGION_CASE1, c, C, "c3<=0 and c3^2>=c^2"), None
     denom = 1.0 - (n - 2) * abs(s)
     if c3 < 0.0 and denom > 0.0 and s * s / denom >= (c3 * c3 - c * c) / c3:
-        return REGION_CASE1, c, C, "s^2/(1-(N-2)|s|) >= (c3^2-c^2)/c3"
-    return REGION_NONE, c, C, "no analytic case"
+        w = w_of()
+        if w >= ((n - 1) * h_scalar(abs(s)) + h_scalar(sqrt(s * s + c * c))) / 2:
+            return (REGION_CASE1, c, C, "s^2/(1-(N-2)|s|) >= (c3^2-c^2)/c3 and D_z <= D_T"), w
+        return (REGION_NONE, c, C, "s^2/(1-(N-2)|s|) >= (c3^2-c^2)/c3 but D_T < D_z"), w
+    return (REGION_NONE, c, C, "no analytic case"), None
 
 
 def max_w(params: FamilyParams) -> float:
@@ -107,10 +122,11 @@ def symmetric_row(n: int, c1: float, c2: float, c3: float, s: float, w_of):
 
     Returns (value, branch, region, max W, blocks): region holds CaseRegion's
     fields and blocks `symmetric_blocks`' values and multiplicities. w_of()
-    returns max W of (N, c3, s) and is called in case 1 only. Outside both
-    regions the value is NaN, the branch "none" and the blocks None.
+    returns max W of (N, c3, s); it is called once, in case 1 or where case 1's
+    second condition is tested. Outside both regions the value is NaN, the
+    branch "none" and the blocks None.
     """
-    region = _region(n, c1, c2, c3, s)
+    region, w = _region(n, c1, c2, c3, s, w_of)
     if region[0] == REGION_NONE:
         return nan, REGION_NONE, region, None, None
     blocks = symmetric_blocks(n, c1, c2, c3, s)
@@ -119,7 +135,7 @@ def symmetric_row(n: int, c1: float, c2: float, c3: float, s: float, w_of):
         C = region[2]
         name = "c1" if abs(c1) == C else "c2" if abs(c2) == C else "c3"
         return base - 0.5 * h_scalar(C), f"case2[s=0,C={name}]", region, None, blocks
-    w = w_of()
+    w = w_of() if w is None else w
     return base - w, "case1[parity]", region, w, blocks
 
 

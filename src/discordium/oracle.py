@@ -52,7 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .pauli import PAULI, DensityMatrix, FamilyParams, GhzParams, family_dense, require_count
+from .pauli import DENSE_CAP, DensityMatrix, FamilyParams, GhzParams, _dense_dim, realize, require_count
 from .spectral import family_spectrum, require_physical, von_neumann_entropy, xlog2
 
 PROB_FLOOR = 1e-14
@@ -66,8 +66,8 @@ WOLFE_C2 = 0.9
 SEARCH_EVALS = 20
 # a minimum within ZERO_CLAMP of 0 is reported as 0.0; one further below stays visible
 ZERO_CLAMP = 1e-12
-FULL_ORACLE_CAP = 4
-REDUCED_ORACLE_CAP = 10
+# symmetric and GHZ states above REDUCED_ABOVE qubits go to the reduced oracle, up to its cap
+REDUCED_ABOVE, REDUCED_ORACLE_CAP = 4, 10
 
 # (theta, phi) of the +z, +x, +y, -z, -x and -y directions
 AXIS_ANGLES = (
@@ -126,15 +126,16 @@ class MeasurementTree:
 class OracleConfig:
     """Both oracles' start count, steps per start and seed: `minimize_discord`
     runs 2 * starts starts, `minimize_reduced` max(3, min(starts, 12)). Each is a
-    whole number by `pauli.require_count`: starts and max_iters >= 1, seed >= 0."""
+    whole number by `pauli.require_count`: starts in 1..256 (2 * 256 full-oracle
+    starts at 8 qubits hold 0.26 GB of BFGS estimates), max_iters in 1..10000, seed >= 0."""
 
     starts: int = 64
     max_iters: int = 2000
     seed: int = 0
 
     def __post_init__(self):
-        for name, least in (("starts", 1), ("max_iters", 1), ("seed", 0)):
-            require_count(name, getattr(self, name), least)
+        for name, least, most in (("starts", 1, 256), ("max_iters", 1, 10000), ("seed", 0, None)):
+            require_count(name, getattr(self, name), least, most)
 
     @classmethod
     def from_json(cls, path: str | Path) -> "OracleConfig":
@@ -174,7 +175,7 @@ def _clamp_zero(value: float) -> float:
 
 
 # row 2i + j, column a: s_a[j, i], so a (.., 4) block of rho[i, j] entries times it gives Tr[. s_a]
-_PAULI_COLUMNS = np.array([PAULI[c].T.ravel() for c in "IXYZ"]).T
+_PAULI_COLUMNS = np.array([[1, 0, 0, 1], [0, 1, 1j, 0], [0, 1, -1j, 0], [1, 0, 0, -1]])
 _PLUS_MINUS = np.array([1.0, -1.0])
 _BLOCH_NORM = np.array([0.0, 1.0, 1.0, 1.0])
 _LN2 = np.log(2.0)
@@ -560,14 +561,13 @@ def minimize_discord(rho: DensityMatrix, cfg: OracleConfig | None = None) -> Ora
     value by at most 1e-15 relative, and stops unconverged after
     cfg.max_iters steps or a failed line search. Every start counts in the
     value, starts_converged and spread; best_tree is the lowest start's tree.
+    Up to the dense cap, 8 qubits, where 3 starts take about 0.5 s.
     """
     cfg = cfg or OracleConfig()
     n = rho.n_qubits
     if n < 2:
         raise ValueError("discord needs at least 2 qubits")
-    if n > FULL_ORACLE_CAP:
-        raise ValueError(f"n_qubits={n} exceeds oracle cap {FULL_ORACLE_CAP}")
-    npar = 2 ** (n - 1) - 1
+    npar = _dense_dim(n) // 2 - 1
     chain = _Chain(rho)
     base = _unmeasured_term(rho, chain)
     axes = np.array([pair * npar for pair in AXIS_ANGLES[: cfg.starts]])
@@ -626,34 +626,30 @@ def minimize_reduced(params, cfg: OracleConfig | None = None) -> OracleResult:
 
 
 def _family_oracle(params) -> tuple[str, int]:
-    """The one cap rule: the oracle that solves a family state, named as in
-    `OracleResult.oracle`, and its qubit cap. A symmetric-family or GHZ state
-    past the full oracle's cap goes to the reduced oracle, every other to the full one."""
-    if isinstance(params, (FamilyParams, GhzParams)) and params.n_qubits > FULL_ORACLE_CAP:
+    """The one routing rule: the oracle that solves a family state, named as in
+    `OracleResult.oracle`, and its qubit cap: the reduced one for a symmetric or
+    GHZ state above REDUCED_ABOVE qubits, else the full one, up to the dense cap."""
+    if isinstance(params, (FamilyParams, GhzParams)) and params.n_qubits > REDUCED_ABOVE:
         return "reduced", REDUCED_ORACLE_CAP
-    return "full", FULL_ORACLE_CAP
+    return "full", DENSE_CAP
 
 
 def minimize_family(params, cfg: OracleConfig | None = None) -> OracleResult:
     """Oracle discord of a family state, the one place that picks the oracle.
 
-    Unphysical states raise ValueError first, and a state past its oracle's
-    cap is refused before it is realized. A symmetric-family or GHZ state
-    above the full oracle's 4-qubit cap goes to `minimize_reduced`, up to 10
-    qubits; the rest go densely to `minimize_discord`. Either way best_tree
+    Unphysical states raise ValueError first. A symmetric or GHZ state above
+    4 qubits goes to `minimize_reduced`, up to 10 qubits; the rest go to
+    `minimize_discord` through `realize`, up to the dense cap. Either way best_tree
     is a `MeasurementTree` that attains the value, and the result's oracle
     field and branch label say which oracle ran.
     """
     require_physical(params)
-    oracle, cap = _family_oracle(params)
-    if oracle == "reduced":
+    if _family_oracle(params)[0] == "reduced":
         return minimize_reduced(params, cfg)
-    if params.n_qubits > cap:
-        raise ValueError(f"n_qubits={params.n_qubits} exceeds oracle cap {cap}")
-    return minimize_discord(family_dense(params), cfg)
+    return minimize_discord(realize(params), cfg)
 
 
 def oracle_reaches(params) -> bool:
     """Whether `minimize_family` can solve this family state: up to 10 qubits for
-    the symmetric and GHZ families (reduced oracle), up to 4 for the diagonal one."""
+    the symmetric and GHZ families (reduced oracle), up to 8 for the diagonal one."""
     return params.n_qubits <= _family_oracle(params)[1]

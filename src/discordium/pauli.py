@@ -1,8 +1,8 @@
-"""Sparse Pauli-sum states and their dense realization.
+"""Family parameters, dense states, and the one dense builder.
 
-States are kept as real-weighted sums of N-letter Pauli words with the
-convention rho = (1/2^N) * sum_P w(P) * P, where the all-identity word
-always carries weight 1 (unit trace). The three supported families are
+Each family is fixed by a few coefficients, with the convention
+rho = (1/2^N) * sum_P w(P) * P over N-letter Pauli words, the all-identity
+word carrying weight 1 (unit trace):
 
 * the symmetric family: identity, the three uniform words X..X / Y..Y / Z..Z
   with weights c1, c2, c3, plus a single-site Z on every qubit with weight s;
@@ -10,28 +10,18 @@ always carries weight 1 (unit trace). The three supported families are
   its own weight s_i (diagonal in the computational basis);
 * the noisy GHZ family: mu * |GHZ><GHZ| + (1-mu)/2^N * identity.
 
-Dense matrices are realized on demand and cost 4^N memory, so every dense
-builder refuses more than DENSE_CAP = 8 qubits before it allocates anything.
-Every count (qubits, measured qubits) is a whole number by one rule,
-`require_count`. Qubit indices are 1-based in all public interfaces.
+`realize` fills the dense 2^N x 2^N matrix of any family's parameters entry
+by entry. It costs 4^N memory, so it refuses more than DENSE_CAP = 8 qubits
+before it allocates anything. Every count (qubits, measured qubits, oracle
+starts) is a whole number by one rule, `require_count`. Qubit indices are
+1-based in all public interfaces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
-
-PAULI = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
-# a Pauli word is an uppercase letter string over IXYZ, one letter per qubit
-PauliWord = str
 
 DENSE_CAP = 8
 
@@ -47,50 +37,19 @@ def _dense_dim(n: int) -> int:
     return 2**n
 
 
-def require_count(name: str, value, least: int) -> None:
-    """The one count rule: an int or numpy integer, never a bool, at least `least`;
-    anything else raises ValueError naming the field, "must be a whole number"
-    for a finite float or a bool and "must be a number" for a string, None, inf or nan."""
+def require_count(name: str, value, least: int, most: int | None = None) -> None:
+    """The one count rule: an int or numpy integer, never a bool, at least `least`
+    and at most `most` when given; anything else raises ValueError naming the
+    field, "must be a whole number" for a finite float or a bool and "must be a
+    number" for a string, None, inf or nan."""
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         if value < least:
             raise ValueError(f"{name} must be >= {least}, got {value}")
+        if most is not None and value > most:
+            raise ValueError(f"{name} must be <= {most}, got {value:.15g}")
         return
     kind = "a whole number" if isinstance(value, (bool, float)) and np.isfinite(value) else "a number"
     raise ValueError(f"{name} must be {kind}, got {value!r}")
-
-
-def _check_word(word: str, n_qubits: int) -> None:
-    if len(word) != n_qubits:
-        raise ValueError(f"word {word!r} has length {len(word)}, expected {n_qubits}")
-    bad = set(word) - set("IXYZ")
-    if bad:
-        raise ValueError(f"word {word!r} contains invalid letters {sorted(bad)}")
-
-
-@dataclass(frozen=True)
-class PauliSum:
-    """Real-weighted sum of Pauli words; rho = (1/2^N) sum_P w(P) P."""
-
-    n_qubits: int
-    terms: dict[PauliWord, float]
-
-    def __post_init__(self):
-        require_count("n_qubits", self.n_qubits, 1)
-        identity = "I" * self.n_qubits
-        pruned = {}
-        for word, w in self.terms.items():
-            _check_word(word, self.n_qubits)
-            w = float(w)
-            if not np.isfinite(w):
-                raise ValueError(f"non-finite weight for word {word!r}")
-            if w != 0.0:
-                pruned[word] = w
-        if pruned.get(identity) != 1.0:
-            raise ValueError("identity word must carry weight exactly 1")
-        object.__setattr__(self, "terms", pruned)
-
-    def weight(self, word: PauliWord) -> float:
-        return self.terms.get(word, 0.0)
 
 
 @dataclass(frozen=True)
@@ -171,60 +130,39 @@ class DensityMatrix:
         return 2**self.n_qubits
 
 
-def _single_site_word(n: int, site: int, letter: str) -> str:
-    # site is 0-based here
-    return "I" * site + letter + "I" * (n - site - 1)
+def signed_field_sums(fields) -> np.ndarray:
+    """y_b = sum_i (-1)^{b_i} s_i for all 2^N bitstrings b, the last field least significant."""
+    y = np.zeros(1)
+    for s in fields:
+        y = (y[:, None] + np.array((s, -s))).ravel()
+    return y
 
 
-def build_symmetric_family(params: FamilyParams) -> PauliSum:
-    """Pauli-sum form of the symmetric family state."""
+def realize(params) -> DensityMatrix:
+    """Dense state of `FamilyParams`, `DiagonalFieldParams` or `GhzParams`, filled
+    by basis index b (qubit 1 the most significant bit), up to DENSE_CAP qubits.
+
+    Z on a qubit is diagonal and X, Y flip its bit, with Y|0> = i|1> and
+    Y|1> = -i|0>. So, all over 2^N, the symmetric family has diagonal entry
+    1 + c3 (-1)^|b| + s (N - 2|b|) and entry (b with every bit flipped, b)
+    c1 + c2 i^N (-1)^|b|; the diagonal-field family has diagonal entry
+    1 + sum_i (-1)^{b_i} s_i; the noisy GHZ state has 1 - mu on the diagonal
+    and 2^(N-1) mu added on the four corners of |0..0>, |1..1>.
+    """
     n = params.n_qubits
-    terms = {"I" * n: 1.0}
-    for letter, c in zip("XYZ", (params.c1, params.c2, params.c3)):
-        if c != 0.0:
-            terms[letter * n] = c
-    if params.s != 0.0:
-        for site in range(n):
-            terms[_single_site_word(n, site, "Z")] = params.s
-    return PauliSum(n, terms)
-
-
-def build_diagonal_field(params: DiagonalFieldParams) -> PauliSum:
-    """Pauli-sum form of the diagonal-field family state."""
-    n = params.n_qubits
-    terms = {"I" * n: 1.0}
-    for site, s_i in enumerate(params.fields):
-        if s_i != 0.0:
-            terms[_single_site_word(n, site, "Z")] = s_i
-    return PauliSum(n, terms)
-
-
-def build_noisy_ghz_dense(params: GhzParams) -> DensityMatrix:
-    """Dense noisy GHZ state: mu|GHZ><GHZ| + (1-mu)/2^N identity."""
-    n, mu = params.n_qubits, params.mu
     dim = _dense_dim(n)
     arr = np.zeros((dim, dim), dtype=complex)
-    np.fill_diagonal(arr, (1.0 - mu) / dim)
-    # mu/2 on the four corners: mu |GHZ><GHZ|
-    arr[np.ix_((0, -1), (0, -1))] += mu / 2
-    return DensityMatrix(n, arr)
-
-
-def family_dense(params) -> DensityMatrix:
-    """Dense state of any supported family's parameters."""
-    if isinstance(params, FamilyParams):
-        return realize(build_symmetric_family(params))
+    index = np.arange(dim)
+    if isinstance(params, GhzParams):
+        arr[index, index] = (1.0 - params.mu) / dim
+        arr[np.ix_((0, -1), (0, -1))] += params.mu / 2
+        return DensityMatrix(n, arr)
     if isinstance(params, DiagonalFieldParams):
-        return realize(build_diagonal_field(params))
-    return build_noisy_ghz_dense(params)
-
-
-def realize(psum: PauliSum) -> DensityMatrix:
-    """Dense realization (1/2^N) sum_P w(P) P via Kronecker products, up to DENSE_CAP qubits."""
-    n = psum.n_qubits
-    dim = _dense_dim(n)
-    arr = np.zeros((dim, dim), dtype=complex)
-    for word, w in psum.terms.items():
-        arr += w * reduce(np.kron, (PAULI[ch] for ch in word))
+        arr[index, index] = 1.0 + signed_field_sums(params.fields)
+    else:
+        weight = sum((index >> i) & 1 for i in range(n))
+        parity = 1 - 2 * (weight & 1)
+        arr[index, index] = 1.0 + params.c3 * parity + params.s * (n - 2 * weight)
+        arr[index[::-1], index] = params.c1 + params.c2 * 1j ** (n % 4) * parity
     arr /= dim
     return DensityMatrix(n, arr)

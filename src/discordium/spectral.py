@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .pauli import DensityMatrix, DiagonalFieldParams, FamilyParams, GhzParams
+from .pauli import DensityMatrix, DiagonalFieldParams, FamilyParams, GhzParams, signed_field_sums
 
 SOURCE_NUMERIC = "numeric"
 SOURCE_BLOCKS = "closed_form_blocks"
@@ -181,14 +181,6 @@ def ghz_spectrum(params: GhzParams) -> SpectrumResult:
     return SpectrumResult(
         ((1.0 + (dim - 1) * mu) / dim, (1.0 - mu) / dim), (1, 2**params.n_qubits - 1), SOURCE_GHZ
     )
-
-
-def signed_field_sums(fields) -> np.ndarray:
-    """y_b = sum_i (-1)^{b_i} s_i for all 2^N bitstrings b, the last field least significant."""
-    y = np.zeros(1)
-    for s in fields:
-        y = (y[:, None] + np.array((s, -s))).ravel()
-    return y
 
 
 def diagonal_field_spectrum(params: DiagonalFieldParams) -> SpectrumResult:

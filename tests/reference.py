@@ -3,7 +3,8 @@
 Each one is written from its definition with numpy and the standard library
 only, so no reference runs the code it checks: the full-dimension
 conditional ensemble and partial trace, the dense phase-flip Kraus channel
-and its per-word weight rule, the noisy GHZ Pauli expansion, the paper's
+and its per-word weight rule, the Kronecker sum of a Pauli expansion and
+the three families' expansions (noisy GHZ among them), the paper's
 three- and four-qubit spectrum displays (the four-qubit one also as
 printed), the N mod 4 displays of max W, the diagonal
 family's term-by-term cancellation, and H_y. Family parameters are read by
@@ -134,6 +135,31 @@ def diagonal_cancellation(fields) -> float:
     y, x = signs[:, :-1] @ s[:-1], abs(s[-1])
     hsum = sum(_h(x, v) for v in y[::2])
     return float(entropy_side - hsum) / 2**n
+
+
+def kron_sum(terms: dict[str, float]) -> np.ndarray:
+    """(1/2^N) sum_P w(P) P over a word -> weight dict, one Kronecker product per word."""
+    n = len(next(iter(terms)))
+    return sum(w * reduce(np.kron, [PAULI[ch] for ch in word]) for word, w in terms.items()) / 2**n
+
+
+def _single_z(n: int, q: int) -> str:
+    return "I" * q + "Z" + "I" * (n - q - 1)
+
+
+def symmetric_family_words(params) -> dict[str, float]:
+    """Pauli expansion of the symmetric family: identity, X..X, Y..Y and Z..Z with
+    weights c1, c2, c3, and a Z on each qubit with weight s; zero weights kept."""
+    n = params.n_qubits
+    terms = {"I" * n: 1.0, "X" * n: params.c1, "Y" * n: params.c2, "Z" * n: params.c3}
+    terms.update((_single_z(n, q), params.s) for q in range(n))
+    return terms
+
+
+def diagonal_field_words(fields) -> dict[str, float]:
+    """Pauli expansion of the diagonal-field family: identity and s_i on a Z at qubit i."""
+    n = len(fields)
+    return {"I" * n: 1.0, **{_single_z(n, q): float(s) for q, s in enumerate(fields)}}
 
 
 def build_noisy_ghz_pauli(params) -> dict[str, float]:

@@ -15,10 +15,6 @@ from discordium import (
     FamilyParams,
     GhzParams,
     OracleConfig,
-    PauliSum,
-    build_diagonal_field,
-    build_noisy_ghz_dense,
-    build_symmetric_family,
     closed_form_spectrum_3q,
     closed_form_spectrum_4q,
     detect_freeze_transition,
@@ -39,9 +35,11 @@ from reference import (
     apply_phase_flip_dense,
     binary_h,
     build_noisy_ghz_pauli,
+    kron_sum,
     max_w_mod4,
     phase_flip_kraus,
     spectrum_4q_printed,
+    symmetric_family_words,
 )
 
 FIG3_4Q = FamilyParams(4, 5 / 6, (5 / 6) * (-0.2), -0.2, 0.0)
@@ -81,7 +79,7 @@ def test_criterion_2_oracle_matches_ghz_closed_form():
         for n in (2, 3):
             for mu in (0.25, 0.5, 0.75):
                 params = GhzParams(n, mu)
-                out = minimize_discord(build_noisy_ghz_dense(params), cfg)
+                out = minimize_discord(realize(params), cfg)
                 assert abs(out.value - discord_ghz(params).value) <= 5e-3
 
 
@@ -90,14 +88,14 @@ def test_criterion_3_bell_diagonal_oracle(rng):
         cfg = OracleConfig(starts=8, seed=3)
         for _ in range(100):
             params = sample_physical_family(rng, 2, s_zero=True)
-            rho = realize(build_symmetric_family(params))
+            rho = realize(params)
             ev = hermitian_eigenvalues(rho).eigenvalues
             C = max(abs(params.c1), abs(params.c2), abs(params.c3))
             closed = 2.0 + slog(ev) + -0.5 * binary_h(C)
             out = minimize_discord(rho, cfg)
             assert abs(out.value - closed) <= 5e-3
         spot = minimize_discord(
-            realize(build_symmetric_family(FamilyParams(2, 0.3, 0.2, 0.1, 0.0))), cfg
+            realize(FamilyParams(2, 0.3, 0.2, 0.1, 0.0)), cfg
         )
         assert abs(spot.value - 0.0507) <= 5e-3
 
@@ -145,7 +143,7 @@ def test_criterion_6_spectra(rng):
             params = sample_physical_family(rng, 3)
             cf = np.sort(closed_form_spectrum_3q(params).eigenvalues)
             nv = np.sort(
-                hermitian_eigenvalues(realize(build_symmetric_family(params))).eigenvalues
+                hermitian_eigenvalues(realize(params)).eigenvalues
             )
             assert np.max(np.abs(cf - nv)) <= 1e-10
         checked = 0
@@ -153,7 +151,7 @@ def test_criterion_6_spectra(rng):
             params = sample_physical_family(rng, 4)
             cf = np.sort(closed_form_spectrum_4q(params).eigenvalues)
             nv = np.sort(
-                hermitian_eigenvalues(realize(build_symmetric_family(params))).eigenvalues
+                hermitian_eigenvalues(realize(params)).eigenvalues
             )
             assert np.max(np.abs(cf - nv)) <= 1e-10
             if abs(params.c3) <= 1e-6:
@@ -169,13 +167,13 @@ def test_criterion_7_channel_equivalence(rng):
     with criterion(7, "dense Kraus equals the per-word damping rule; CPTP holds"):
         for n in (2, 3, 4):
             params = sample_physical_family(rng, n)
-            psum = build_symmetric_family(params)
-            rho = realize(psum)
+            words = symmetric_family_words(params)
+            rho = realize(params)
             for p in (0.0, 0.3, 0.7, 1.0):
                 assert phase_flip_kraus(n, p).completeness_deviation() <= 1e-12
                 dense = apply_phase_flip_dense(rho.entries, p)
-                ruled = realize(PauliSum(n, apply_phase_flip(psum.terms, p)))
-                assert np.max(np.abs(dense - ruled.entries)) <= 1e-12
+                ruled = kron_sum(apply_phase_flip(words, p))
+                assert np.max(np.abs(dense - ruled)) <= 1e-12
                 assert abs(np.trace(dense) - 1.0) <= 1e-12
                 assert np.linalg.eigvalsh(dense)[0] >= -1e-10
 
@@ -202,7 +200,7 @@ def test_criterion_8_fig3_reproduction():
         cfg = OracleConfig(starts=8, seed=8)
         for p in (0.0, 0.15, 0.29, 0.45, 0.7):
             ev = FamilyParams(4, FIG3_4Q.c1 * (1 - p) ** 4, FIG3_4Q.c2 * (1 - p) ** 4, -0.2, 0.0)
-            out = minimize_discord(realize(build_symmetric_family(ev)), cfg)
+            out = minimize_discord(realize(ev), cfg)
             assert abs(out.value - discord_symmetric(ev).value) <= 5e-3
 
 
@@ -219,7 +217,7 @@ def test_criterion_9_diagonal_field(rng):
                 fields = tuple(float(v) for v in rng.uniform(-1.0, 1.0, n))
                 if sum(abs(f) for f in fields) > 1.0:
                     continue
-                rho = realize(build_diagonal_field(DiagonalFieldParams(fields)))
+                rho = realize(DiagonalFieldParams(fields))
                 out = minimize_discord(rho, cfg)
                 assert abs(out.value) <= 5e-3
                 confirmed += 1
@@ -230,6 +228,6 @@ def test_criterion_10_ghz_pauli_expansion():
         for n in range(2, 7):
             for mu in (0.0, 0.5, 1.0):
                 params = GhzParams(n, mu)
-                a = realize(PauliSum(n, build_noisy_ghz_pauli(params))).entries
-                b = build_noisy_ghz_dense(params).entries
+                a = kron_sum(build_noisy_ghz_pauli(params))
+                b = realize(params).entries
                 assert np.max(np.abs(a - b)) <= 1e-12

@@ -10,18 +10,21 @@ from discordium import (
     FamilyParams,
     GhzParams,
     NoAnalyticCase,
-    build_symmetric_family,
     classify_region,
     closed_form_spectrum_4q,
     discord_diagonal_field,
     discord_ghz,
     discord_symmetric,
+    dynamics_sweep,
     max_w,
     realize,
     xlog2,
 )
 
-from conftest import arbitration, sample_case1_family, sample_physical_family
+from discordium.analytic import _region
+from discordium.spectral import symmetric_spectrum
+
+from conftest import arbitration, sample_case1_family, sample_case1_second, sample_physical_family
 from reference import binary_h, diagonal_cancellation, max_w_mod4
 
 
@@ -46,11 +49,47 @@ class TestClassifyRegion:
 
     def test_field_inequality_branch(self):
         # c3 < 0, c3^2 < c^2, but s large enough to satisfy the field branch
-        params = FamilyParams(3, 0.2, 0.0, -0.1, 0.5)
-        lhs = 0.5**2 / (1 - abs(0.5))
-        rhs = (0.1**2 - 0.2**2) / (-0.1)
+        params = FamilyParams(3, 0.09, -0.15, -0.11, 0.3)
+        lhs = 0.3**2 / (1 - abs(0.3))
+        rhs = (0.11**2 - 0.15**2) / (-0.11)
         assert lhs >= rhs
         assert classify_region(params).region == "case1"
+
+    def test_field_inequality_needs_the_all_z_tree_lowest(self):
+        # the second condition holds, but the all-x tree attains 0.233320655 < D_z = 0.246480784
+        params = FamilyParams(3, 0.5, 0.0, -0.45, 0.3)
+        assert 0.3**2 / (1 - 0.3) >= (0.45**2 - 0.5**2) / (-0.45)
+        region = classify_region(params)
+        assert (region.region, region.condition_detail) == ("none", "s^2/(1-(N-2)|s|) >= (c3^2-c^2)/c3 but D_T < D_z")
+        with pytest.raises(NoAnalyticCase):
+            discord_symmetric(params)
+        assert math.isnan(dynamics_sweep(params, [0.0]).rows[0].value)
+        d_t = symmetric_spectrum(params).sum_xlog2() + 3 - (2 * binary_h(0.3) + binary_h(math.hypot(0.3, 0.5))) / 2
+        assert round(d_t, 9) == 0.233320655
+        assert round(symmetric_spectrum(params).sum_xlog2() + 3 - max_w(params), 9) == 0.246480784
+
+    @pytest.mark.parametrize("params", [FamilyParams(3, 0.1, 0.1, -0.2, 0.3), FamilyParams(4, 0.3, 0.2, 0.1)])
+    def test_only_the_second_condition_reads_max_w(self, params):
+        def refuse():
+            raise AssertionError("max W computed")
+
+        region, w = _region(params.n_qubits, params.c1, params.c2, params.c3, params.s, refuse)
+        assert w is None
+        assert region == tuple(getattr(classify_region(params), f) for f in ("region", "c", "C", "condition_detail"))
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_every_caller_gives_the_same_region(self, rng, n):
+        # classify_region, discord_symmetric and an analytic sweep, on the second condition
+        for _ in range(20):
+            params = sample_case1_second(rng, n)
+            region = classify_region(params).region
+            row = dynamics_sweep(params, [0.0]).rows[0]
+            assert row.branch == ("none" if region == "none" else "case1[parity]")
+            if region == "none":
+                with pytest.raises(NoAnalyticCase):
+                    discord_symmetric(params)
+            else:
+                assert discord_symmetric(params).value == row.value
 
 
 class TestMaxW:
@@ -149,7 +188,7 @@ class TestDiscordSymmetric:
         params = FamilyParams(5, 0.05, 0.05, -0.2, 0.1)
         res = discord_symmetric(params)
         assert res.spectrum_used.source == "closed_form_blocks"
-        dense = np.linalg.eigvalsh(realize(build_symmetric_family(params)).entries)
+        dense = np.linalg.eigvalsh(realize(params).entries)
         expected = float(np.sum(xlog2(np.clip(dense, 0, None)))) + 5 - max_w(params)
         assert res.value == pytest.approx(expected, abs=1e-12)
         assert res.value >= -1e-8

@@ -14,10 +14,8 @@ from discordium import (
     FamilyParams,
     GhzParams,
     OracleConfig,
-    build_symmetric_family,
     discord_ghz,
     discord_symmetric,
-    family_dense,
     minimize_family,
     realize,
 )
@@ -36,7 +34,7 @@ def run(argv, capsys):
 
 
 def refuse_dense(monkeypatch):
-    """Make each dense builder raise in every module that binds it."""
+    """Make the dense builder raise in every module that binds it."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("dense builder called")
@@ -44,9 +42,8 @@ def refuse_dense(monkeypatch):
     modules = [discordium] + [getattr(discordium, m) for m in
                               ("analytic", "cli", "decoherence", "oracle", "pauli", "spectral")]
     for module in modules:
-        for name in ("realize", "build_noisy_ghz_dense", "family_dense"):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, refuse)
+        if hasattr(module, "realize"):
+            monkeypatch.setattr(module, "realize", refuse)
 
 
 class TestDiscordCommand:
@@ -240,7 +237,7 @@ class TestSpectrumCommand:
         )
         assert code == 0
         got = np.array(json.loads(out)["eigenvalues"])
-        dense = np.linalg.eigvalsh(realize(build_symmetric_family(params)).entries)[::-1]
+        dense = np.linalg.eigvalsh(realize(params).entries)[::-1]
         assert np.all(np.diff(got) <= 0)
         assert np.max(np.abs(got - dense)) <= 1e-12
 
@@ -479,7 +476,7 @@ class TestValidateCommand:
     def test_matches_dense_spectrum(self, params, family_args, capsys):
         code, out, _ = run(["validate", *family_args], capsys)
         payload = json.loads(out)
-        min_eig = np.linalg.eigvalsh(family_dense(params).entries).min()
+        min_eig = np.linalg.eigvalsh(realize(params).entries).min()
         assert payload["min_eigenvalue"] == pytest.approx(min_eig, abs=1e-12)
         assert payload["trace_deviation"] <= 1e-12
         assert payload["is_physical"] is bool(min_eig >= -1e-10)
@@ -717,6 +714,18 @@ PINNED = [
      0, "value_bits=0 branch=oracle\n", ""),
     (["spectrum", "--family", "diagonal", "--fields", "0.2,-0.1"],
      0, '{"eigenvalues": [0.325, 0.275, 0.225, 0.175], "entropy_bits": 1.9634212546816494}\n', ""),
+    # case 1's second condition holds, but the all-x tree is below the all-z one
+    (["discord", "--family", "symmetric", "--n", "3", "--c1", "0.5", "--c2", "0",
+      "--c3", "-0.45", "--s", "0.3"],
+     3, "", "error: no closed form for c=(0.5,0.0,-0.45) s=0.3; "
+            "rerun with --method oracle or --fallback oracle\n"),
+    (["discord", "--family", "symmetric", "--n", "3", "--c1", "0.5", "--c2", "0",
+      "--c3", "-0.45", "--s", "0.3", "--fallback", "oracle", "--seed", "1"],
+     0, "value_bits=0.233320655 branch=oracle[fallback]\n", ""),
+    # the full oracle reaches the dense cap
+    (["discord", "--family", "diagonal", "--fields", "0.1,-0.2,0.05,0.1,0.2,-0.1",
+      "--method", "oracle", "--config", "{cfg}"],
+     0, "value_bits=0 branch=oracle\n", ""),
 ]
 
 

@@ -13,8 +13,6 @@ from discordium import (
     GhzParams,
     NoAnalyticCase,
     OracleConfig,
-    PauliSum,
-    build_symmetric_family,
     detect_freeze_transition,
     discord_symmetric,
     dynamics_sweep,
@@ -26,7 +24,14 @@ from discordium.analytic import S_ZERO_TOL
 from discordium.spectral import PHYSICAL_TOL
 
 from conftest import sample_physical_family
-from reference import apply_phase_flip, apply_phase_flip_dense, binary_h, phase_flip_kraus
+from reference import (
+    apply_phase_flip,
+    apply_phase_flip_dense,
+    binary_h,
+    kron_sum,
+    phase_flip_kraus,
+    symmetric_family_words,
+)
 
 FIG3_4Q = FamilyParams(4, 5 / 6, (5 / 6) * (-0.2), -0.2, 0.0)
 FIG3_3Q = FamilyParams(3, 5 / 6, (5 / 6) * (-0.2), -0.2, 0.0)
@@ -54,62 +59,62 @@ class TestKraus:
 
     def test_p_zero_identity(self, rng):
         params = sample_physical_family(rng, 3)
-        rho = realize(build_symmetric_family(params))
+        rho = realize(params)
         out = apply_phase_flip_dense(rho.entries, 0.0)
         assert np.max(np.abs(out - rho.entries)) <= 1e-14
 
     def test_p_one_kills_xxx(self):
-        ps = build_symmetric_family(FamilyParams(3, 0.4, 0.0, 0.0, 0.0))
-        out = PauliSum(3, apply_phase_flip(ps.terms, 1.0))
-        assert out.weight("XXX") == 0.0
+        ps = symmetric_family_words(FamilyParams(3, 0.4, 0.0, 0.0, 0.0))
+        out = apply_phase_flip(ps, 1.0)
+        assert out["XXX"] == 0.0
 
     def test_range_violation(self):
         with pytest.raises(ValueError):
             phase_flip_kraus(3, 1.5)
-        ps = build_symmetric_family(FamilyParams(3, 0.1, 0.1, 0.1, 0.0))
+        ps = symmetric_family_words(FamilyParams(3, 0.1, 0.1, 0.1, 0.0))
         with pytest.raises(ValueError):
-            apply_phase_flip(ps.terms, -0.2)
+            apply_phase_flip(ps, -0.2)
 
 
 class TestWeightRule:
     def test_family_weights_3q(self):
-        ps = build_symmetric_family(FamilyParams(3, 0.4, -0.3, 0.2, 0.1))
-        out = PauliSum(3, apply_phase_flip(ps.terms, 0.3))
+        ps = symmetric_family_words(FamilyParams(3, 0.4, -0.3, 0.2, 0.1))
+        out = apply_phase_flip(ps, 0.3)
         q = 0.7**3
-        assert out.weight("XXX") == pytest.approx(0.4 * q, abs=1e-15)
-        assert out.weight("YYY") == pytest.approx(-0.3 * q, abs=1e-15)
-        assert out.weight("ZZZ") == 0.2
-        assert out.weight("ZII") == 0.1
+        assert out["XXX"] == pytest.approx(0.4 * q, abs=1e-15)
+        assert out["YYY"] == pytest.approx(-0.3 * q, abs=1e-15)
+        assert out["ZZZ"] == 0.2
+        assert out["ZII"] == 0.1
 
     def test_family_weights_4q(self):
-        ps = build_symmetric_family(FamilyParams(4, 0.4, -0.3, 0.2, 0.1))
-        out = PauliSum(4, apply_phase_flip(ps.terms, 0.25))
+        ps = symmetric_family_words(FamilyParams(4, 0.4, -0.3, 0.2, 0.1))
+        out = apply_phase_flip(ps, 0.25)
         q = 0.75**4
-        assert out.weight("XXXX") == pytest.approx(0.4 * q, abs=1e-15)
-        assert out.weight("YYYY") == pytest.approx(-0.3 * q, abs=1e-15)
+        assert out["XXXX"] == pytest.approx(0.4 * q, abs=1e-15)
+        assert out["YYYY"] == pytest.approx(-0.3 * q, abs=1e-15)
 
     def test_dense_kraus_equals_weight_rule(self, rng):
         # channel equivalence across sizes and probabilities
         for n in (2, 3, 4):
             params = sample_physical_family(rng, n)
-            ps = build_symmetric_family(params)
+            ps = symmetric_family_words(params)
             for p in (0.0, 0.3, 0.7, 1.0):
-                dense = apply_phase_flip_dense(realize(ps).entries, p)
-                ruled = realize(PauliSum(n, apply_phase_flip(ps.terms, p)))
-                assert np.max(np.abs(dense - ruled.entries)) <= 1e-12
+                dense = apply_phase_flip_dense(realize(params).entries, p)
+                ruled = kron_sum(apply_phase_flip(ps, p))
+                assert np.max(np.abs(dense - ruled)) <= 1e-12
 
     @given(p=st.floats(0.0, 1.0, allow_nan=False))
     @settings(max_examples=50, deadline=None)
     def test_damping_exponent_counts_xy_letters(self, p):
-        ps = build_symmetric_family(FamilyParams(4, 0.4, -0.3, 0.2, 0.1))
-        out = PauliSum(4, apply_phase_flip(ps.terms, p))
-        for word, w in ps.terms.items():
+        ps = symmetric_family_words(FamilyParams(4, 0.4, -0.3, 0.2, 0.1))
+        out = apply_phase_flip(ps, p)
+        for word, w in ps.items():
             n_xy = sum(ch in "XY" for ch in word)
-            assert out.weight(word) == pytest.approx(w * (1 - p) ** n_xy, abs=1e-15)
+            assert out[word] == pytest.approx(w * (1 - p) ** n_xy, abs=1e-15)
 
     def test_channel_preserves_physicality(self, rng):
         params = sample_physical_family(rng, 3)
-        rho = realize(build_symmetric_family(params))
+        rho = realize(params)
         for p in (0.2, 0.8):
             assert np.linalg.eigvalsh(apply_phase_flip_dense(rho.entries, p)).min() >= -PHYSICAL_TOL
 

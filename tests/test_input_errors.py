@@ -14,7 +14,6 @@ from discordium import (
     GhzParams,
     MeasurementTree,
     OracleConfig,
-    PauliSum,
     closed_form_spectrum_4q,
     discord_diagonal_field,
     minimize_discord,
@@ -39,10 +38,6 @@ CASES = [
      "--gamma requires --t-max"),
     ("channel-negative-rate", lambda: ChannelParams.from_rate_time(-1, 1),
      "gamma and t must be nonnegative"),
-    ("pauli-sum-no-qubits", lambda: PauliSum(0, {"": 1.0}),
-     "n_qubits must be >= 1, got 0"),
-    ("pauli-sum-fractional-qubits", lambda: PauliSum(2.5, {"II": 1.0}),
-     "n_qubits must be a whole number, got 2.5"),
     ("family-fractional-qubits", lambda: FamilyParams(3.5, 0.1, 0.1, 0.1),
      "n_qubits must be a whole number, got 3.5"),
     ("ghz-fractional-qubits", lambda: GhzParams(2.5, 0.5),

@@ -12,18 +12,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from discordium import (
+    DenseCapExceeded,
     DensityMatrix,
     DiagonalFieldParams,
     FamilyParams,
     GhzParams,
     MeasurementTree,
+    NoAnalyticCase,
     OracleConfig,
-    build_noisy_ghz_dense,
-    build_symmetric_family,
     classify_region,
     discord_ghz,
     discord_symmetric,
-    family_dense,
     minimize_discord,
     minimize_family,
     minimize_reduced,
@@ -33,10 +32,9 @@ from discordium import (
 )
 from discordium import oracle
 from discordium.oracle import _Chain, _pauli_tensor
-from discordium.pauli import PAULI
 
-from conftest import sample_case1_family, sample_physical_family
-from reference import binary_h, conditional_ensemble, partial_trace
+from conftest import sample_case1_family, sample_case1_second, sample_physical_family
+from reference import PAULI, binary_h, conditional_ensemble, partial_trace
 
 FAST = OracleConfig(starts=10, seed=7)
 
@@ -184,7 +182,7 @@ class TestMeasurementTree:
 class TestConditionalEnsemble:
     def test_family_first_level_probabilities(self, rng):
         params = sample_physical_family(rng, 3)
-        rho = realize(build_symmetric_family(params))
+        rho = realize(params)
         branches = conditional_ensemble(rho.entries, by_prefix(Z_TREE3), 1)
         probs = sorted(b.probability for b in branches)
         expected = sorted([(1 + params.s) / 2, (1 - params.s) / 2])
@@ -197,7 +195,7 @@ class TestConditionalEnsemble:
             assert np.allclose([b.probability for b in branches], 1 / 2**k, atol=1e-12)
 
     def test_ghz_pure_outcomes(self):
-        rho = build_noisy_ghz_dense(GhzParams(2, 1.0))
+        rho = realize(GhzParams(2, 1.0))
         tree = z_tree(1)
         branches = conditional_ensemble(rho.entries, by_prefix(tree), 1)
         assert np.allclose([b.probability for b in branches], 0.5, atol=1e-12)
@@ -211,7 +209,7 @@ class TestConditionalEnsemble:
 
     def test_probabilities_sum_to_one(self, rng):
         params = sample_physical_family(rng, 3)
-        rho = realize(build_symmetric_family(params))
+        rho = realize(params)
         tree = random_tree(2, rng)
         for k in (1, 2):
             branches = conditional_ensemble(rho.entries, by_prefix(tree), k)
@@ -256,7 +254,7 @@ class TestPauliTensor:
         for c1, c2 in ((params.c1, params.c2), (params.c2, params.c1), (0.3, -0.3)):
             state = FamilyParams(n, c1, c2, params.c3, params.s)
             letters = [0, 1 if abs(c1) >= abs(c2) else 2, 3]
-            dense = _pauli_tensor(family_dense(state)).reshape((4,) * n)[np.ix_(*[letters] * n)]
+            dense = _pauli_tensor(realize(state)).reshape((4,) * n)[np.ix_(*[letters] * n)]
             plane = _pauli_tensor(state)
             assert plane.shape == (3**n,) and np.max(np.abs(plane - dense.ravel())) <= 1e-15
 
@@ -264,7 +262,7 @@ class TestPauliTensor:
     def test_ghz_plane_tensor_is_the_dense_one_on_i_x_z(self, n):
         # T is X for GHZ at every N; at even N, |Y..Y| = mu ties with X..X
         params = GhzParams(n, 0.6)
-        dense = _pauli_tensor(family_dense(params)).reshape((4,) * n)
+        dense = _pauli_tensor(realize(params)).reshape((4,) * n)
         plane = _pauli_tensor(params)
         assert plane.shape == (3**n,)
         assert np.max(np.abs(plane - dense[np.ix_(*[[0, 1, 3]] * n)].ravel())) <= 1e-15
@@ -275,7 +273,7 @@ class TestMeasuredConditionalEntropy:
     def test_matches_ensemble_route(self, rng):
         # random full-rank states, and pure GHZ whose z tree has zero-probability branches
         for n in (2, 3, 4, 5):
-            ghz = build_noisy_ghz_dense(GhzParams(n, 1.0))
+            ghz = realize(GhzParams(n, 1.0))
             cases = [(random_full_rank(rng, n), random_tree(n - 1, rng)) for _ in range(3)]
             cases += [
                 (ghz, random_tree(n - 1, rng)),
@@ -290,7 +288,7 @@ class TestMeasuredConditionalEntropy:
 
     def test_family_z_tree_matches_reduced_g(self, rng):
         params = sample_physical_family(rng, 3)
-        rho = realize(build_symmetric_family(params))
+        rho = realize(params)
         got = chain_levels(rho, Z_TREE3)[1][0]
         g_at_one = level_sums(params, all_ones(3))[0]
         assert got == pytest.approx(1.0 - g_at_one, abs=1e-11)
@@ -308,7 +306,7 @@ class TestMeasuredConditionalEntropy:
             assert got == pytest.approx(marginal, abs=1e-11)
 
     def test_ghz_pure_branches_zero(self):
-        rho = build_noisy_ghz_dense(GhzParams(3, 1.0))
+        rho = realize(GhzParams(3, 1.0))
         assert chain_levels(rho, Z_TREE3)[1][1] == pytest.approx(0.0, abs=1e-12)
 
 
@@ -347,7 +345,7 @@ class TestChainGradient:
         # pure GHZ has floored branches and eigenvalues; the maximally mixed state has w = 0
         for n in (2, 3, 4):
             npar = 2 ** (n - 1) - 1
-            states = [random_full_rank(rng, n), build_noisy_ghz_dense(GhzParams(n, 1.0)),
+            states = [random_full_rank(rng, n), realize(GhzParams(n, 1.0)),
                       DensityMatrix(n, np.eye(2**n) / 2**n)]
             for rho in states:
                 chain = _Chain(rho)
@@ -368,7 +366,7 @@ class TestChainGradient:
         step = 1e-6
         for n in (2, 3, 4):
             states = [random_full_rank(rng, n) for _ in range(2)]
-            states += [build_noisy_ghz_dense(GhzParams(n, mu)) for mu in (0.4, 1.0)]
+            states += [realize(GhzParams(n, mu)) for mu in (0.4, 1.0)]
             npar = 2 ** (n - 1) - 1
             for rho in states:
                 chain = _Chain(rho)
@@ -405,7 +403,7 @@ class TestChainGradient:
             pinned = angles.copy()
             pinned[:, 1::2] = 0.0 if abs(c1) >= abs(c2) else np.pi / 2
             value, grad = _Chain(state).value_and_grad(angles)
-            dense_value, dense_grad = _Chain(family_dense(state)).value_and_grad(pinned)
+            dense_value, dense_grad = _Chain(realize(state)).value_and_grad(pinned)
             assert np.max(np.abs(value - dense_value)) <= 1e-13, (n, c1, c2)
             assert np.max(np.abs(grad[:, ::2] - dense_grad[:, ::2])) <= 1e-13, (n, c1, c2)
             assert not grad[:, 1::2].any()
@@ -420,7 +418,7 @@ class TestDiscordObjective:
 
     def test_bell_diagonal_z_tree_hand_value(self):
         params = FamilyParams(2, 0.3, 0.2, 0.1, 0.0)
-        rho = realize(build_symmetric_family(params))
+        rho = realize(params)
         tree = z_tree(1)
         slog = float(np.sum([lam * np.log2(lam) for lam in np.linalg.eigvalsh(rho.entries)]))
         expected = 2 + slog - 0.5 * binary_h(0.1)
@@ -428,7 +426,7 @@ class TestDiscordObjective:
 
     def test_family_z_tree_reduced_composition(self, rng):
         params = sample_physical_family(rng, 3)
-        rho = realize(build_symmetric_family(params))
+        rho = realize(params)
         slog = float(np.sum([lam * np.log2(max(lam, 1e-300)) for lam in np.linalg.eigvalsh(rho.entries) if lam > 1e-14]))
         y_ones = reduced_value(params, all_ones(3))
         expected = slog + 3 - 0.5 * binary_h(params.s) - y_ones
@@ -437,7 +435,7 @@ class TestDiscordObjective:
     def test_sign_flip_invariance(self, rng):
         # negating every direction relabels all outcomes, so prefixes complement
         params = sample_physical_family(rng, 3)
-        rho = realize(build_symmetric_family(params))
+        rho = realize(params)
 
         def relabeled(tree):
             # complementing a prefix of length m reverses its level's block of rows
@@ -468,7 +466,7 @@ class TestDiscordObjective:
             params = sample_case1_family(rng, n)
         else:
             params = sample_physical_family(rng, n, s_zero=True)
-        rho = family_dense(params)
+        rho = realize(params)
         closed = discord_symmetric(params).value
         for _ in range(5):
             tree = random_tree(n - 1, rng)
@@ -491,34 +489,34 @@ except ImportError:
     pass
 else:
     sys.exit("scipy imported")
-from discordium import FamilyParams, GhzParams, OracleConfig, family_dense, minimize_discord
+from discordium import FamilyParams, GhzParams, OracleConfig, minimize_discord, realize
 
 states = [GhzParams(2, 0.6), FamilyParams(3, 0.1, 0.1, -0.2, 0.3), FamilyParams(4, 0.3, 0.2, 0.25, 0.1)]
 cfg = OracleConfig(starts=3, seed=5)
-print(json.dumps([minimize_discord(family_dense(p), cfg).value for p in states]))
+print(json.dumps([minimize_discord(realize(p), cfg).value for p in states]))
 """
 
 
 class TestMinimizeDiscord:
     def test_ghz_closed_form(self):
-        rho = build_noisy_ghz_dense(GhzParams(2, 0.5))
+        rho = realize(GhzParams(2, 0.5))
         out = minimize_discord(rho, FAST)
         assert out.value == pytest.approx(0.26248318376373436, abs=5e-3)
         assert out.starts_converged >= 1
 
     def test_bell_diagonal_spot(self):
-        rho = realize(build_symmetric_family(FamilyParams(2, 0.3, 0.2, 0.1, 0.0)))
+        rho = realize(FamilyParams(2, 0.3, 0.2, 0.1, 0.0))
         out = minimize_discord(rho, FAST)
         assert out.value == pytest.approx(0.05068495714647761, abs=5e-3)
 
     def test_case2_3q_matches_analytic(self):
         params = FamilyParams(3, 0.3, 0.2, 0.1, 0.0)
-        out = minimize_discord(realize(build_symmetric_family(params)), FAST)
+        out = minimize_discord(realize(params), FAST)
         assert out.value == pytest.approx(discord_symmetric(params).value, abs=5e-3)
 
     def test_zero_minimum_reported_as_zero(self):
         # the diagonal-field state has zero discord; roundoff gave -2.2e-16 before the clamp
-        out = minimize_discord(family_dense(DiagonalFieldParams((0.2, -0.1, 0.3))), FAST)
+        out = minimize_discord(realize(DiagonalFieldParams((0.2, -0.1, 0.3))), FAST)
         assert out.value == 0.0 and np.copysign(1.0, out.value) == 1.0
         assert oracle._clamp_zero(-1e-12) == 0.0 and oracle._clamp_zero(-1.1e-12) == -1.1e-12
 
@@ -530,14 +528,14 @@ class TestMinimizeDiscord:
 
     def test_minimizer_property(self, rng):
         params = sample_physical_family(rng, 3)
-        rho = realize(build_symmetric_family(params))
+        rho = realize(params)
         out = minimize_discord(rho, FAST)
         for _ in range(20):
             tree = random_tree(2, rng)
             assert objective(rho, tree) >= out.value - 1e-9
 
     def test_deterministic_given_seed(self):
-        rho = realize(build_symmetric_family(FamilyParams(2, 0.25, -0.15, 0.1, 0.2)))
+        rho = realize(FamilyParams(2, 0.25, -0.15, 0.1, 0.2))
         a = minimize_discord(rho, OracleConfig(starts=8, seed=11))
         b = minimize_discord(rho, OracleConfig(starts=8, seed=11))
         assert a.value == b.value
@@ -548,25 +546,27 @@ class TestMinimizeDiscord:
         # the case-1 optimum is the theta = 0 pole, where phi is free
         for _ in range(20):
             params = sample_case1_family(rng, 2)
-            out = minimize_discord(family_dense(params), OracleConfig(starts=3))
+            out = minimize_discord(realize(params), OracleConfig(starts=3))
             assert out.starts_converged == 6, params
             assert out.value == pytest.approx(discord_symmetric(params).value, abs=1e-9), params
 
     def test_escapes_z_saddle(self):
         # the only start is the +z tree, a saddle of the objective at 0.4212 bits
         params = FamilyParams(2, 0.6, 0.1, 0.3, 0.0)
-        out = minimize_discord(family_dense(params), OracleConfig(starts=1))
+        out = minimize_discord(realize(params), OracleConfig(starts=1))
         closed = discord_symmetric(params).value
         assert closed == pytest.approx(0.2090404733692019, abs=1e-15)
         assert out.value == pytest.approx(closed, abs=1e-12)
 
     def test_cap(self):
-        rho = DensityMatrix(5, np.eye(32) / 32)
-        with pytest.raises(ValueError):
+        # the full oracle's one limit is the dense cap: a state built by hand
+        # past it meets the rule and message of realize
+        rho = DensityMatrix(9, np.eye(512) / 512)
+        with pytest.raises(DenseCapExceeded, match="^n_qubits=9 exceeds dense cap 8$"):
             minimize_discord(rho, FAST)
 
     def test_best_tree_reproduces_value(self):
-        rho = realize(build_symmetric_family(FamilyParams(3, 0.1, 0.1, -0.2, 0.3)))
+        rho = realize(FamilyParams(3, 0.1, 0.1, -0.2, 0.3))
         out = minimize_discord(rho, FAST)
         assert objective(rho, out.best_tree) == pytest.approx(out.value, abs=1e-8)
 
@@ -574,7 +574,7 @@ class TestMinimizeDiscord:
     def test_matches_lbfgsb_reference(self, n):
         rng = np.random.default_rng(1000 + n)
         cfg = OracleConfig(starts=3, seed=5)
-        for rho in (family_dense(sample_case1_family(rng, n)), random_full_rank(rng, n)):
+        for rho in (realize(sample_case1_family(rng, n)), random_full_rank(rng, n)):
             assert minimize_discord(rho, cfg).value == pytest.approx(lbfgsb_reference(rho, cfg), abs=1e-12)
 
     def test_runs_without_scipy(self):
@@ -588,10 +588,10 @@ class TestMinimizeDiscord:
             timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == [minimize_discord(family_dense(p), cfg).value for p in states]
+        assert json.loads(proc.stdout) == [minimize_discord(realize(p), cfg).value for p in states]
 
     @pytest.mark.parametrize("rho", [
-        build_noisy_ghz_dense(GhzParams(2, 0.6)),
+        realize(GhzParams(2, 0.6)),
         DensityMatrix(2, np.eye(4) / 4),
         DensityMatrix(3, np.eye(8) / 8),
     ], ids=["ghz2", "mixed2", "mixed3"])
@@ -610,7 +610,7 @@ class TestMinimizeDiscord:
 
     def test_one_start_counts_its_random_start(self):
         # the +z start ends at 0.651918; the random start that runs beside it finds the minimum
-        out = minimize_discord(family_dense(FamilyParams(3, -0.37, 0.78, 0.17, -0.02)), OracleConfig(starts=1, seed=0))
+        out = minimize_discord(realize(FamilyParams(3, -0.37, 0.78, 0.17, -0.02)), OracleConfig(starts=1, seed=0))
         assert out.value == pytest.approx(0.5717356303188266, abs=1e-12)
         assert out.starts_converged == 2
         assert out.spread == pytest.approx(0.0802, abs=1e-4)
@@ -623,7 +623,7 @@ class TestMinimizeDiscord:
             return real(fun, x0, max_iters)
 
         monkeypatch.setattr(oracle, "_scipy_minimize", spy)
-        rho = family_dense(FamilyParams(3, 0.1, 0.1, -0.2, 0.3))
+        rho = realize(FamilyParams(3, 0.1, 0.1, -0.2, 0.3))
         for count in (1, 2, 6, 9):
             minimize_discord(rho, OracleConfig(starts=count, seed=3))
         for count, x0 in zip((1, 2, 6, 9), starts):
@@ -647,7 +647,7 @@ class TestReduction:
         monkeypatch.setattr(oracle, "_scipy_minimize", spy)
         cfg = OracleConfig(starts=4, max_iters=max_iters, seed=1)
         if solver == "full":
-            state = family_dense(FamilyParams(3, -0.37, 0.78, 0.17, -0.02))
+            state = realize(FamilyParams(3, -0.37, 0.78, 0.17, -0.02))
             out = minimize_discord(state, cfg)
         else:
             state = FamilyParams(5, 0.1, 0.1, -0.2, 0.05)
@@ -663,7 +663,7 @@ class TestReduction:
 
     @pytest.mark.parametrize(
         "solve, state",
-        [(minimize_discord, family_dense(FamilyParams(3, 0.2, 0.1, -0.3, 0.05))),
+        [(minimize_discord, realize(FamilyParams(3, 0.2, 0.1, -0.3, 0.05))),
          (minimize_reduced, FamilyParams(5, 0.2, 0.1, -0.3, 0.05))],
         ids=["full", "reduced"],
     )
@@ -727,9 +727,9 @@ class TestMinimizeFamily:
         params = FamilyParams(3, 0.1, 0.1, -0.2, 0.3)
         out = minimize_family(params, cfg)
         assert out.oracle == "full" and isinstance(out.best_tree, MeasurementTree)
-        assert out.value == minimize_discord(realize(build_symmetric_family(params)), cfg).value
+        assert out.value == minimize_discord(realize(params), cfg).value
         ghz = GhzParams(2, 0.5)
-        assert minimize_family(ghz, cfg).value == minimize_discord(build_noisy_ghz_dense(ghz), cfg).value
+        assert minimize_family(ghz, cfg).value == minimize_discord(realize(ghz), cfg).value
 
     def test_reach_ignores_the_environment(self, monkeypatch):
         # the dense cap is a constant: no environment variable narrows the full oracle
@@ -741,26 +741,26 @@ class TestMinimizeFamily:
 
     @pytest.mark.parametrize("params", [FamilyParams(5, 0.9, 0.9, 0.9, 0.5), FamilyParams(3, 0.9, 0.9, 0.9)])
     def test_refuses_unphysical(self, params, monkeypatch):
-        monkeypatch.setattr(oracle, "family_dense", lambda p: pytest.fail("family_dense called"))
+        monkeypatch.setattr(oracle, "realize", lambda p: pytest.fail("realize called"))
         with pytest.raises(ValueError, match="unphysical"):
             minimize_family(params, FAST)
 
     def test_past_reach_builds_nothing(self, monkeypatch):
-        monkeypatch.setattr(oracle, "family_dense", lambda p: pytest.fail("family_dense called"))
+        monkeypatch.setattr(np, "zeros", lambda *a, **k: pytest.fail("array allocated"))
         with pytest.raises(ValueError, match="exceeds reduced-oracle cap 10"):
             minimize_family(GhzParams(12, 0.5), FAST)
         with pytest.raises(ValueError, match="exceeds reduced-oracle cap 10"):
             minimize_family(FamilyParams(11, 0.05, 0.05, -0.1, 0.0), FAST)
-        with pytest.raises(ValueError, match="exceeds oracle cap 4"):
-            minimize_family(DiagonalFieldParams((0.1,) * 5), FAST)
+        with pytest.raises(DenseCapExceeded, match="^n_qubits=9 exceeds dense cap 8$"):
+            minimize_family(DiagonalFieldParams((0.1,) * 9), FAST)
 
     def test_reach(self):
         assert oracle_reaches(FamilyParams(10, 0.05, 0.05, -0.1, 0.0))
         assert not oracle_reaches(FamilyParams(11, 0.05, 0.05, -0.1, 0.0))
         assert oracle_reaches(GhzParams(5, 0.5))
         assert not oracle_reaches(GhzParams(11, 0.5))
-        assert oracle_reaches(DiagonalFieldParams((0.1,) * 4))
-        assert not oracle_reaches(DiagonalFieldParams((0.1,) * 5))
+        assert oracle_reaches(DiagonalFieldParams((0.1,) * 8))
+        assert not oracle_reaches(DiagonalFieldParams((0.1,) * 9))
 
     def test_ghz_past_full_cap_goes_reduced(self):
         out = minimize_family(GhzParams(5, 0.4), OracleConfig(starts=3, seed=1))
@@ -861,7 +861,7 @@ class TestMinimizeReduced:
         for params in draws:
             out = minimize_reduced(params, OracleConfig(starts=4, seed=3))
             assert out.oracle == "reduced" and out.best_tree.n_measured == n - 1
-            assert objective(family_dense(params), out.best_tree) == pytest.approx(out.value, abs=1e-12), params
+            assert objective(realize(params), out.best_tree) == pytest.approx(out.value, abs=1e-12), params
 
     def test_s_zero_matches_case2(self, rng):
         params = sample_physical_family(rng, 4, s_zero=True)
@@ -881,7 +881,7 @@ class TestMinimizeReduced:
         assert classify_region(params).region == "none"
         red = minimize_reduced(params, OracleConfig(starts=4, seed=2))
         full = minimize_discord(
-            realize(build_symmetric_family(params)), OracleConfig(starts=12, seed=2)
+            realize(params), OracleConfig(starts=12, seed=2)
         )
         assert red.value == pytest.approx(full.value, abs=5e-3)
 
@@ -890,7 +890,7 @@ class TestMinimizeReduced:
             params = sample_physical_family(rng, n)
             red = minimize_reduced(params, OracleConfig(starts=4, seed=5))
             full = minimize_discord(
-                realize(build_symmetric_family(params)), OracleConfig(starts=10, seed=5)
+                realize(params), OracleConfig(starts=10, seed=5)
             )
             assert red.value == pytest.approx(full.value, abs=5e-3)
 
@@ -913,8 +913,8 @@ class TestMinimizeReduced:
         params = sample_physical_family(np.random.default_rng(seed), n, s_zero=s_zero)
         flipped = FamilyParams(n, -params.c1, -params.c2, params.c3, params.s)
         z1 = np.kron(PAULI["Z"], np.eye(2 ** (n - 1)))
-        rho = realize(build_symmetric_family(params)).entries
-        assert np.max(np.abs(z1 @ rho @ z1 - realize(build_symmetric_family(flipped)).entries)) <= 1e-15
+        rho = realize(params).entries
+        assert np.max(np.abs(z1 @ rho @ z1 - realize(flipped).entries)) <= 1e-15
         region = classify_region(params).region
         assert classify_region(flipped).region == region
         if region != "none":
@@ -970,29 +970,87 @@ class TestMinimizeReduced:
             out = minimize_reduced(params, OracleConfig(starts=3, seed=1))
             assert out.value == pytest.approx(discord_ghz(params).value, abs=1e-12), mu
 
-    def test_ghz_matches_full_oracle_at_five(self, monkeypatch):
+    def test_ghz_matches_full_oracle_at_five(self):
         # the full oracle optimizes every direction of the dense GHZ state's
         # tree, so it checks independently that the z-T plane loses nothing
-        monkeypatch.setattr(oracle, "FULL_ORACLE_CAP", 5)
         cfg = OracleConfig(starts=4, seed=1)
         for mu in (0.3, 0.8):
             params = GhzParams(5, mu)
-            full = minimize_discord(family_dense(params), cfg)
+            full = minimize_discord(realize(params), cfg)
             assert full.value == pytest.approx(minimize_reduced(params, cfg).value, abs=1e-9)
 
-    def test_reduction_matches_full_oracle_at_five(self, rng, monkeypatch):
+    def test_reduction_matches_full_oracle_at_five(self, rng):
         # the full oracle optimizes every direction of the tree, so it checks
         # independently that maximizing out the transverse components loses nothing
-        monkeypatch.setattr(oracle, "FULL_ORACLE_CAP", 5)
         region_none = FamilyParams(5, 0.3, 0.2, 0.1, 0.05)
         assert classify_region(region_none).region == "none"
         cfg = OracleConfig(starts=4, seed=1)
         for params in (sample_case1_family(rng, 5), region_none):
-            full = minimize_discord(family_dense(params), cfg)
+            full = minimize_discord(realize(params), cfg)
             assert full.value == pytest.approx(minimize_reduced(params, cfg).value, abs=1e-9)
 
 
+def vertex_values(params) -> np.ndarray:
+    """The discord values `_Chain` gives a symmetric state's all-z and all-T trees."""
+    chain = _Chain(params)
+    angles = np.zeros((2, 2 ** params.n_qubits - 2))
+    angles[1, ::2] = np.pi / 2
+    return chain.value_and_grad(angles)[0] - oracle._unmeasured_term(params, chain)
+
+
+class TestCaseOne:
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_closed_form_never_above_either_vertex_tree(self, rng, n):
+        # case 1 under both conditions; the second is withheld only where the all-T tree is lower
+        for params in [sample_case1_family(rng, n) for _ in range(3)] + [sample_case1_second(rng, n) for _ in range(8)]:
+            d_z, d_t = vertex_values(params)
+            try:
+                value = discord_symmetric(params).value
+            except NoAnalyticCase:
+                assert classify_region(params).condition_detail.endswith("but D_T < D_z")
+                assert d_t < d_z, params
+                continue
+            assert value <= min(d_z, d_t) + 1e-12, params
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_second_condition_matches_full_oracle(self, rng, n):
+        for _ in range(8):
+            params = sample_case1_second(rng, n)
+            out = minimize_discord(realize(params), OracleConfig(starts=3, seed=1))
+            if classify_region(params).region == "case1":
+                assert out.value == pytest.approx(discord_symmetric(params).value, abs=1e-9), params
+            else:
+                assert out.value <= min(vertex_values(params)) + 1e-12, params
+
+
+class TestFullOracleReachesDenseCap:
+    # one state per residue class of N mod 4 and per closed form: case 1 under
+    # each condition, case 2 and GHZ, each a 3-start dense solve
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_matches_closed_forms(self, rng, n):
+        second = sample_case1_second(rng, n)
+        while classify_region(second).region != "case1":
+            second = sample_case1_second(rng, n)
+        states = [sample_case1_family(rng, n), second, sample_physical_family(rng, n, s_zero=True), GhzParams(n, 0.6)]
+        for params in states:
+            closed = discord_ghz(params) if isinstance(params, GhzParams) else discord_symmetric(params)
+            out = minimize_discord(realize(params), OracleConfig(starts=3, seed=1))
+            assert out.value == pytest.approx(closed.value, abs=1e-9), params
+
+
 class TestOracleConfig:
+    @pytest.mark.parametrize("field, most", [("starts", 256), ("max_iters", 10000)])
+    def test_counts_are_bounded(self, field, most):
+        assert getattr(OracleConfig(**{field: most}), field) == most
+        with pytest.raises(ValueError, match=f"^{field} must be <= {most}, got {most + 1}$"):
+            OracleConfig(**{field: most + 1})
+
+    def test_from_json_huge_count_names_file_and_field(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"starts": 1e300}')
+        with pytest.raises(ValueError, match="^.*cfg.json: starts must be <= 256, got 1e\\+300$"):
+            OracleConfig.from_json(path)
+
     def test_from_json(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"starts": 16, "max_iters": 500, "seed": 42}))

@@ -22,6 +22,8 @@ DELETED = [
     "_tree_directions", "measured_conditional_entropy", "discord_objective", "reduced_objective",
     "ReducedObjective", "_branch_terms", "freeze_changepoint", "ReducedPoint", "_prefixes",
     "_tree_levels", "_leave_one_out", "_branch_gains", "_reduced_value_and_grad",
+    "PauliSum", "PauliWord", "PAULI", "_check_word", "_single_site_word", "build_symmetric_family",
+    "build_diagonal_field", "build_noisy_ghz_dense", "family_dense", "FULL_ORACLE_CAP",
 ]
 
 
@@ -59,5 +61,4 @@ def test_package_keeps_no_moved_or_deleted_name():
     assert list(inspect.signature(discordium.oracle._Chain).parameters) == ["rho"]
     # one max W formula, the parity one; the printed pairing lives in scripts/arbitration_report.py
     assert list(inspect.signature(discordium.max_w).parameters) == ["params"]
-    assert not hasattr(discordium.PauliSum, "to_json") and not hasattr(discordium.PauliSum, "from_json")
     assert [f.name for f in dataclasses.fields(discordium.FreezeReport)] == ["frozen", "frozen_value", "p_star"]

@@ -10,9 +10,6 @@ from discordium import (
     DiagonalFieldParams,
     FamilyParams,
     GhzParams,
-    build_diagonal_field,
-    build_noisy_ghz_dense,
-    build_symmetric_family,
     closed_form_spectrum_3q,
     closed_form_spectrum_4q,
     diagonal_field_spectrum,
@@ -71,12 +68,12 @@ class TestNumericSpectrum:
         assert spec.source == "numeric"
 
     def test_ghz_example(self):
-        spec = hermitian_eigenvalues(build_noisy_ghz_dense(GhzParams(2, 0.5)))
+        spec = hermitian_eigenvalues(realize(GhzParams(2, 0.5)))
         assert np.allclose(spec.eigenvalues, [0.625, 0.125, 0.125, 0.125], atol=1e-12)
 
     def test_descending_order(self, rng):
         params = sample_physical_family(rng, 3)
-        ev = hermitian_eigenvalues(realize(build_symmetric_family(params))).eigenvalues
+        ev = hermitian_eigenvalues(realize(params)).eigenvalues
         assert np.all(np.diff(ev) <= 0)
 
 
@@ -87,18 +84,18 @@ class TestEntropy:
             assert von_neumann_entropy(rho) == pytest.approx(n, abs=1e-12)
 
     def test_pure_ghz_zero(self):
-        assert von_neumann_entropy(build_noisy_ghz_dense(GhzParams(3, 1.0))) == pytest.approx(
+        assert von_neumann_entropy(realize(GhzParams(3, 1.0))) == pytest.approx(
             0.0, abs=1e-12
         )
 
     def test_ghz_half_mix(self):
         expected = -(3 * 0.125 * np.log2(0.125) + 0.625 * np.log2(0.625))
-        got = von_neumann_entropy(build_noisy_ghz_dense(GhzParams(2, 0.5)))
+        got = von_neumann_entropy(realize(GhzParams(2, 0.5)))
         assert got == pytest.approx(expected, abs=1e-12)
         assert got == pytest.approx(1.5487949406953985, abs=1e-12)
 
     def test_rejects_unphysical(self):
-        rho = realize(build_symmetric_family(FamilyParams(2, 1.0, 1.0, 1.0, 0.0)))
+        rho = realize(FamilyParams(2, 1.0, 1.0, 1.0, 0.0))
         with pytest.raises(ValueError):
             von_neumann_entropy(rho)
 
@@ -162,7 +159,7 @@ class TestClosedForm3q:
             params = sample_physical_family(rng, 3)
             cf = np.sort(closed_form_spectrum_3q(params).eigenvalues)
             nv = np.sort(
-                hermitian_eigenvalues(realize(build_symmetric_family(params))).eigenvalues
+                hermitian_eigenvalues(realize(params)).eigenvalues
             )
             assert np.max(np.abs(cf - nv)) <= 1e-10
 
@@ -177,7 +174,7 @@ class TestClosedForm4q:
             params = sample_physical_family(rng, 4)
             cf = np.sort(closed_form_spectrum_4q(params).eigenvalues)
             nv = np.sort(
-                hermitian_eigenvalues(realize(build_symmetric_family(params))).eigenvalues
+                hermitian_eigenvalues(realize(params)).eigenvalues
             )
             assert np.max(np.abs(cf - nv)) <= 1e-10
 
@@ -188,7 +185,7 @@ class TestClosedForm4q:
     def test_spot_example(self, rng):
         params = FamilyParams(4, 0.2, 0.1, -0.2, 0.05)
         cf = np.sort(closed_form_spectrum_4q(params).eigenvalues)
-        nv = np.sort(hermitian_eigenvalues(realize(build_symmetric_family(params))).eigenvalues)
+        nv = np.sort(hermitian_eigenvalues(realize(params)).eigenvalues)
         assert np.max(np.abs(cf - nv)) <= 1e-10
 
     def test_printed_variant_trace_deficit(self, rng):
@@ -212,7 +209,7 @@ class TestClosedForm4q:
                 continue
             printed = np.sort(spectrum_4q_printed(params))
             nv = np.sort(
-                hermitian_eigenvalues(realize(build_symmetric_family(params))).eigenvalues
+                hermitian_eigenvalues(realize(params)).eigenvalues
             )
             assert np.max(np.abs(printed - nv)) > 1e-10
             found += 1
@@ -230,7 +227,7 @@ class TestPaperDisplays:
 
 
 def _dense_sorted(params):
-    return np.linalg.eigvalsh(realize(build_symmetric_family(params)).entries)
+    return np.linalg.eigvalsh(realize(params).entries)
 
 
 class TestBlockSpectrum:
@@ -310,11 +307,11 @@ class TestFamilySpectra:
             for mu in (0.0, 0.3, 1.0):
                 params = GhzParams(n, mu)
                 cf = np.sort(ghz_spectrum(params).eigenvalues)
-                nv = np.sort(hermitian_eigenvalues(build_noisy_ghz_dense(params)).eigenvalues)
+                nv = np.sort(hermitian_eigenvalues(realize(params)).eigenvalues)
                 assert np.max(np.abs(cf - nv)) <= 1e-12
 
     def test_diagonal_spectrum_matches_dense(self):
         params = DiagonalFieldParams((0.3, -0.2, 0.4))
         cf = np.sort(diagonal_field_spectrum(params).eigenvalues)
-        nv = np.sort(hermitian_eigenvalues(realize(build_diagonal_field(params))).eigenvalues)
+        nv = np.sort(hermitian_eigenvalues(realize(params)).eigenvalues)
         assert np.max(np.abs(cf - nv)) <= 1e-12
