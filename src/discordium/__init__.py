@@ -43,8 +43,6 @@ from .pauli import (
 )
 from .spectral import (
     SpectrumResult,
-    closed_form_spectrum_3q,
-    closed_form_spectrum_4q,
     diagonal_field_spectrum,
     family_spectrum,
     ghz_spectrum,

@@ -33,6 +33,7 @@ from .pauli import DiagonalFieldParams, FamilyParams, GhzParams
 from .spectral import (
     SOURCE_BLOCKS,
     SpectrumResult,
+    _float_dim,
     ghz_spectrum,
     h_scalar,
     sum_xlog2,
@@ -111,10 +112,12 @@ def max_w(params: FamilyParams) -> float:
     Meaningful as the discord term in case 1.
     """
     n, c3, s = params.n_qubits, params.c3, params.s
+    # above 1023 qubits this raises ValueError before C(N-1, j) overflows a float
+    dim = _float_dim(n)
     total = 0.0
     for j in range(n):
         total += comb(n - 1, j) * h_scalar(abs(s + (-1) ** j * c3), (n - 1 - 2 * j) * s)
-    return total / 2**n
+    return total / dim
 
 
 def symmetric_row(n: int, c1: float, c2: float, c3: float, s: float, w_of):

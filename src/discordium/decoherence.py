@@ -75,8 +75,9 @@ class FreezeReport:
 
 
 def evolved_params(params: FamilyParams, p: float) -> FamilyParams:
-    """Coefficients of the evolved state; `discord_symmetric` of them is its discord."""
-    damp = (1.0 - p) ** params.n_qubits
+    """Coefficients of the evolved state; `discord_symmetric` of them is its discord.
+    A p outside [0, 1] raises `ChannelParams`' ValueError."""
+    damp = (1.0 - ChannelParams(p).p) ** params.n_qubits
     return FamilyParams(params.n_qubits, params.c1 * damp, params.c2 * damp, params.c3, params.s)
 
 

@@ -24,12 +24,12 @@ through the same contractions gives the exact gradient of the chain in the
 tree's (theta, phi) angles. Every evaluation takes a leading start axis, so
 `minimize_discord` runs all its starts in lockstep: a dense BFGS per start,
 each with its own strong-Wolfe line search, and one batched chain
-evaluation per step for every start still running. Both oracles hand their
-starts to one optimizer seam, `_scipy_minimize`, which moves them slightly
-off the axis trees (stationary points by symmetry) and runs
-`_lockstep_minimize`; both reduce every start that ran with
-`MinimizeResult.reduce`, with no restart rule, and both return the
-`MeasurementTree` that attains their value. The module needs only numpy.
+evaluation per step for every start still running. Both oracles move their
+starts slightly off the axis trees (stationary points by symmetry) with
+`_off_axis` and run them in one `_lockstep_minimize` call; both reduce every
+start that ran with `MinimizeResult.reduce`, with no restart rule, and both
+return the `MeasurementTree` that attains their value. The module needs only
+numpy.
 
 For the symmetric and GHZ families the transverse components of a tree enter
 the chain only through the final level's Bloch norms, with a weight of at most
@@ -38,7 +38,7 @@ plane of z and T, the letter `_transverse` picks, attain it, and the chain
 falls as those norms grow, so the reduced oracle searches that plane alone:
 `_Chain` on the state's 3^N (I, T, Z) Pauli tensor, built without a dense
 state, is the chain in the z-T plane, and `minimize_reduced` minimizes it
-through the same seam in one angle per prefix, up to 10 qubits.
+with the same minimizer in one angle per prefix, up to 10 qubits.
 """
 
 from __future__ import annotations
@@ -492,22 +492,15 @@ class MinimizeResult(NamedTuple):
         return int(np.argmin(self.fun)), int(self.success.sum()), spread
 
 
-def _scipy_minimize(fun, x0: np.ndarray, max_iters: int) -> MinimizeResult:
-    """The optimizer seam of both oracles: `_lockstep_minimize` from the raw starts x0.
-
-    Each start is first moved by 5% of every nonzero angle and to 0.00025
-    where an angle is 0, since the axis trees are stationary points by
-    symmetry and a gradient method would stop on them. No scipy is involved;
-    the name is the one the benchmark's tracer wraps (it reads the result's
-    nfev), and it stays until that tracer binds `_lockstep_minimize` itself.
-    Callers look it up by module name, so a test or tracer can replace it.
-    """
-    return _lockstep_minimize(fun, np.where(x0 != 0.0, 1.05 * x0, 0.00025), max_iters)
+def _off_axis(x0: np.ndarray) -> np.ndarray:
+    """Starts moved by 5% of every nonzero angle and to 0.00025 where an angle
+    is 0: the axis trees are stationary points by symmetry, and a gradient
+    method would stop on them."""
+    return np.where(x0 != 0.0, 1.05 * x0, 0.00025)
 
 
 def _lockstep_minimize(fun, x0: np.ndarray, max_iters: int) -> MinimizeResult:
-    """BFGS from the k rows of x0 at once; the minimizer of both oracles,
-    which reach it through `_scipy_minimize`.
+    """BFGS from the k rows of x0 at once; the minimizer of both oracles.
 
     fun maps a (k, d) array of points to their k values and (k, d)
     gradients. Each start runs its own dense BFGS with a strong-Wolfe line
@@ -525,22 +518,17 @@ def _lockstep_minimize(fun, x0: np.ndarray, max_iters: int) -> MinimizeResult:
     out_x, out_f, nit = x.copy(), f.copy(), np.zeros(n_starts, dtype=int)
     success = np.abs(g).max(axis=1) <= GRAD_TOL
     run = None if success.all() else _SearchStarts(*(a[~success] for a in (np.arange(n_starts), x, f, g)))
-    searching = False
     while run is not None and run.ids.size:
         trial = run.x + run.step[:, None] * run.p
         ft, gt = fun(trial)
         nfev += 1
         slope = _rowdot(gt, run.p)
         sufficient, curvature = run.sufficient(ft), np.abs(slope) <= -WOLFE_C2 * run.slope0
-        if searching or not (sufficient & curvature).all():
-            # some start rejects its trial, or is inside a line search
-            accept, finished = run.search(ft, slope, sufficient, curvature)
-            rows = np.flatnonzero(accept)
-            converged = np.zeros_like(accept)
-            converged[rows], finished[rows] = run.advance(rows, trial, ft, gt, max_iters)
-            searching = bool(run.tries.any())
-        else:
-            converged, finished = run.advance(slice(None), trial, ft, gt, max_iters)
+        accept, finished = run.search(ft, slope, sufficient, curvature)
+        # a slice when every row accepts keeps advance's in-place update of the estimates
+        rows = slice(None) if accept.all() else np.flatnonzero(accept)
+        converged = np.zeros_like(accept)
+        converged[rows], finished[rows] = run.advance(rows, trial, ft, gt, max_iters)
         if finished.any():
             success[run.ids[converged]] = True
             ids = run.ids[finished]
@@ -549,14 +537,19 @@ def _lockstep_minimize(fun, x0: np.ndarray, max_iters: int) -> MinimizeResult:
     return MinimizeResult(out_x, out_f, success, nit, nfev)
 
 
+# bench/tracing.py wraps this name and reads the result's nfev; being the same
+# object, its wrapper replaces `_lockstep_minimize` too, so the oracles' calls are seen
+_scipy_minimize = _lockstep_minimize
+
+
 def minimize_discord(rho: DensityMatrix, cfg: OracleConfig | None = None) -> OracleResult:
     """Multi-start lockstep BFGS over measurement-tree angles, with the exact gradient.
 
     The 2 cfg.starts starts are the first min(cfg.starts, 6) axis trees
     (+z, +x, +y, -z, -x, -y at every prefix), then seeded random trees, tree
-    i from row i of one generator's draws. They run in one `_scipy_minimize`
-    call, which moves them off the axis trees (by 5% of every nonzero angle,
-    and to 0.00025 where an angle is 0), each step one batched chain
+    i from row i of one generator's draws. `_off_axis` moves them off the axis
+    trees (by 5% of every nonzero angle, and to 0.00025 where an angle is 0),
+    and they run in one `_lockstep_minimize` call, each step one batched chain
     evaluation: a start converges when max|g| <= 1e-10 or a step lowers the
     value by at most 1e-15 relative, and stops unconverged after
     cfg.max_iters steps or a failed line search. Every start counts in the
@@ -575,7 +568,7 @@ def minimize_discord(rho: DensityMatrix, cfg: OracleConfig | None = None) -> Ora
     u = np.random.default_rng(cfg.seed).random((2 * cfg.starts - len(axes), 2 * npar))
     drawn = np.stack((np.arccos(-1.0 + 2.0 * u[:, :npar]), 2 * np.pi * u[:, npar:]), axis=-1)
     x0 = np.concatenate((axes, drawn.reshape(len(u), 2 * npar)))
-    res = _scipy_minimize(chain.value_and_grad, x0, cfg.max_iters)
+    res = _lockstep_minimize(chain.value_and_grad, _off_axis(x0), cfg.max_iters)
     best, converged, spread = res.reduce()
     tree = MeasurementTree.from_angles(n - 1, res.x[best])
     return OracleResult(_clamp_zero(float(res.fun[best]) - base), tree, converged, spread, "full")
@@ -593,8 +586,8 @@ def minimize_reduced(params, cfg: OracleConfig | None = None) -> OracleResult:
     subtrees of its two outcomes leaves the chain unchanged, so the starts
     need z in [0, 1] only: all-ones, all-zeros and all-0.5 z, then seeded
     random ones on [0, 1]^d up to min(cfg.starts, 12) in all, at least 3
-    whatever cfg.starts says. They run in one `_scipy_minimize` call, whose
-    start offset is needed here too (theta = 0 is a stationary point), with
+    whatever cfg.starts says. `_off_axis` moves them too (theta = 0 is a
+    stationary point), and they run in one `_lockstep_minimize` call with
     the full oracle's stopping tests and cfg.max_iters, each step one batched
     chain evaluation. A 3-start solve takes about 0.03 s at 8 qubits and
     0.4 s at 10; the cap is 10 qubits. Physicality is not checked here.
@@ -618,7 +611,7 @@ def minimize_reduced(params, cfg: OracleConfig | None = None) -> OracleResult:
         value, grad = chain.value_and_grad(angles)
         return value, grad[:, ::2]
 
-    res = _scipy_minimize(in_plane, theta0, cfg.max_iters)
+    res = _lockstep_minimize(in_plane, _off_axis(theta0), cfg.max_iters)
     best, converged, spread = res.reduce()
     phi = _transverse(params)[1]
     tree = MeasurementTree.from_angles(n - 1, np.column_stack((res.x[best], np.full(d, phi))))

@@ -17,8 +17,6 @@ from .pauli import DensityMatrix, DiagonalFieldParams, FamilyParams, GhzParams, 
 
 SOURCE_NUMERIC = "numeric"
 SOURCE_BLOCKS = "closed_form_blocks"
-SOURCE_3Q = "closed_form_3q"
-SOURCE_4Q = "closed_form_4q"
 SOURCE_GHZ = "closed_form_ghz"
 SOURCE_DIAGONAL = "closed_form_diagonal"
 
@@ -107,10 +105,11 @@ def hermitian_eigenvalues(rho: DensityMatrix) -> SpectrumResult:
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """-sum lambda log2 lambda in bits; negative eigenvalues contribute 0."""
+    """-sum lambda log2 lambda in bits; negative eigenvalues contribute 0. A state
+    unphysical by `physicality`'s rule (2^N lambda_min < -PHYSICAL_TOL) raises ValueError."""
     spectrum = hermitian_eigenvalues(rho)
-    if spectrum.min_eigenvalue < -1e-8:
-        raise ValueError(f"unphysical state: eigenvalue {spectrum.min_eigenvalue} below -1e-8")
+    if spectrum.min_eigenvalue * rho.dim < -PHYSICAL_TOL:
+        raise ValueError(f"unphysical state: min eigenvalue {spectrum.min_eigenvalue:.3e}")
     return spectrum.entropy_bits()
 
 
@@ -132,6 +131,13 @@ def symmetric_blocks(n: int, c1: float, c2: float, c3: float, s: float) -> tuple
 
     and it appears C(N, k) times for k < N/2 and C(N, k)/2 times for k = N/2.
     |z| is hypot(c1, c2) for odd N and |c1 + (-1)^(N/2+k) c2| for even N.
+
+    The paper's two displays are its N = 3 and N = 4 cases. Three qubits: six
+    eigenvalues (1 +- r1)/8 with r1^2 = c1^2+c2^2+(c3-s)^2 (three of each
+    sign) and two (1 +- r2)/8 with r2^2 = c1^2+c2^2+(c3+3s)^2. Four qubits
+    (trace-correct form): six (1 + c3 +- (c1+c2))/16, eight (1 - c3 +- rk)/16
+    with rk^2 = (c1-c2)^2 + 4 s^2, and two (1 + c3 +- rl)/16 with
+    rl^2 = (c1+c2)^2 + 16 s^2.
     """
     dim = _float_dim(n)
     values, mults = [], []
@@ -148,29 +154,8 @@ def symmetric_blocks(n: int, c1: float, c2: float, c3: float, s: float) -> tuple
     return tuple(values), tuple(mults)
 
 
-def closed_form_spectrum_3q(params: FamilyParams) -> SpectrumResult:
-    """Three-qubit view of symmetric_spectrum.
-
-    Six eigenvalues (1 +- r1)/8 with r1^2 = c1^2+c2^2+(c3-s)^2 (three of each
-    sign) and two eigenvalues (1 +- r2)/8 with r2^2 = c1^2+c2^2+(c3+3s)^2.
-    """
-    if params.n_qubits != 3:
-        raise ValueError("closed_form_spectrum_3q needs n_qubits == 3")
-    spectrum = symmetric_spectrum(params)
-    return SpectrumResult(spectrum.values, spectrum.multiplicities, SOURCE_3Q)
-
-
-def closed_form_spectrum_4q(params: FamilyParams) -> SpectrumResult:
-    """Four-qubit view of symmetric_spectrum (trace-correct form).
-
-    Six eigenvalues (1 + c3 +- (c1+c2))/16, eight (1 - c3 +- rk)/16 with
-    rk^2 = (c1-c2)^2 + 4 s^2, and two (1 + c3 +- rl)/16 with
-    rl^2 = (c1+c2)^2 + 16 s^2.
-    """
-    if params.n_qubits != 4:
-        raise ValueError("closed_form_spectrum_4q needs n_qubits == 4")
-    spectrum = symmetric_spectrum(params)
-    return SpectrumResult(spectrum.values, spectrum.multiplicities, SOURCE_4Q)
+# bench/tracing.py binds these names, and CI's traced smoke run fails without them
+closed_form_spectrum_3q = closed_form_spectrum_4q = symmetric_spectrum
 
 
 def ghz_spectrum(params: GhzParams) -> SpectrumResult:

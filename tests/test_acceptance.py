@@ -15,8 +15,6 @@ from discordium import (
     FamilyParams,
     GhzParams,
     OracleConfig,
-    closed_form_spectrum_3q,
-    closed_form_spectrum_4q,
     detect_freeze_transition,
     discord_diagonal_field,
     discord_ghz,
@@ -26,6 +24,7 @@ from discordium import (
     max_w,
     minimize_discord,
     realize,
+    symmetric_spectrum,
     xlog2,
 )
 
@@ -141,7 +140,7 @@ def test_criterion_6_spectra(rng):
     with criterion(6, "closed-form spectra match the dense eigensolver; printed 4q deficit"):
         for _ in range(50):
             params = sample_physical_family(rng, 3)
-            cf = np.sort(closed_form_spectrum_3q(params).eigenvalues)
+            cf = np.sort(symmetric_spectrum(params).eigenvalues)
             nv = np.sort(
                 hermitian_eigenvalues(realize(params)).eigenvalues
             )
@@ -149,7 +148,7 @@ def test_criterion_6_spectra(rng):
         checked = 0
         while checked < 10:
             params = sample_physical_family(rng, 4)
-            cf = np.sort(closed_form_spectrum_4q(params).eigenvalues)
+            cf = np.sort(symmetric_spectrum(params).eigenvalues)
             nv = np.sort(
                 hermitian_eigenvalues(realize(params)).eigenvalues
             )

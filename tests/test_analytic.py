@@ -11,7 +11,6 @@ from discordium import (
     GhzParams,
     NoAnalyticCase,
     classify_region,
-    closed_form_spectrum_4q,
     discord_diagonal_field,
     discord_ghz,
     discord_symmetric,
@@ -207,7 +206,7 @@ class TestDiscordSymmetric:
             + xlog2(1 - c1 + c2 - c3)
             + xlog2(1 - c1 - c2 + c3)
         ) / 4
-        spectrum = closed_form_spectrum_4q(params)
+        spectrum = symmetric_spectrum(params)
         slog = float(np.sum(xlog2(np.clip(spectrum.eigenvalues, 0, None))))
         assert bracket == pytest.approx(slog + 4, abs=1e-11)
 
@@ -264,6 +263,12 @@ class TestDiscordSymmetricLargeN:
         assert res.branch == "case1[parity]"
         assert math.isfinite(res.value)
         assert res.value >= -1e-8
+
+    @pytest.mark.parametrize("fn", [classify_region, max_w, discord_symmetric])
+    def test_symmetric_past_float_limit(self, fn):
+        # case 1's second condition reads max W, whose C(N-1, j) overflows a float above 1023 qubits
+        with pytest.raises(ValueError, match="^n_qubits=1100: 2\\^N overflows a float above 1023 qubits$"):
+            fn(FamilyParams(1100, 0.3, 0, -0.2999999, 0.0005))
 
 
 class TestDiscordGhz:

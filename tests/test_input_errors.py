@@ -14,9 +14,11 @@ from discordium import (
     GhzParams,
     MeasurementTree,
     OracleConfig,
-    closed_form_spectrum_4q,
     discord_diagonal_field,
+    evolved_params,
     minimize_discord,
+    minimize_family,
+    realize,
 )
 from discordium.cli import main
 
@@ -62,8 +64,15 @@ CASES = [
      "discord needs at least 2 qubits"),
     ("diagonal-discord-one-qubit", lambda: discord_diagonal_field(DiagonalFieldParams((0.1,))),
      "discord needs at least 2 qubits"),
-    ("spectrum-4q-at-three", lambda: closed_form_spectrum_4q(FamilyParams(3, 0.1, 0.1, 0.1)),
-     "closed_form_spectrum_4q needs n_qubits == 4"),
+    ("evolved-params-p-above-one", lambda: evolved_params(FamilyParams(4, 0.5, 0.1, -0.2, 0), 1.5),
+     "p=1.5 outside [0, 1]"),
+    ("evolved-params-p-far-above-one", lambda: evolved_params(FamilyParams(4, 0.5, 0.1, -0.2, 0), 3),
+     "p=3 outside [0, 1]"),
+    # 2^N times the minimum eigenvalue, -1e-7, is below -1e-10 on both oracle routes
+    ("oracle-unphysical-dense", lambda: minimize_discord(realize(FamilyParams(4, 0.5000001, 0, 0.5, 0))),
+     "unphysical state: min eigenvalue -6.250e-09"),
+    ("oracle-unphysical-family", lambda: minimize_family(FamilyParams(4, 0.5000001, 0, 0.5, 0)),
+     "unphysical parameters: min eigenvalue -6.250e-09"),
 ]
 
 

@@ -10,8 +10,6 @@ from discordium import (
     DiagonalFieldParams,
     FamilyParams,
     GhzParams,
-    closed_form_spectrum_3q,
-    closed_form_spectrum_4q,
     diagonal_field_spectrum,
     discord_ghz,
     ghz_spectrum,
@@ -22,6 +20,7 @@ from discordium import (
     xlog2,
 )
 
+from discordium import spectral
 from discordium.spectral import sum_xlog2, xlog2_scalar
 
 from conftest import sample_physical_family
@@ -99,6 +98,18 @@ class TestEntropy:
         with pytest.raises(ValueError):
             von_neumann_entropy(rho)
 
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_physicality_rule_scales_with_dimension(self, n):
+        # 2^N times the minimum eigenvalue is judged against 1e-10, as `physicality` does
+        dim = 2**n
+        for block_min, physical in ((-0.9e-10, True), (-1.1e-10, False), (-1e-7, False)):
+            rho = DensityMatrix(n, np.diag([(dim - block_min) / (dim - 1)] * (dim - 1) + [block_min]) / dim)
+            if physical:
+                von_neumann_entropy(rho)
+            else:
+                with pytest.raises(ValueError, match="^unphysical state: min eigenvalue"):
+                    von_neumann_entropy(rho)
+
 
 class TestXlog2:
     @staticmethod
@@ -137,54 +148,49 @@ class TestXlog2:
 
 class TestClosedForm3q:
     def test_example_values(self):
-        spec = closed_form_spectrum_3q(FamilyParams(3, 0.2, 0.2, 0.2, 0.1))
+        spec = symmetric_spectrum(FamilyParams(3, 0.2, 0.2, 0.2, 0.1))
         r2 = np.sqrt(0.33)
         expected = sorted(
             [0.1625] * 3 + [0.0875] * 3 + [(1 + r2) / 8, (1 - r2) / 8], reverse=True
         )
         assert np.allclose(spec.eigenvalues, expected, atol=1e-12)
         assert spec.eigenvalues.sum() == pytest.approx(1.0, abs=1e-12)
-        assert spec.source == "closed_form_3q"
 
     def test_all_zero(self):
-        spec = closed_form_spectrum_3q(FamilyParams(3, 0.0, 0.0, 0.0, 0.0))
+        spec = symmetric_spectrum(FamilyParams(3, 0.0, 0.0, 0.0, 0.0))
         assert np.allclose(spec.eigenvalues, 0.125)
 
     def test_single_coefficient(self):
-        spec = closed_form_spectrum_3q(FamilyParams(3, 0.3, 0.0, 0.0, 0.0))
+        spec = symmetric_spectrum(FamilyParams(3, 0.3, 0.0, 0.0, 0.0))
         assert np.allclose(np.sort(spec.eigenvalues), [0.0875] * 4 + [0.1625] * 4)
 
     def test_matches_dense_eigensolver(self, rng):
         for _ in range(50):
             params = sample_physical_family(rng, 3)
-            cf = np.sort(closed_form_spectrum_3q(params).eigenvalues)
+            cf = np.sort(symmetric_spectrum(params).eigenvalues)
             nv = np.sort(
                 hermitian_eigenvalues(realize(params)).eigenvalues
             )
             assert np.max(np.abs(cf - nv)) <= 1e-10
-
-    def test_wrong_size_rejected(self):
-        with pytest.raises(ValueError):
-            closed_form_spectrum_3q(FamilyParams(4, 0.1, 0.1, 0.1, 0.0))
 
 
 class TestClosedForm4q:
     def test_matches_dense_eigensolver(self, rng):
         for _ in range(50):
             params = sample_physical_family(rng, 4)
-            cf = np.sort(closed_form_spectrum_4q(params).eigenvalues)
+            cf = np.sort(symmetric_spectrum(params).eigenvalues)
             nv = np.sort(
                 hermitian_eigenvalues(realize(params)).eigenvalues
             )
             assert np.max(np.abs(cf - nv)) <= 1e-10
 
     def test_all_zero(self):
-        spec = closed_form_spectrum_4q(FamilyParams(4, 0.0, 0.0, 0.0, 0.0))
+        spec = symmetric_spectrum(FamilyParams(4, 0.0, 0.0, 0.0, 0.0))
         assert np.allclose(spec.eigenvalues, 1 / 16)
 
     def test_spot_example(self, rng):
         params = FamilyParams(4, 0.2, 0.1, -0.2, 0.05)
-        cf = np.sort(closed_form_spectrum_4q(params).eigenvalues)
+        cf = np.sort(symmetric_spectrum(params).eigenvalues)
         nv = np.sort(hermitian_eigenvalues(realize(params)).eigenvalues)
         assert np.max(np.abs(cf - nv)) <= 1e-10
 
@@ -274,12 +280,10 @@ class TestBlockSpectrum:
             assert spec.sum_xlog2() == pytest.approx(float(np.sum(xlog2(ev))), abs=1e-12)
             assert spec.entropy_bits() == -spec.sum_xlog2()
 
-    def test_fixed_size_views(self, rng):
-        for n, view in ((3, closed_form_spectrum_3q), (4, closed_form_spectrum_4q)):
-            params = sample_physical_family(rng, n)
-            spec = view(params)
-            assert spec.values == symmetric_spectrum(params).values
-            assert spec.multiplicities == symmetric_spectrum(params).multiplicities
+    def test_fixed_size_views(self):
+        # the benchmark's tracer binds the 3- and 4-qubit names; they must stay this very function
+        assert spectral.closed_form_spectrum_3q is symmetric_spectrum
+        assert spectral.closed_form_spectrum_4q is symmetric_spectrum
 
 
 class TestFamilySpectra:
