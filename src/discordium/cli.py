@@ -54,6 +54,8 @@ def _oracle_config(args) -> OracleConfig:
 
 
 def _analytic_result(params):
+    """The closed form of a family state; the analytic route's physicality gate."""
+    require_physical(params)
     if isinstance(params, FamilyParams):
         return discord_symmetric(params)
     if isinstance(params, DiagonalFieldParams):
@@ -71,7 +73,6 @@ def _write(text: str, out_path: str | None) -> None:
 
 def _cmd_discord(args) -> int:
     params = _family_params(args)
-    require_physical(params)
     cfg = _oracle_config(args)
     try:
         res = minimize_family(params, cfg) if args.method == "oracle" else _analytic_result(params)
@@ -149,7 +150,6 @@ def _cmd_validate(args) -> int:
 
 def _cmd_compare(args) -> int:
     params = _family_params(args)
-    require_physical(params)
     analytic = _analytic_result(params).value
     oracle = minimize_family(params, _oracle_config(args)).value
     diff = abs(analytic - oracle)

@@ -21,24 +21,21 @@ count.
 
 Each level is a linear map followed by 2x2 entropies, so one backward pass
 through the same contractions gives the exact gradient of the chain in the
-tree's (theta, phi) angles. Every evaluation takes a leading start axis, so
-`minimize_discord` runs all its starts in lockstep: a dense BFGS per start,
-each with its own strong-Wolfe line search, and one batched chain
-evaluation per step for every start still running. Both oracles move their
-starts slightly off the axis trees (stationary points by symmetry) with
-`_off_axis` and run them in one `_lockstep_minimize` call; both reduce every
-start that ran with `MinimizeResult.reduce`, with no restart rule, and both
-return the `MeasurementTree` that attains their value. The module needs only
-numpy.
+tree's angles. Every evaluation takes a leading start axis, so both oracles
+are a start policy plus one shared solve, `_solve`: it moves the starts off
+the axis trees (stationary points by symmetry) with `_off_axis`, runs them
+in one `_lockstep_minimize` call (a dense BFGS per start, each with its own
+strong-Wolfe line search, one batched chain evaluation per step), reduces
+every start with `MinimizeResult.reduce`, with no restart rule, and returns
+the `MeasurementTree` that attains the value. The module needs only numpy.
 
 For the symmetric and GHZ families the transverse components of a tree enter
 the chain only through the final level's Bloch norms, with a weight of at most
 c^2 prod(1 - z^2), c the larger of |c1| and |c2| (mu for GHZ). Trees in the
 plane of z and T, the letter `_transverse` picks, attain it, and the chain
 falls as those norms grow, so the reduced oracle searches that plane alone:
-`_Chain` on the state's 3^N (I, T, Z) Pauli tensor, built without a dense
-state, is the chain in the z-T plane, and `minimize_reduced` minimizes it
-with the same minimizer in one angle per prefix, up to 10 qubits.
+`_Chain` of family parameters is the chain on their 3^N (I, T, Z) Pauli
+tensor, built without a dense state, in one angle per prefix, up to 10 qubits.
 """
 
 from __future__ import annotations
@@ -181,11 +178,14 @@ _BLOCH_NORM = np.array([0.0, 1.0, 1.0, 1.0])
 _LN2 = np.log(2.0)
 # (1, r) times these gives the +- outcome projector rows (1, +-r)/2
 _HALF_SIGNS = 0.5 * np.array([[1.0, 1.0, 1.0, 1.0], [1.0, -1.0, -1.0, -1.0]])
-# From E = (1, cos theta, cos phi, sin theta, sin phi, 0) of a prefix,
-# E[A] * E[B] * SIGN gives (1, r), dr/dtheta and dr/dphi as (0, .) rows.
-_TRIG_A = np.array([[0, 3, 3, 1], [5, 1, 1, 3], [5, 3, 3, 5]])
-_TRIG_B = np.array([[0, 2, 4, 0], [0, 2, 4, 0], [0, 4, 2, 0]])
-_TRIG_SIGN = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, -1.0], [1.0, -1.0, 1.0, 1.0]])
+# Per letter count, (A, B, SIGN): E[A] * E[B] * SIGN gives (1, r) and dr/d(angle) as
+# (0, .) rows from a prefix's E, (1, cos theta, cos phi, sin theta, sin phi, 0) over
+# (I, X, Y, Z), and (1, cos theta, sin theta, 0) over (I, T, Z)
+_TRIG = {
+    4: (np.array([[0, 3, 3, 1], [5, 1, 1, 3], [5, 3, 3, 5]]), np.array([[0, 2, 4, 0], [0, 2, 4, 0], [0, 4, 2, 0]]),
+        np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, -1.0], [1.0, -1.0, 1.0, 1.0]])),
+    3: (np.array([[0, 2, 1], [3, 1, 2]]), np.zeros((2, 3), dtype=int), np.array([[1.0, 1.0, 1.0], [1.0, 1.0, -1.0]])),
+}
 # (K (L + 1/ln 2), K lam/p) of a row's two eigenvalues, times this, gives (de/dp, de/d|w|)
 _ROW_GRAD = np.array([[-0.5, -0.5], [-0.5, 0.5], [1.0 / _LN2, 0.0], [1.0 / _LN2, 0.0]])
 
@@ -236,30 +236,46 @@ class _Chain:
     `_inputs` keeps each level's branch tensors for the backward pass of
     `value_and_grad`.
 
-    The tensor's length tells its letters: a dense state's 4^N tensor takes
-    every direction, the symmetric family's 3^N (I, T, Z) one the chain in
-    the z-T plane, each direction (sin theta cos phi, cos theta) in (T, Z).
-    The gather columns and the projector and Bloch-norm weights of those
-    letters are chosen here, once.
+    The input's type decides, once, what a row of angles means: a
+    `DensityMatrix` gives the 4^N (I, X, Y, Z) tensor and (theta, phi) per
+    prefix, `FamilyParams` or `GhzParams` the 3^N (I, T, Z) one and theta
+    alone, each direction (sin theta, cos theta) in (T, Z), with T's azimuth
+    from `_transverse` as phi. `base` is S(rho) - S(rho_A1), S(rho) from the
+    eigenvalues or the closed-form spectrum; rho_A1 = (T0 I + t.s)/2 is read
+    off the tensor, so its eigenvalues are (T0 +- |t|)/2.
     """
 
     def __init__(self, rho):
+        if isinstance(rho, DensityMatrix):
+            self.letters, self.per_prefix, self._azimuth = 4, 2, None
+            entropy = von_neumann_entropy(rho)
+        else:
+            self.letters, self.per_prefix, self._azimuth = 3, 1, _transverse(rho)[1]
+            entropy = family_spectrum(rho).entropy_bits()
         self.tensor = _pauli_tensor(rho)
         self._levels = rho.n_qubits - 1
-        self.letters = 4 if self.tensor.size == 4**rho.n_qubits else 3
         # every column of the letter-indexed constants, or those of I, T and Z, T in x's place
         cols = slice(None) if self.letters == 4 else [0, 1, 3]
-        self._trig = _TRIG_A[:, cols], _TRIG_B[:, cols], _TRIG_SIGN[:, cols]
+        self._trig = _TRIG[self.letters]
         self._half_signs, self._bloch_norm = _HALF_SIGNS[:, cols], _BLOCH_NORM[cols]
         self._halves = self._rows = None
         self._inputs = [None] * self._levels
+        first = self.tensor[:: self.tensor.size // self.letters]
+        lam = 0.5 * (first[0] + np.sqrt(first[1:] @ first[1:]) * _PLUS_MINUS)
+        self.base = entropy + float(xlog2(lam).sum())
+
+    def tree(self, x: np.ndarray) -> MeasurementTree:
+        """The tree one row of angles stands for; a plane row's phi is T's azimuth."""
+        angles = x if self._azimuth is None else np.column_stack((x, np.full(x.size, self._azimuth)))
+        return MeasurementTree.from_angles(self._levels, angles)
 
     def value_and_grad(self, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Chain sums and their exact gradients for k trees of (theta, phi) pairs.
+        """Chain sums and their exact gradients for k trees.
 
-        angles has shape (k, 2P), each row one tree's pairs in prefix order;
-        the values have shape (k,) and the gradients (k, 2P). A row (p, w)
-        has entropy e = -sum_+- lam log2(lam/p) with lam = (p +- |w|)/2.
+        angles has shape (k, aP), each row one tree's a = `per_prefix` angles
+        per prefix in prefix order, (theta, phi) or theta alone; the values
+        have shape (k,) and the gradients (k, aP). A row (p, w) has entropy
+        e = -sum_+- lam log2(lam/p) with lam = (p +- |w|)/2.
         With K_+- = 1 for a kept eigenvalue and 0 otherwise, and
         L = log2(lam/p), de/dp = sum_+- K (lam/(p ln 2) - (L + 1/ln 2)/2) and
         de/dw = -sum_+- (+-K) (L + 1/ln 2)/2 w/|w|; with both kept these are
@@ -269,12 +285,13 @@ class _Chain:
         through each level's contraction W' = H W into the projector rows
         (1, +-r)/2, and from r to the angles.
         """
-        k, npar = angles.shape[0], angles.shape[1] // 2
-        trig = np.empty((k, npar, 6))
-        trig[..., ::5] = (1.0, 0.0)
-        np.cos(angles.reshape(k, npar, 2), out=trig[..., 1:3])
-        np.sin(angles.reshape(k, npar, 2), out=trig[..., 3:5])
-        # (1, r), dr/dtheta and dr/dphi of every prefix
+        a = self.per_prefix
+        k, npar = angles.shape[0], angles.shape[1] // a
+        trig = np.empty((k, npar, 2 * a + 2))
+        trig[..., :: 2 * a + 1] = (1.0, 0.0)
+        np.cos(angles.reshape(k, npar, a), out=trig[..., 1 : a + 1])
+        np.sin(angles.reshape(k, npar, a), out=trig[..., a + 1 : 2 * a + 1])
+        # (1, r) and dr/d(angle) of every prefix
         trig_a, trig_b, trig_sign = self._trig
         rows_and_jac = trig[..., trig_a] * trig[..., trig_b] * trig_sign
         self._propagate(rows_and_jac[:, :, 0])
@@ -302,8 +319,9 @@ class _Chain:
                 g_out = np.matmul(halves[:, b - 1 : 2 * b - 1].swapaxes(-1, -2), g_out).reshape(k, b, -1)
 
         grad_plus = (grad_halves * self._half_signs).sum(axis=-2)
-        grad = rows_and_jac[:, :, 1:] @ grad_plus[..., None]
-        return value, grad.reshape(k, 2 * npar)
+        # not matmul, which hands a one-angle row to BLAS dot, rounding unlike the two-angle rows
+        grad = (rows_and_jac[:, :, 1:] * grad_plus[:, :, None]).sum(axis=-1)
+        return value, grad.reshape(k, a * npar)
 
     def _propagate(self, plus: np.ndarray) -> None:
         """Fill every level's rows for k trees given as (1, r) rows, shape (k, P, letters).
@@ -337,16 +355,6 @@ class _Chain:
         keep = (lam > PROB_FLOOR) & (p >= PROB_FLOOR)
         ratio = np.divide(lam, p, out=np.ones_like(lam), where=keep)
         return lam, ratio, np.log2(ratio), keep, norm
-
-
-def _unmeasured_term(rho, chain: _Chain) -> float:
-    """S(rho) - S(rho_A1), S(rho) from a dense state's eigenvalues or a family
-    state's closed-form spectrum; rho_A1 = (T0 I + t.s)/2 is read off the chain's
-    tensor (identity on every later qubit), so its eigenvalues are (T0 +- |t|)/2."""
-    entropy = von_neumann_entropy(rho) if isinstance(rho, DensityMatrix) else family_spectrum(rho).entropy_bits()
-    first = chain.tensor[:: chain.tensor.size // chain.letters]
-    lam = 0.5 * (first[0] + np.sqrt(first[1:] @ first[1:]) * _PLUS_MINUS)
-    return entropy + float(xlog2(lam).sum())
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -542,80 +550,71 @@ def _lockstep_minimize(fun, x0: np.ndarray, max_iters: int) -> MinimizeResult:
 _scipy_minimize = _lockstep_minimize
 
 
-def minimize_discord(rho: DensityMatrix, cfg: OracleConfig | None = None) -> OracleResult:
-    """Multi-start lockstep BFGS over measurement-tree angles, with the exact gradient.
+def _solve(chain: _Chain, x0: np.ndarray, cfg: OracleConfig, oracle: str) -> OracleResult:
+    """Both oracles' solve: the starts x0, rows of `chain`'s angles, moved by
+    `_off_axis` and run in one `_lockstep_minimize` call. Every start counts in
+    the value (the lowest, less `chain.base`), starts_converged and spread;
+    best_tree is the lowest start's tree."""
+    # looked up at call time: bench/tracing.py wraps this name by identity
+    res = _lockstep_minimize(chain.value_and_grad, _off_axis(x0), cfg.max_iters)
+    best, converged, spread = res.reduce()
+    value = _clamp_zero(float(res.fun[best]) - chain.base)
+    return OracleResult(value, chain.tree(res.x[best]), converged, spread, oracle)
 
-    The 2 cfg.starts starts are the first min(cfg.starts, 6) axis trees
-    (+z, +x, +y, -z, -x, -y at every prefix), then seeded random trees, tree
-    i from row i of one generator's draws. `_off_axis` moves them off the axis
-    trees (by 5% of every nonzero angle, and to 0.00025 where an angle is 0),
-    and they run in one `_lockstep_minimize` call, each step one batched chain
-    evaluation: a start converges when max|g| <= 1e-10 or a step lowers the
-    value by at most 1e-15 relative, and stops unconverged after
-    cfg.max_iters steps or a failed line search. Every start counts in the
-    value, starts_converged and spread; best_tree is the lowest start's tree.
-    Up to the dense cap, 8 qubits, where 3 starts take about 0.5 s.
+
+def minimize_discord(rho: DensityMatrix, cfg: OracleConfig | None = None) -> OracleResult:
+    """Discord of a `DensityMatrix` (nothing else) by lockstep BFGS over its
+    measurement trees, with the exact gradient.
+
+    The 2 cfg.starts starts, (theta, phi) at every prefix, are the first
+    min(cfg.starts, 6) axis trees (+z, +x, +y, -z, -x, -y at every prefix),
+    then seeded random trees, tree i from row i of one generator's draws,
+    run by `_solve`: a start converges when max|g| <= 1e-10 or a step lowers
+    the value by at most 1e-15 relative, and stops unconverged after
+    cfg.max_iters steps or a failed line search. Up to the dense cap, 8
+    qubits, where 3 starts take about 0.5 s.
     """
+    if not isinstance(rho, DensityMatrix):
+        raise ValueError(f"minimize_discord needs a DensityMatrix, got {type(rho).__name__}")
     cfg = cfg or OracleConfig()
     n = rho.n_qubits
     if n < 2:
         raise ValueError("discord needs at least 2 qubits")
     npar = _dense_dim(n) // 2 - 1
-    chain = _Chain(rho)
-    base = _unmeasured_term(rho, chain)
     axes = np.array([pair * npar for pair in AXIS_ANGLES[: cfg.starts]])
     # per row, npar draws of uniform(0, 1) for cos(theta), then npar for phi
     u = np.random.default_rng(cfg.seed).random((2 * cfg.starts - len(axes), 2 * npar))
     drawn = np.stack((np.arccos(-1.0 + 2.0 * u[:, :npar]), 2 * np.pi * u[:, npar:]), axis=-1)
-    x0 = np.concatenate((axes, drawn.reshape(len(u), 2 * npar)))
-    res = _lockstep_minimize(chain.value_and_grad, _off_axis(x0), cfg.max_iters)
-    best, converged, spread = res.reduce()
-    tree = MeasurementTree.from_angles(n - 1, res.x[best])
-    return OracleResult(_clamp_zero(float(res.fun[best]) - base), tree, converged, spread, "full")
+    return _solve(_Chain(rho), np.concatenate((axes, drawn.reshape(len(u), 2 * npar))), cfg, "full")
 
 
 # --- reduced optimizer for the permutation-symmetric families --------------
 
 
 def minimize_reduced(params, cfg: OracleConfig | None = None) -> OracleResult:
-    """Discord of a symmetric-family or GHZ state by minimizing the chain in the z-T plane.
+    """Discord of `FamilyParams` or `GhzParams` (nothing else) by minimizing
+    `_Chain` of the parameters, the chain in the z-T plane.
 
-    `_Chain` on the state's (I, T, Z) Pauli tensor is minimized over one
-    angle theta per outcome prefix with phi = 0, each direction (sin theta,
-    cos theta) in (T, Z). Negating the z of a prefix and swapping the
-    subtrees of its two outcomes leaves the chain unchanged, so the starts
-    need z in [0, 1] only: all-ones, all-zeros and all-0.5 z, then seeded
-    random ones on [0, 1]^d up to min(cfg.starts, 12) in all, at least 3
-    whatever cfg.starts says. `_off_axis` moves them too (theta = 0 is a
-    stationary point), and they run in one `_lockstep_minimize` call with
-    the full oracle's stopping tests and cfg.max_iters, each step one batched
-    chain evaluation. A 3-start solve takes about 0.03 s at 8 qubits and
-    0.4 s at 10; the cap is 10 qubits. Physicality is not checked here.
-
-    best_tree attains the value: the best start's theta at every prefix,
-    with T's azimuth from `_transverse` (phi = 0 for X, pi/2 for Y).
+    Each start has one angle theta per outcome prefix. Negating the z of a
+    prefix and swapping the subtrees of its two outcomes leaves the chain
+    unchanged, so the starts need z in [0, 1] only: all-ones, all-zeros and
+    all-0.5 z, then seeded random ones on [0, 1]^d up to min(cfg.starts, 12)
+    in all, at least 3 whatever cfg.starts says, run by `_solve` as the full
+    oracle's are. A 3-start solve takes about 0.03 s at 8 qubits and 0.4 s
+    at 10; the cap is 10 qubits. Physicality is not checked here. best_tree
+    has the best start's theta at every prefix and T's azimuth (phi = 0 for
+    X, pi/2 for Y).
     """
+    if not isinstance(params, (FamilyParams, GhzParams)):
+        raise ValueError(f"minimize_reduced needs FamilyParams or GhzParams, got {type(params).__name__}")
     cfg = cfg or OracleConfig()
     n = params.n_qubits
     if n > REDUCED_ORACLE_CAP:
         raise ValueError(f"n_qubits={n} exceeds reduced-oracle cap {REDUCED_ORACLE_CAP}")
     d = 2 ** (n - 1) - 1
-    chain = _Chain(params)
-    base = _unmeasured_term(params, chain)
     drawn = np.random.default_rng(cfg.seed).random((max(0, min(cfg.starts, 12) - 3), d))
     theta0 = np.arccos(np.concatenate((np.array([np.ones(d), np.zeros(d), np.full(d, 0.5)]), drawn)))
-
-    def in_plane(theta):
-        angles = np.zeros((len(theta), 2 * d))
-        angles[:, ::2] = theta
-        value, grad = chain.value_and_grad(angles)
-        return value, grad[:, ::2]
-
-    res = _lockstep_minimize(in_plane, _off_axis(theta0), cfg.max_iters)
-    best, converged, spread = res.reduce()
-    phi = _transverse(params)[1]
-    tree = MeasurementTree.from_angles(n - 1, np.column_stack((res.x[best], np.full(d, phi))))
-    return OracleResult(_clamp_zero(float(res.fun[best]) - base), tree, converged, spread, "reduced")
+    return _solve(_Chain(params), theta0, cfg, "reduced")
 
 
 def _family_oracle(params) -> tuple[str, int]:

@@ -205,6 +205,19 @@ class TestDiscordCommand:
         assert err.startswith("error: argument --method: invalid choice: 'reduced'")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv, gates", [
+        (["--method", "oracle"], 1),
+        ([], 1),
+        (["--s", "0.3", "--c1", "0.5", "--c3", "-0.45", "--fallback", "oracle"], 2),
+    ], ids=["oracle", "analytic", "fallback"])
+    def test_physicality_gates(self, argv, gates, capsys, monkeypatch):
+        # each route judges the state once; --fallback oracle runs both routes, so twice
+        real, calls = discordium.spectral.physicality, []
+        monkeypatch.setattr(discordium.spectral, "physicality", lambda p: calls.append(p) or real(p))
+        code, out, _ = run(["discord", "--family", "symmetric", "--n", "3", "--c3", "-0.2", "--seed", "1"] + argv,
+                           capsys)
+        assert (code, len(calls)) == (0, gates) and out.startswith("value_bits=")
+
     @pytest.mark.parametrize("n, branch", [(3, "oracle"), (5, "oracle[reduced]")])
     def test_oracle_labels_the_oracle_that_ran(self, capsys, n, branch):
         params = FamilyParams(n, 0.1, 0.1, -0.2, 0.05)

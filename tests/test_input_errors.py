@@ -18,6 +18,7 @@ from discordium import (
     evolved_params,
     minimize_discord,
     minimize_family,
+    minimize_reduced,
     realize,
 )
 from discordium.cli import main
@@ -62,6 +63,15 @@ CASES = [
      "starts must be a number, got '3'"),
     ("oracle-one-qubit", lambda: minimize_discord(DensityMatrix(1, np.eye(2) / 2)),
      "discord needs at least 2 qubits"),
+    # the full oracle reads a dense state only; family parameters once ran its
+    # 4-letter starts on the 3-letter plane chain and labelled the result full
+    ("oracle-full-family-params",
+     lambda: minimize_discord(FamilyParams(3, 0.1, 0.5, -0.45, 0.3), OracleConfig(starts=3, seed=1)),
+     "minimize_discord needs a DensityMatrix, got FamilyParams"),
+    ("oracle-reduced-diagonal", lambda: minimize_reduced(DiagonalFieldParams((0.1, 0.2, 0.1, 0.1, 0.1))),
+     "minimize_reduced needs FamilyParams or GhzParams, got DiagonalFieldParams"),
+    ("oracle-reduced-dense", lambda: minimize_reduced(realize(FamilyParams(3, 0.1, 0.5, -0.45, 0.3))),
+     "minimize_reduced needs FamilyParams or GhzParams, got DensityMatrix"),
     ("diagonal-discord-one-qubit", lambda: discord_diagonal_field(DiagonalFieldParams((0.1,))),
      "discord needs at least 2 qubits"),
     ("evolved-params-p-above-one", lambda: evolved_params(FamilyParams(4, 0.5, 0.1, -0.2, 0), 1.5),

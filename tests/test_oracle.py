@@ -69,23 +69,13 @@ def all_ones(n):
     return np.ones(2 ** (n - 1) - 1)
 
 
-def in_plane(theta):
-    """(theta, 0) pairs of angle vectors of shape (..., d), as rows of
-    `_Chain.value_and_grad` on the (I, T, Z) tensor: each direction
-    (sin theta, cos theta) in (T, Z)."""
-    theta = np.asarray(theta).reshape(-1, np.shape(theta)[-1])
-    angles = np.zeros((len(theta), 2 * theta.shape[1]))
-    angles[:, ::2] = theta
-    return angles
-
-
 def level_terms(params, z):
     """Reduced branch terms of the chain in the z-T plane at z vectors of
     shape (..., d): one (..., 2^m) array per level m, each branch's
     probability less its entropy, from the rows of the (I, T, Z) chain.
     Level m sums to 1 less its conditional entropy."""
     chain = _Chain(params)
-    chain.value_and_grad(in_plane(np.arccos(z)))
+    chain.value_and_grad(np.arccos(z).reshape(-1, np.shape(z)[-1]))
     lam, _, log_ratio, _, _ = chain._eigen_terms()
     terms = (chain._rows[..., 0] + (lam * log_ratio).sum(axis=-1)).reshape(*np.shape(z)[:-1], -1)
     return [terms[..., 2**m - 2 : 2 ** (m + 1) - 2] for m in range(1, params.n_qubits)]
@@ -97,7 +87,7 @@ def level_sums(params, z):
 
 def reduced_value(params, z):
     """The reduced objective, N - 1 less the (I, T, Z) chain's value."""
-    return params.n_qubits - 1 - float(_Chain(params).value_and_grad(in_plane(np.arccos(z)))[0][0])
+    return params.n_qubits - 1 - float(_Chain(params).value_and_grad(np.arccos(z)[None])[0][0])
 
 
 def tree_angles(tree):
@@ -120,7 +110,7 @@ def chain_levels(rho, tree):
 
 def objective(rho, tree):
     """The full oracle's objective of one tree: its chain minus S(rho) - S(rho_A1)."""
-    return chain_levels(rho, tree)[0] - oracle._unmeasured_term(rho, _Chain(rho))
+    return chain_levels(rho, tree)[0] - _Chain(rho).base
 
 
 def random_full_rank(rng, n):
@@ -392,21 +382,22 @@ class TestChainGradient:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_plane_chain_matches_four_letters(self, rng, n):
-        # the (I, T, Z) chain of a family state at (theta, 0) pairs is the
-        # 4-letter chain of its dense state with phi pinned to T's axis
+        # the (I, T, Z) chain of a family state at theta rows is the 4-letter
+        # chain of its dense state at (theta, phi) pairs, phi pinned to T's axis
         d = 2 ** (n - 1) - 1
         params = sample_physical_family(rng, n)
         big, small = sorted((params.c1, params.c2), key=abs, reverse=True)
         for c1, c2 in ((big, small), (small, big)):
             state = FamilyParams(n, c1, c2, params.c3, params.s)
-            angles = in_plane(rng.uniform(-2 * np.pi, 2 * np.pi, (8, d)))
-            pinned = angles.copy()
+            theta = rng.uniform(-2 * np.pi, 2 * np.pi, (8, d))
+            pinned = np.zeros((8, 2 * d))
+            pinned[:, ::2] = theta
             pinned[:, 1::2] = 0.0 if abs(c1) >= abs(c2) else np.pi / 2
-            value, grad = _Chain(state).value_and_grad(angles)
+            value, grad = _Chain(state).value_and_grad(theta)
             dense_value, dense_grad = _Chain(realize(state)).value_and_grad(pinned)
+            assert grad.shape == (8, d)
             assert np.max(np.abs(value - dense_value)) <= 1e-13, (n, c1, c2)
-            assert np.max(np.abs(grad[:, ::2] - dense_grad[:, ::2])) <= 1e-13, (n, c1, c2)
-            assert not grad[:, 1::2].any()
+            assert np.max(np.abs(grad - dense_grad[:, ::2])) <= 1e-13, (n, c1, c2)
 
 
 class TestDiscordObjective:
@@ -655,7 +646,7 @@ class TestReduction:
             state = FamilyParams(5, 0.1, 0.1, -0.2, 0.05)
             out = minimize_reduced(state, cfg)
         [res] = calls
-        best = oracle._clamp_zero(res.fun.min() - oracle._unmeasured_term(state, _Chain(state)))
+        best = oracle._clamp_zero(res.fun.min() - _Chain(state).base)
         assert out.value == best
         assert out.starts_converged == res.success.sum()
         if res.success.any():
@@ -836,16 +827,16 @@ class TestReducedObjective:
             for theta in (rng.uniform(0.1, np.pi - 0.1, d), rng.uniform(1e-4, 1e-3, d),
                           np.pi / 2 + rng.uniform(-1e-3, 1e-3, d)):
                 chain = _Chain(params)
-                value, grad = (a[0] for a in chain.value_and_grad(in_plane(theta)))
+                value, grad = (a[0] for a in chain.value_and_grad(theta[None]))
                 # the value, some N - 1 bits, is the sum of the level rows the call fills
                 lam, _, log_ratio, _, _ = chain._eigen_terms()
                 rows = -(lam * log_ratio).sum(axis=-1)[0]
                 levels = [rows[2**m - 2 : 2 ** (m + 1) - 2].sum() for m in range(1, n)]
                 assert value == pytest.approx(sum(levels), rel=1e-15, abs=0.0)
                 shifted = theta + np.concatenate((np.eye(d), -np.eye(d))) * step
-                up, down = np.split(chain.value_and_grad(in_plane(shifted))[0], 2)
+                up, down = np.split(chain.value_and_grad(shifted)[0], 2)
                 central = (up - down) / (2 * step)
-                assert np.max(np.abs(grad[::2] - central)) <= 1e-7, (n, s_zero)
+                assert np.max(np.abs(grad - central)) <= 1e-7, (n, s_zero)
 
 
 class TestMinimizeReduced:
@@ -859,17 +850,25 @@ class TestMinimizeReduced:
     def test_best_tree_reproduces_value(self, rng, n):
         # the reduced optimum is a tree the full oracle's chain can play: the
         # best z at every prefix, transverse part along x or y
-        # two case-1, two case-2 (s = 0) and two region-none draws
+        # two case-1, two case-2 (s = 0) and two region-none draws, two GHZ
+        # states, and a case-2 draw with |c2| > |c1|, |c3|, whose best tree
+        # leans along y, T's azimuth
         draws = [sample_case1_family(rng, n) for _ in range(2)]
         draws += [sample_physical_family(rng, n, s_zero=True) for _ in range(2)]
         while len(draws) < 6:
             params = sample_physical_family(rng, n)
             if classify_region(params).region == "none":
                 draws.append(params)
-        for params in draws:
+        draws += [GhzParams(n, mu) for mu in rng.uniform(0.05, 1.0, 2)]
+        y_draw = sample_physical_family(rng, n, s_zero=True)
+        while abs(y_draw.c2) <= max(abs(y_draw.c1), abs(y_draw.c3)) + 0.1:
+            y_draw = sample_physical_family(rng, n, s_zero=True)
+        for params in draws + [y_draw]:
             out = minimize_reduced(params, OracleConfig(starts=4, seed=3))
             assert out.oracle == "reduced" and out.best_tree.n_measured == n - 1
             assert objective(realize(params), out.best_tree) == pytest.approx(out.value, abs=1e-12), params
+        x_most, y_most = np.abs(out.best_tree.directions[:, :2]).max(axis=0)
+        assert y_most >= 0.5 and x_most <= 1e-15
 
     def test_s_zero_matches_case2(self, rng):
         params = sample_physical_family(rng, 4, s_zero=True)
@@ -1001,9 +1000,9 @@ class TestMinimizeReduced:
 def vertex_values(params) -> np.ndarray:
     """The discord values `_Chain` gives a symmetric state's all-z and all-T trees."""
     chain = _Chain(params)
-    angles = np.zeros((2, 2 ** params.n_qubits - 2))
-    angles[1, ::2] = np.pi / 2
-    return chain.value_and_grad(angles)[0] - oracle._unmeasured_term(params, chain)
+    theta = np.zeros((2, 2 ** (params.n_qubits - 1) - 1))
+    theta[1] = np.pi / 2
+    return chain.value_and_grad(theta)[0] - chain.base
 
 
 class TestCaseOne:

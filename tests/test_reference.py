@@ -24,6 +24,7 @@ DELETED = [
     "_tree_levels", "_leave_one_out", "_branch_gains", "_reduced_value_and_grad",
     "PauliSum", "PauliWord", "PAULI", "_check_word", "_single_site_word", "build_symmetric_family",
     "build_diagonal_field", "build_noisy_ghz_dense", "family_dense", "FULL_ORACLE_CAP",
+    "_unmeasured_term",
 ]
 
 
