@@ -2,7 +2,8 @@
 """Arbitrate the two case-1 H-pairing patterns against the measurement oracle.
 
 For random physical 3-qubit draws in the c3-dominant region with s != 0, the
-closed form with the package's parity pattern (`max_w`) and the alternative
+closed form with the package's max W (`max_w`, which the paper's parity
+pattern regroups; the report's "parity" fields) and the alternative
 "printed" pairing (`max_w_printed`, kept here and nowhere in the package) are
 both compared to the full sequential-measurement minimum. Results land in a
 JSON report (default ./reports/case1_arbitration.json) with per-draw values

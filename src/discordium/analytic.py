@@ -5,15 +5,13 @@ is known in two parameter regions:
 
 * case 1 (roughly: c3 dominant and nonpositive, or a field-strength
   inequality involving s where the all-z tree is not above the
-  all-transverse one): the minimizing chain measures every qubit along
-  z, and the discord is sum_i lambda_i log2 lambda_i + N - max W with the
-  parity-pattern closed form
-
-      max W = (1/2^N) sum_{j=0}^{N-1} C(N-1, j) H_{(N-1-2j)s}(|s + (-1)^j c3|).
-
-  An alternative three-qubit pairing of the same H terms ("printed") differs
-  numerically for s != 0; it lives in scripts/arbitration_report.py, which
-  arbitrates both against the measurement oracle.
+  all-transverse one): every qubit is measured along z, and the discord is
+  the relative entropy of coherence D_z = H(diag rho) - S(rho), diag rho
+  being rho without its off-diagonal entries: sum_i lambda_i log2 lambda_i
+  + N - max W with max W = N - H(diag rho). The paper's parity pattern for
+  max W is kept in tests/reference.py; an alternative three-qubit pairing
+  ("printed") differs for s != 0 and lives in scripts/arbitration_report.py,
+  which arbitrates both against the oracle.
 
 * case 2 (s = 0): discord = sum_i lambda_i log2 lambda_i + N - H(C)/2 with
   C = max{|c1|, |c2|, |c3|}.
@@ -105,18 +103,17 @@ def _region(n: int, c1: float, c2: float, c3: float, s: float, w_of) -> tuple[tu
 
 
 def max_w(params: FamilyParams) -> float:
-    """Minimized conditional-entropy chain term for the all-z measurement tree.
+    """The all-z tree's chain term N - H(diag rho); case 1's discord term.
 
-    The parity pattern pairs H_{(N-1-2j)s} with |s + (-1)^j c3| across the
-    2^{N-1} outcome branches grouped by their number of minus signs j.
-    Meaningful as the discord term in case 1.
+    diag rho holds e_k / 2^N, e_k = 1 + (-1)^k c3 + (N - 2k) s, C(N, k) times
+    (k the Hamming weight), so max W = sum_k C(N, k) e_k log2 e_k / 2^N.
     """
     n, c3, s = params.n_qubits, params.c3, params.s
-    # above 1023 qubits this raises ValueError before C(N-1, j) overflows a float
+    # above 1023 qubits this raises ValueError before C(N, k) overflows a float
     dim = _float_dim(n)
     total = 0.0
-    for j in range(n):
-        total += comb(n - 1, j) * h_scalar(abs(s + (-1) ** j * c3), (n - 1 - 2 * j) * s)
+    for k in range(n + 1):
+        total += comb(n, k) * xlog2_scalar(1.0 + (-1) ** k * c3 + (n - 2 * k) * s)
     return total / dim
 
 
@@ -155,10 +152,9 @@ def discord_symmetric(params: FamilyParams) -> DiscordResult:
 def discord_diagonal_field(params: DiagonalFieldParams) -> DiscordResult:
     """Discord of the diagonal-field family: 0 for every field vector, in O(1).
 
-    The state is diagonal in the computational basis. Measuring every qubit
-    along z leaves it unchanged, so the measured conditional-entropy chain
-    equals S(rho) - S(rho_A1) and the discord, a minimum over measurements
-    that is never negative, is 0. Term by term, the 2^N spectrum sum and the
+    The state is diagonal, so diag rho = rho and the all-z tree's value
+    H(diag rho) - S(rho) is 0; the discord, a minimum over measurements that
+    is never negative, is 0 too. Term by term, the 2^N spectrum sum and the
     all-z chain's H sum are the same sum (the tests keep it as a reference).
     """
     if params.n_qubits < 2:
@@ -167,7 +163,11 @@ def discord_diagonal_field(params: DiagonalFieldParams) -> DiscordResult:
 
 
 def discord_ghz(params: GhzParams) -> DiscordResult:
-    """Closed-form discord of the noisy GHZ state."""
+    """Closed-form discord of the noisy GHZ state: the all-z tree's value
+    H(diag rho) - S(rho). rho's eigenvalues are (1 - mu)/2^N, 2^N - 1 times,
+    and x2/2^N; diag rho keeps 2^N - 2 of the (1 - mu)/2^N entries and has
+    x3/2^N on both corners. The shared entries cancel, and so do the -N of
+    every log2(x/2^N), leaving t1 + t2 - t3."""
     spectrum = ghz_spectrum(params)
     dim = 2**params.n_qubits
     mu = params.mu

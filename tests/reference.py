@@ -6,10 +6,10 @@ conditional ensemble and partial trace, the dense phase-flip Kraus channel
 and its per-word weight rule, the Kronecker sum of a Pauli expansion and
 the three families' expansions (noisy GHZ among them), the paper's
 three- and four-qubit spectrum displays (the four-qubit one also as
-printed), the N mod 4 displays of max W, the diagonal
-family's term-by-term cancellation, and H_y. Family parameters are read by
-attribute (n_qubits, c1, c2, c3, s, mu); states are complex arrays and Pauli
-sums dicts from word to weight.
+printed), the paper's parity pattern of max W and its N mod 4 displays,
+the diagonal family's term-by-term cancellation, and H_y. Family parameters
+are read by attribute (n_qubits, c1, c2, c3, s, mu); states are complex
+arrays and Pauli sums dicts from word to weight.
 """
 
 from __future__ import annotations
@@ -45,6 +45,16 @@ def binary_h(x: float, y: float = 0.0) -> float:
     if a < -1e-12 or b < -1e-12:
         raise ValueError(f"binary_h domain violation: 1+y+x={a}, 1+y-x={b}")
     return _h(x, y)
+
+
+def max_w_parity(params) -> float:
+    """max W as the paper's parity pattern: H_{(N-1-2j)s}(|s + (-1)^j c3|) over the
+    2^(N-1) outcome branches with j minus signs, C(N-1, j) of each, over 2^N."""
+    n, c3, s = params.n_qubits, params.c3, params.s
+    total = 0.0
+    for j in range(n):
+        total += math.comb(n - 1, j) * _h(abs(s + (-1) ** j * c3), (n - 1 - 2 * j) * s)
+    return total / 2**n
 
 
 def max_w_mod4(params) -> float:

@@ -21,10 +21,17 @@ from discordium import (
 )
 
 from discordium.analytic import _region
-from discordium.spectral import symmetric_spectrum
+from discordium.spectral import physicality, symmetric_spectrum
 
 from conftest import arbitration, sample_case1_family, sample_case1_second, sample_physical_family
-from reference import binary_h, diagonal_cancellation, max_w_mod4
+from reference import binary_h, diagonal_cancellation, max_w_mod4, max_w_parity
+
+
+def _dephased_minus_entropy(params):
+    """H(diag rho) - S(rho) of the dense state: the all-z tree's value."""
+    rho = realize(params).entries
+    spectrum_side = float(np.sum(xlog2(np.clip(np.linalg.eigvalsh(rho), 0, None))))
+    return spectrum_side - float(np.sum(xlog2(np.diag(rho).real)))
 
 
 class TestClassifyRegion:
@@ -140,6 +147,16 @@ class TestMaxW:
                     max_w(params), abs=1e-12
                 )
 
+    def test_equals_parity_pattern(self, rng):
+        # general s, and |s| down to 1e-13 / (N + 1), below the region test's s = 0 tolerance
+        for n in range(2, 41):
+            for scale in (1.0, 1.0, 1e-3, 1e-8, 1e-13):
+                s = float(rng.uniform(-1.0, 1.0)) * scale / (n + 1)
+                c3 = float(rng.uniform(-1.0, 1.0)) * (1 - n * abs(s))
+                params = FamilyParams(n, 0.0, 0.0, c3, s)
+                assert physicality(params)[2]
+                assert max_w(params) == pytest.approx(max_w_parity(params), abs=1e-14)
+
     def test_mod4_needs_n4(self):
         with pytest.raises(ValueError):
             max_w_mod4(FamilyParams(3, 0.1, 0.1, -0.2, 0.1))
@@ -191,6 +208,17 @@ class TestDiscordSymmetric:
         expected = float(np.sum(xlog2(np.clip(dense, 0, None)))) + 5 - max_w(params)
         assert res.value == pytest.approx(expected, abs=1e-12)
         assert res.value >= -1e-8
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_case1_is_dephased_minus_entropy(self, rng, n):
+        checked = 0
+        for sample in (sample_case1_family, sample_case1_second) * 4:
+            params = sample(rng, n)
+            if classify_region(params).region == "case1":
+                value = discord_symmetric(params).value
+                assert value == pytest.approx(_dephased_minus_entropy(params), abs=1e-12)
+                checked += 1
+        assert checked >= 4
 
     def test_region_none_raises(self):
         with pytest.raises(NoAnalyticCase):
@@ -266,7 +294,7 @@ class TestDiscordSymmetricLargeN:
 
     @pytest.mark.parametrize("fn", [classify_region, max_w, discord_symmetric])
     def test_symmetric_past_float_limit(self, fn):
-        # case 1's second condition reads max W, whose C(N-1, j) overflows a float above 1023 qubits
+        # case 1's second condition reads max W, whose C(N, k) overflows a float above 1023 qubits
         with pytest.raises(ValueError, match="^n_qubits=1100: 2\\^N overflows a float above 1023 qubits$"):
             fn(FamilyParams(1100, 0.3, 0, -0.2999999, 0.0005))
 
@@ -284,6 +312,12 @@ class TestDiscordGhz:
         assert discord_ghz(GhzParams(2, 0.5)).value == pytest.approx(
             0.26248318376373436, abs=1e-12
         )
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_is_dephased_minus_entropy(self, n):
+        for mu in (0.0, 0.05, 0.3, 0.5, 0.77, 1.0):
+            params = GhzParams(n, mu)
+            assert discord_ghz(params).value == pytest.approx(_dephased_minus_entropy(params), abs=1e-12)
 
     def test_monotone_grid(self):
         for n in range(2, 7):
@@ -322,3 +356,4 @@ class TestDiscordDiagonalField:
             res = discord_diagonal_field(DiagonalFieldParams(fields))
             assert abs(res.value) <= 1e-10
             assert abs(diagonal_cancellation(fields)) <= 1e-10
+            assert abs(_dephased_minus_entropy(DiagonalFieldParams(fields))) <= 1e-12

@@ -716,7 +716,7 @@ PINNED = [
         "0.5,9.58305491e-05,oracle[reduced]\n", ""),
     (["compare", "--family", "symmetric", "--n", "5", "--c1", "0.2", "--c2", "0.1",
       "--c3", "-0.3", "--s", "0.05", "--seed", "1"],
-     0, "analytic=0.0377792352 oracle=0.0377792352 diff=6.10622664e-16 tol=0.005\n", ""),
+     0, "analytic=0.0377792352 oracle=0.0377792352 diff=6.24500451e-16 tol=0.005\n", ""),
     (["discord", "--family", "symmetric", "--n", "3", "--c1", "0.4", "--c2", "0.3",
       "--c3", "0.2", "--s", "0.1"],
      3, "", "error: no closed form for c=(0.4,0.3,0.2) s=0.1; "

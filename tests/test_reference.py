@@ -16,7 +16,7 @@ REFERENCE = Path(__file__).with_name("reference.py")
 MOVED = [
     "conditional_ensemble", "EnsembleBranch", "partial_trace", "phase_flip_kraus", "KrausSet",
     "apply_phase_flip_dense", "apply_phase_flip", "build_noisy_ghz_pauli", "spectrum_4q_printed",
-    "spectrum_3q_display", "spectrum_4q_display", "max_w_mod4", "binary_h",
+    "spectrum_3q_display", "spectrum_4q_display", "max_w_parity", "max_w_mod4", "binary_h",
 ]
 DELETED = [
     "_tree_directions", "measured_conditional_entropy", "discord_objective", "reduced_objective",
@@ -60,6 +60,7 @@ def test_package_keeps_no_moved_or_deleted_name():
     assert not hasattr(discordium.oracle._Chain, "at_directions")
     assert not hasattr(discordium.MeasurementTree, "uniform") and not hasattr(discordium.MeasurementTree, "random")
     assert list(inspect.signature(discordium.oracle._Chain).parameters) == ["rho"]
-    # one max W formula, the parity one; the printed pairing lives in scripts/arbitration_report.py
+    # one max W formula, the dephased-state sum; the paper's parity pattern lives in
+    # tests/reference.py and the printed pairing in scripts/arbitration_report.py
     assert list(inspect.signature(discordium.max_w).parameters) == ["params"]
     assert [f.name for f in dataclasses.fields(discordium.FreezeReport)] == ["frozen", "frozen_value", "p_star"]
