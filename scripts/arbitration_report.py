@@ -23,10 +23,9 @@ from discordium import (
     OracleConfig,
     max_w,
     minimize_discord,
-    realize,
     symmetric_spectrum,
 )
-from discordium.spectral import h_scalar, physicality
+from discordium.spectral import physicality, xlog2_scalar
 
 AGREE_TOL = 5e-3
 
@@ -47,17 +46,16 @@ def sample_case1(rng, n: int = 3, max_tries: int = 10000) -> FamilyParams:
 
 
 def max_w_printed(params: FamilyParams) -> float:
-    """The printed three-qubit pairing of max W's H terms; it differs from the
-    parity pattern for s != 0."""
+    """The printed three-qubit pairing of max W's H_y terms, H_y(x) = (1+y+x)log2(1+y+x)
+    + (1+y-x)log2(1+y-x); it differs from the parity pattern for s != 0."""
     if params.n_qubits != 3:
         raise ValueError("printed pattern is defined for n_qubits == 3 only")
+
+    def h(x, y=0.0):
+        return xlog2_scalar(1.0 + y + x) + xlog2_scalar(1.0 + y - x)
+
     c3, s = params.c3, params.s
-    return (
-        h_scalar(abs(s + c3), 2 * s)
-        + h_scalar(abs(s - c3), -2 * s)
-        + h_scalar(abs(s + c3))
-        + h_scalar(abs(s - c3))
-    ) / 8
+    return (h(abs(s + c3), 2 * s) + h(abs(s - c3), -2 * s) + h(abs(s + c3)) + h(abs(s - c3))) / 8
 
 
 def case1_row(params: FamilyParams, cfg: OracleConfig) -> dict:
@@ -65,7 +63,7 @@ def case1_row(params: FamilyParams, cfg: OracleConfig) -> dict:
     base = symmetric_spectrum(params).sum_xlog2() + params.n_qubits
     parity = base - max_w(params)
     printed = base - max_w_printed(params)
-    oracle = minimize_discord(realize(params), cfg).value
+    oracle = minimize_discord(params, cfg).value
     return {
         "c1": params.c1,
         "c2": params.c2,

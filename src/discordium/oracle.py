@@ -9,15 +9,18 @@ objective is the measured conditional-entropy chain
 
 minimized over all trees.
 
-The chain is evaluated on the real Pauli tensor T[a1..aN] = Tr[rho s_a1 x .. x
-s_aN] (s_0 = I, s_1..3 = X, Y, Z), 4^N reals built once per state. Measuring
-the next qubit along the unit vector r with outcome +/- maps a branch tensor
-W to (W[0, ...] +/- sum_k r_k W[k, ...]) / 2, so one batched contraction
-propagates all 2^m branches of a level. A branch's next qubit has the
-unnormalized state (p I + w.s)/2, read off the branch tensor with the identity
-index on every later qubit, so its eigenvalues are (p +/- |w|)/2. The number
-of numpy calls per evaluation grows with the level count, not the branch
-count.
+The chain is evaluated on the state's real Pauli weights Tr[rho s_a1 x .. x
+s_aN], built once per state: all 4^N over (I, X, Y, Z) for a `DensityMatrix`,
+and for family parameters the X layout [D | A], 2^(N+1) reals on the only words
+an X state weights, D over {I, Z}^N and A over {X, Y}^N, so qubit 1 runs over
+(I, Z, X, Y). Measuring the next qubit along r with outcome +/- maps a branch W
+to (W[I] +/- sum_k r_k W[k]) / 2, one batched contraction for all 2^m branches
+of a level; on an X branch the (I, Z) part gives D' and the (X, Y) part A', an
+X state on one qubit fewer (Ali, Rau and Alber, PRA 81, 042105 (2010)). A
+branch's next qubit has the unnormalized state (p I + w.s)/2, read off the
+branch with the identity on every later qubit, so its eigenvalues are
+(p +/- |w|)/2; an X branch's w lies along z until the last qubit. The numpy
+calls per evaluation grow with the level count, not the branch count.
 
 Each level is a linear map followed by 2x2 entropies, so one backward pass
 through the same contractions gives the exact gradient of the chain in the
@@ -32,10 +35,10 @@ the `MeasurementTree` that attains the value. The module needs only numpy.
 For the symmetric and GHZ families the transverse components of a tree enter
 the chain only through the final level's Bloch norms, with a weight of at most
 c^2 prod(1 - z^2), c the larger of |c1| and |c2| (mu for GHZ). Trees in the
-plane of z and T, the letter `_transverse` picks, attain it, and the chain
-falls as those norms grow, so the reduced oracle searches that plane alone:
-`_Chain` of family parameters is the chain on their 3^N (I, T, Z) Pauli
-tensor, built without a dense state, in one angle per prefix, up to 10 qubits.
+plane of z and T, the axis `_transverse` picks, attain it, and the chain
+falls as those norms grow, so the reduced oracle searches that plane alone,
+up to 10 qubits: a row of one angle per prefix is theta in that plane, and a
+row of two is (theta, phi) for any state.
 """
 
 from __future__ import annotations
@@ -43,13 +46,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
-from functools import reduce
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .pauli import DENSE_CAP, DensityMatrix, FamilyParams, GhzParams, _dense_dim, realize, require_count
+from .pauli import DENSE_CAP, DensityMatrix, DiagonalFieldParams, FamilyParams, GhzParams, _dense_dim, require_count
 from .spectral import family_spectrum, require_physical, von_neumann_entropy, xlog2
 
 PROB_FLOOR = 1e-14
@@ -176,47 +178,53 @@ _PAULI_COLUMNS = np.array([[1, 0, 0, 1], [0, 1, 1j, 0], [0, 1, -1j, 0], [1, 0, 0
 _PLUS_MINUS = np.array([1.0, -1.0])
 _BLOCH_NORM = np.array([0.0, 1.0, 1.0, 1.0])
 _LN2 = np.log(2.0)
-# (1, r) times these gives the +- outcome projector rows (1, +-r)/2
+# (1, r) over (I, X, Y, Z) times these gives the +- outcome projector rows (1, +-r)/2
 _HALF_SIGNS = 0.5 * np.array([[1.0, 1.0, 1.0, 1.0], [1.0, -1.0, -1.0, -1.0]])
-# Per letter count, (A, B, SIGN): E[A] * E[B] * SIGN gives (1, r) and dr/d(angle) as
-# (0, .) rows from a prefix's E, (1, cos theta, cos phi, sin theta, sin phi, 0) over
-# (I, X, Y, Z), and (1, cos theta, sin theta, 0) over (I, T, Z)
-_TRIG = {
-    4: (np.array([[0, 3, 3, 1], [5, 1, 1, 3], [5, 3, 3, 5]]), np.array([[0, 2, 4, 0], [0, 2, 4, 0], [0, 4, 2, 0]]),
-        np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, -1.0], [1.0, -1.0, 1.0, 1.0]])),
-    3: (np.array([[0, 2, 1], [3, 1, 2]]), np.zeros((2, 3), dtype=int), np.array([[1.0, 1.0, 1.0], [1.0, 1.0, -1.0]])),
-}
+# (1, r) over (I, Z, X, Y) times these gives the (I, Z) and (X, Y) parts of the + row, then of the - row
+_X_HALF_SIGNS = 0.5 * np.array([[1, 1, 0, 0], [0, 0, 1, 1], [1, -1, 0, 0], [0, 0, -1, -1]])
+# (A, B, SIGN): E[A] * E[B] * SIGN gives (1, r), dr/dtheta and dr/dphi over (I, X, Y, Z),
+# the last two as (0, .) rows, from a prefix's E = (1, cos theta, cos phi, sin theta, sin phi, 0)
+_TRIG = (np.array([[0, 3, 3, 1], [5, 1, 1, 3], [5, 3, 3, 5]]), np.array([[0, 2, 4, 0], [0, 2, 4, 0], [0, 4, 2, 0]]),
+         np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, -1.0], [1.0, -1.0, 1.0, 1.0]]))
+# the same rows over the X layout's (I, Z, X, Y)
+_X_TRIG = tuple(t[:, [0, 3, 1, 2]] for t in _TRIG)
 # (K (L + 1/ln 2), K lam/p) of a row's two eigenvalues, times this, gives (de/dp, de/d|w|)
 _ROW_GRAD = np.array([[-0.5, -0.5], [-0.5, 0.5], [1.0 / _LN2, 0.0], [1.0 / _LN2, 0.0]])
 
 
-def _transverse(params) -> tuple[float, float]:
-    """T..T's weight and T's azimuth for a symmetric or GHZ state: T is X (phi = 0)
-    unless |Y..Y| > |X..X|, then Y (phi = pi/2). GHZ has X..X = mu and Y..Y = mu Re(i^N)."""
-    if isinstance(params, GhzParams):
-        x, y = params.mu, (0.0 if params.n_qubits % 2 else (-1) ** (params.n_qubits // 2) * params.mu)
-    else:
-        x, y = params.c1, params.c2
-    return (x, 0.0) if abs(x) >= abs(y) else (y, np.pi / 2)
+def _transverse(params) -> tuple[float, float] | None:
+    """T's azimuth as (cos phi, sin phi), exact, for a symmetric or GHZ state, and
+    None for any other: T is X, (1, 0), unless |Y..Y| > |X..X|, then Y, (0, 1).
+    GHZ has X..X = mu and Y..Y = mu Re(i^N), so its T is X."""
+    if isinstance(params, FamilyParams) and abs(params.c2) > abs(params.c1):
+        return 0.0, 1.0
+    return (1.0, 0.0) if isinstance(params, (FamilyParams, GhzParams)) else None
 
 
 def _pauli_tensor(rho) -> np.ndarray:
-    """Flat T[a1..aN] = Tr[rho s_a1 x .. x s_aN], a1 most significant: 4^N reals
-    over (I, X, Y, Z) for a dense state, and 3^N over (I, T, Z) for symmetric-
-    family or GHZ parameters, T as `_transverse` picks it. Those weight I..I,
-    T..T and either Z..Z and the single Z's, or every {I, Z}^N word (GHZ)."""
+    """Flat Pauli weights Tr[rho s_a1 x .. x s_aN], qubit 1 most significant:
+    all 4^N over (I, X, Y, Z) for a dense state, and the X layout [D | A] for
+    family parameters, D over {I, Z}^N and A over {X, Y}^N with bit 1 for Z
+    or Y, filled in O(2^N)."""
     if not isinstance(rho, DensityMatrix):
-        # T..T sits at sum_i 3^i, Z..Z at twice that, and the Z on qubit N - i at 2 3^i
-        n, uniform = rho.n_qubits, (3**rho.n_qubits - 1) // 2
+        n = rho.n_qubits
+        weights = np.zeros(2 << n)
+        d, a = weights[: 1 << n], weights[1 << n :]
         if isinstance(rho, GhzParams):
-            # mu/2 (1 + (-1)^#Z) on every {I, Z}^N word: the product words of (1, 0, 1) and (1, 0, -1)
-            tensor = 0.5 * rho.mu * sum(reduce(np.kron, [np.array([1.0, 0.0, z])] * n) for z in (1.0, -1.0))
+            # mu on the {I, Z}^N words with an even count of Z's, and mu Re(i^j) on those with j Y's
+            count = sum((np.arange(1 << n) >> i) & 1 for i in range(n))
+            d[:] = rho.mu * (count % 2 == 0)
+            a[:] = rho.mu * np.array([1.0, 0.0, -1.0, 0.0])[count % 4]
         else:
-            tensor = np.zeros(3**n)
-            tensor[2 * uniform] = rho.c3
-            tensor[2 * 3 ** np.arange(n)] = rho.s
-        tensor[[0, uniform]] = 1.0, _transverse(rho)[0]
-        return tensor
+            # the Z of qubit i is bit N - i
+            single_z = 1 << np.arange(n - 1, -1, -1)
+            if isinstance(rho, DiagonalFieldParams):
+                d[single_z] = rho.fields
+            else:
+                d[-1], d[single_z] = rho.c3, rho.s
+                a[[0, -1]] = rho.c1, rho.c2
+        d[0] = 1.0
+        return weights
     acc = rho.entries.reshape(1, rho.dim, rho.dim)
     for _ in range(rho.n_qubits):
         a, d = acc.shape[0], acc.shape[1] // 2
@@ -231,50 +239,51 @@ class _Chain:
 
     Built once per state and evaluated for many trees at once: every
     evaluation takes a leading start axis of k trees, and all of them share
-    the Pauli tensor. Row o of a prefix's projector block is the outcome-o
-    projector (I +- r.s)/2 in Pauli coordinates, (1, +-r_x, +-r_y, +-r_z)/2;
-    `_inputs` keeps each level's branch tensors for the backward pass of
-    `value_and_grad`.
+    the Pauli weights from `_pauli_tensor`. A prefix's (1, r) row times the
+    layout's half signs gives its projector block: the outcome-o projector
+    (I +- r.s)/2 in Pauli coordinates, (1, +-r)/2, or for the X layout that
+    row's (I, Z) and (X, Y) parts. `_inputs` keeps each level's branch
+    tensors for the backward pass of `value_and_grad`.
 
-    The input's type decides, once, what a row of angles means: a
-    `DensityMatrix` gives the 4^N (I, X, Y, Z) tensor and (theta, phi) per
-    prefix, `FamilyParams` or `GhzParams` the 3^N (I, T, Z) one and theta
-    alone, each direction (sin theta, cos theta) in (T, Z), with T's azimuth
-    from `_transverse` as phi. `base` is S(rho) - S(rho_A1), S(rho) from the
-    eigenvalues or the closed-form spectrum; rho_A1 = (T0 I + t.s)/2 is read
-    off the tensor, so its eigenvalues are (T0 +- |t|)/2.
+    A row of two angles per prefix is (theta, phi); a row of one is theta in
+    the z-T plane, each direction (sin theta, cos theta) in (T, Z) with T's
+    azimuth from `_transverse` as phi, which a `DensityMatrix` or diagonal
+    state lacks. `base` is S(rho) - S(rho_A1), S(rho) from the eigenvalues or
+    the closed-form spectrum; rho_A1 = (T0 I + t.s)/2 is read off the
+    weights, so its eigenvalues are (T0 +- |t|)/2.
     """
 
     def __init__(self, rho):
         if isinstance(rho, DensityMatrix):
-            self.letters, self.per_prefix, self._azimuth = 4, 2, None
             entropy = von_neumann_entropy(rho)
+            self._trig, self._half_signs, self._read = _TRIG, _HALF_SIGNS, 4
         else:
-            self.letters, self.per_prefix, self._azimuth = 3, 1, _transverse(rho)[1]
             entropy = family_spectrum(rho).entropy_bits()
+            # an X branch on two or more qubits has no transverse weight on its next
+            # qubit, so only (I, Z) is read before the last level
+            self._trig, self._half_signs, self._read = _X_TRIG, _X_HALF_SIGNS, 2
+        self._azimuth = _transverse(rho)
         self.tensor = _pauli_tensor(rho)
         self._levels = rho.n_qubits - 1
-        # every column of the letter-indexed constants, or those of I, T and Z, T in x's place
-        cols = slice(None) if self.letters == 4 else [0, 1, 3]
-        self._trig = _TRIG[self.letters]
-        self._half_signs, self._bloch_norm = _HALF_SIGNS[:, cols], _BLOCH_NORM[cols]
         self._halves = self._rows = None
         self._inputs = [None] * self._levels
-        first = self.tensor[:: self.tensor.size // self.letters]
+        stride = self.tensor.size // 4
+        first = self.tensor[: self._read * stride : stride]
         lam = 0.5 * (first[0] + np.sqrt(first[1:] @ first[1:]) * _PLUS_MINUS)
         self.base = entropy + float(xlog2(lam).sum())
 
     def tree(self, x: np.ndarray) -> MeasurementTree:
-        """The tree one row of angles stands for; a plane row's phi is T's azimuth."""
-        angles = x if self._azimuth is None else np.column_stack((x, np.full(x.size, self._azimuth)))
-        return MeasurementTree.from_angles(self._levels, angles)
+        """The tree one row of angles stands for; a one-angle row's phi is T's azimuth."""
+        if x.size == (1 << self._levels) - 1:
+            x = np.column_stack((x, np.full(x.size, np.arctan2(self._azimuth[1], self._azimuth[0]))))
+        return MeasurementTree.from_angles(self._levels, x)
 
     def value_and_grad(self, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Chain sums and their exact gradients for k trees.
 
-        angles has shape (k, aP), each row one tree's a = `per_prefix` angles
-        per prefix in prefix order, (theta, phi) or theta alone; the values
-        have shape (k,) and the gradients (k, aP). A row (p, w) has entropy
+        angles has shape (k, aP), each row one tree's a angles per prefix in
+        prefix order, (theta, phi) or theta alone; the values have shape (k,)
+        and the gradients (k, aP). A row (p, w) has entropy
         e = -sum_+- lam log2(lam/p) with lam = (p +- |w|)/2.
         With K_+- = 1 for a kept eigenvalue and 0 otherwise, and
         L = log2(lam/p), de/dp = sum_+- K (lam/(p ln 2) - (L + 1/ln 2)/2) and
@@ -282,17 +291,22 @@ class _Chain:
         -(L_+ + L_-)/2 and -(atanh(x)/x) w/(p ln 2), x = |w|/p, and the w
         term is 0 at w = 0. A floored branch or eigenvalue adds 0 to the
         value and the gradient. The row gradients are then carried back
-        through each level's contraction W' = H W into the projector rows
-        (1, +-r)/2, and from r to the angles.
+        through each level's contraction W' = H W into the projector rows,
+        and from r to the angles.
         """
-        a = self.per_prefix
-        k, npar = angles.shape[0], angles.shape[1] // a
-        trig = np.empty((k, npar, 2 * a + 2))
-        trig[..., :: 2 * a + 1] = (1.0, 0.0)
+        k, npar = angles.shape[0], (1 << self._levels) - 1
+        a = angles.shape[1] // npar
+        if a == 1 and self._azimuth is None:
+            raise ValueError("one angle per prefix is theta in the z-T plane, which needs symmetric or GHZ parameters")
+        trig = np.empty((k, npar, 6))
+        trig[..., ::5] = (1.0, 0.0)
         np.cos(angles.reshape(k, npar, a), out=trig[..., 1 : a + 1])
-        np.sin(angles.reshape(k, npar, a), out=trig[..., a + 1 : 2 * a + 1])
+        np.sin(angles.reshape(k, npar, a), out=trig[..., 3 : a + 3])
         # (1, r) and dr/d(angle) of every prefix
         trig_a, trig_b, trig_sign = self._trig
+        if a == 1:
+            trig[..., 2:5:2] = self._azimuth
+            trig_a, trig_b, trig_sign = trig_a[:2], trig_b[:2], trig_sign[:2]
         rows_and_jac = trig[..., trig_a] * trig[..., trig_b] * trig_sign
         self._propagate(rows_and_jac[:, :, 0])
         lam, ratio, log_ratio, keep, norm = self._eigen_terms()
@@ -309,12 +323,10 @@ class _Chain:
         g_out = grad_rows[:, (1 << self._levels) - 2 :]
         for level in range(self._levels - 1, -1, -1):
             b = 1 << level
-            w_in = self._inputs[level]
-            width = w_in.shape[-1]
             if level < self._levels - 1:
-                g_out[..., :: width // self.letters] += grad_rows[:, 2 * b - 2 : 4 * b - 2]
-            g_out = g_out.reshape(k, b, 2, width)
-            np.matmul(g_out, w_in.swapaxes(-1, -2), out=grad_halves[:, b - 1 : 2 * b - 1])
+                g_out[..., :: g_out.shape[-1] // 4] += grad_rows[:, 2 * b - 2 : 4 * b - 2]
+            g_out = g_out.reshape(k, b, halves.shape[-2], -1)
+            np.matmul(g_out, self._inputs[level].swapaxes(-1, -2), out=grad_halves[:, b - 1 : 2 * b - 1])
             if level:
                 g_out = np.matmul(halves[:, b - 1 : 2 * b - 1].swapaxes(-1, -2), g_out).reshape(k, b, -1)
 
@@ -324,23 +336,24 @@ class _Chain:
         return value, grad.reshape(k, a * npar)
 
     def _propagate(self, plus: np.ndarray) -> None:
-        """Fill every level's rows for k trees given as (1, r) rows, shape (k, P, letters).
+        """Fill every level's rows for k trees given as (1, r) rows, shape (k, P, 4).
 
         Level m holds 2^m branches per tree (rows 2^m - 2 .. 2^(m+1) - 3).
-        Measuring with outcome +- maps a branch tensor W to (W[0] +- r.W[1:])/2,
+        Measuring with outcome +- maps a branch tensor W to (W[I] +- r.W[XYZ])/2,
         one batched contraction per level for all trees.
         """
         k = plus.shape[0]
-        letters = self.letters
         halves = self._halves = plus[:, :, None, :] * self._half_signs
-        rows = self._rows = np.empty((k, (2 << self._levels) - 2, letters))
+        # what a level does not read stays 0
+        rows = self._rows = np.zeros((k, (2 << self._levels) - 2, 4))
         w = self.tensor.reshape(1, 1, -1)
         for m in range(self._levels):
             b = 1 << m
-            w = self._inputs[m] = w.reshape(w.shape[0], b, letters, -1)
+            w = self._inputs[m] = w.reshape(w.shape[0], b, 4, -1)
             w = np.matmul(halves[:, b - 1 : 2 * b - 1], w).reshape(k, 2 * b, -1)
-            # next qubit's (p, w) in the tensor's letters, identity on every later qubit
-            rows[:, 2 * b - 2 : 4 * b - 2] = w[..., :: w.shape[-1] // letters]
+            # next qubit's (p, w) in the layout's order, identity on every later qubit
+            read, stride = (4 if m == self._levels - 1 else self._read), w.shape[-1] // 4
+            rows[:, 2 * b - 2 : 4 * b - 2, :read] = w[..., : read * stride : stride]
 
     def _eigen_terms(self):
         """Each row's eigenvalues (p +- |w|)/2, lam/p, log2(lam/p), the keep mask and |w|.
@@ -350,7 +363,7 @@ class _Chain:
         """
         q = self._rows
         p = q[..., :1]
-        norm = np.sqrt((q * q) @ self._bloch_norm)
+        norm = np.sqrt((q * q) @ _BLOCH_NORM)
         lam = 0.5 * (p + norm[..., None] * _PLUS_MINUS)
         keep = (lam > PROB_FLOOR) & (p >= PROB_FLOOR)
         ratio = np.divide(lam, p, out=np.ones_like(lam), where=keep)
@@ -562,20 +575,23 @@ def _solve(chain: _Chain, x0: np.ndarray, cfg: OracleConfig, oracle: str) -> Ora
     return OracleResult(value, chain.tree(res.x[best]), converged, spread, oracle)
 
 
-def minimize_discord(rho: DensityMatrix, cfg: OracleConfig | None = None) -> OracleResult:
-    """Discord of a `DensityMatrix` (nothing else) by lockstep BFGS over its
-    measurement trees, with the exact gradient.
+def minimize_discord(rho, cfg: OracleConfig | None = None) -> OracleResult:
+    """Discord of a `DensityMatrix` or of family parameters by lockstep BFGS
+    over their measurement trees, with the exact gradient.
 
-    The 2 cfg.starts starts, (theta, phi) at every prefix, are the first
-    min(cfg.starts, 6) axis trees (+z, +x, +y, -z, -x, -y at every prefix),
-    then seeded random trees, tree i from row i of one generator's draws,
-    run by `_solve`: a start converges when max|g| <= 1e-10 or a step lowers
-    the value by at most 1e-15 relative, and stops unconverged after
-    cfg.max_iters steps or a failed line search. Up to the dense cap, 8
-    qubits, where 3 starts take about 0.5 s.
+    Family parameters run on their X layout, with no dense state, after
+    `require_physical`. The 2 cfg.starts starts, (theta, phi) at every
+    prefix, are the first min(cfg.starts, 6) axis trees (+z, +x, +y, -z, -x,
+    -y at every prefix), then seeded random trees, tree i from row i of one
+    generator's draws, run by `_solve`: a start converges when max|g| <=
+    1e-10 or a step lowers the value by at most 1e-15 relative, and stops
+    unconverged after cfg.max_iters steps or a failed line search. Up to the
+    dense cap, 8 qubits, where 3 starts take about 0.5 s.
     """
+    if not isinstance(rho, (DensityMatrix, FamilyParams, GhzParams, DiagonalFieldParams)):
+        raise ValueError(f"minimize_discord needs a DensityMatrix or family parameters, got {type(rho).__name__}")
     if not isinstance(rho, DensityMatrix):
-        raise ValueError(f"minimize_discord needs a DensityMatrix, got {type(rho).__name__}")
+        require_physical(rho)
     cfg = cfg or OracleConfig()
     n = rho.n_qubits
     if n < 2:
@@ -593,7 +609,7 @@ def minimize_discord(rho: DensityMatrix, cfg: OracleConfig | None = None) -> Ora
 
 def minimize_reduced(params, cfg: OracleConfig | None = None) -> OracleResult:
     """Discord of `FamilyParams` or `GhzParams` (nothing else) by minimizing
-    `_Chain` of the parameters, the chain in the z-T plane.
+    `_Chain` of the parameters in the z-T plane, on their X layout.
 
     Each start has one angle theta per outcome prefix. Negating the z of a
     prefix and swapping the subtrees of its two outcomes leaves the chain
@@ -631,14 +647,14 @@ def minimize_family(params, cfg: OracleConfig | None = None) -> OracleResult:
 
     Unphysical states raise ValueError first. A symmetric or GHZ state above
     4 qubits goes to `minimize_reduced`, up to 10 qubits; the rest go to
-    `minimize_discord` through `realize`, up to the dense cap. Either way best_tree
-    is a `MeasurementTree` that attains the value, and the result's oracle
-    field and branch label say which oracle ran.
+    `minimize_discord`, which judges physicality itself, up to the dense cap.
+    Either way best_tree is a `MeasurementTree` that attains the value, and
+    the result's oracle field and branch label say which oracle ran.
     """
-    require_physical(params)
     if _family_oracle(params)[0] == "reduced":
+        require_physical(params)
         return minimize_reduced(params, cfg)
-    return minimize_discord(realize(params), cfg)
+    return minimize_discord(params, cfg)
 
 
 def oracle_reaches(params) -> bool:

@@ -1,8 +1,8 @@
-"""Eigenvalue spectra, von Neumann entropy (bits), and the H_y helper.
+"""Eigenvalue spectra, von Neumann entropy (bits), and the H helper.
 
-H_y(x) = (1+y+x)log2(1+y+x) + (1+y-x)log2(1+y-x) with 0*log2(0) = 0.
-It is even in x and nondecreasing in |x| on the valid domain; H(x) denotes
-the y = 0 case. All entropies use log base 2.
+H(x) = (1+x)log2(1+x) + (1-x)log2(1-x) with 0*log2(0) = 0, 2 less twice the
+binary entropy of (1+x)/2. It is even in x and nondecreasing in |x| on
+[-1, 1]. All entropies use log base 2.
 """
 
 from __future__ import annotations
@@ -48,9 +48,9 @@ def xlog2_scalar(v: float) -> float:
     return v * math.log2(v) if v > 0.0 else 0.0
 
 
-def h_scalar(x: float, y: float = 0.0) -> float:
-    """H_y(x) for floats; an argument 1+y+-x below 0 contributes 0."""
-    return xlog2_scalar(1.0 + y + x) + xlog2_scalar(1.0 + y - x)
+def h_scalar(x: float) -> float:
+    """H(x) for floats; an argument 1+-x below 0 contributes 0."""
+    return xlog2_scalar(1.0 + x) + xlog2_scalar(1.0 - x)
 
 
 def sum_xlog2(values, multiplicities) -> float:

@@ -708,7 +708,7 @@ PINNED = [
       "--c3", "-0.1", "--s", "0.1", "--method", "oracle", "--p-steps", "3", "--seed", "2",
       "--config", "{cfg}"],
      0, "p,discord_bits,branch\n0,0.0385250005,oracle\n0.45,0.00263285954,oracle\n"
-        "0.9,9.50564074e-08,oracle\n", ""),
+        "0.9,9.50564085e-08,oracle\n", ""),
     (["dynamics", "--family", "symmetric", "--n", "5", "--c1", "0.3", "--c2", "0.2",
       "--c3", "0.25", "--s", "0.1", "--method", "oracle", "--p-steps", "2", "--p-max", "0.5",
       "--config", "{cfg}"],

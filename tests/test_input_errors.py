@@ -63,11 +63,12 @@ CASES = [
      "starts must be a number, got '3'"),
     ("oracle-one-qubit", lambda: minimize_discord(DensityMatrix(1, np.eye(2) / 2)),
      "discord needs at least 2 qubits"),
-    # the full oracle reads a dense state only; family parameters once ran its
-    # 4-letter starts on the 3-letter plane chain and labelled the result full
+    # the full oracle solves family parameters on their X layout, judged first by their closed-form spectrum
     ("oracle-full-family-params",
-     lambda: minimize_discord(FamilyParams(3, 0.1, 0.5, -0.45, 0.3), OracleConfig(starts=3, seed=1)),
-     "minimize_discord needs a DensityMatrix, got FamilyParams"),
+     lambda: minimize_discord(FamilyParams(5, 0.9, 0.9, 0.9, 0.5), OracleConfig(starts=3, seed=1)),
+     "unphysical parameters: min eigenvalue -8.220e-02"),
+    ("oracle-full-not-a-state", lambda: minimize_discord(np.eye(4) / 4),
+     "minimize_discord needs a DensityMatrix or family parameters, got ndarray"),
     ("oracle-reduced-diagonal", lambda: minimize_reduced(DiagonalFieldParams((0.1, 0.2, 0.1, 0.1, 0.1))),
      "minimize_reduced needs FamilyParams or GhzParams, got DiagonalFieldParams"),
     ("oracle-reduced-dense", lambda: minimize_reduced(realize(FamilyParams(3, 0.1, 0.5, -0.45, 0.3))),

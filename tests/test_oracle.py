@@ -30,7 +30,7 @@ from discordium import (
     realize,
     von_neumann_entropy,
 )
-from discordium import oracle
+from discordium import oracle, pauli
 from discordium.oracle import _Chain, _pauli_tensor
 
 from conftest import sample_case1_family, sample_case1_second, sample_physical_family
@@ -72,7 +72,7 @@ def all_ones(n):
 def level_terms(params, z):
     """Reduced branch terms of the chain in the z-T plane at z vectors of
     shape (..., d): one (..., 2^m) array per level m, each branch's
-    probability less its entropy, from the rows of the (I, T, Z) chain.
+    probability less its entropy, from the rows of the plane chain.
     Level m sums to 1 less its conditional entropy."""
     chain = _Chain(params)
     chain.value_and_grad(np.arccos(z).reshape(-1, np.shape(z)[-1]))
@@ -86,7 +86,7 @@ def level_sums(params, z):
 
 
 def reduced_value(params, z):
-    """The reduced objective, N - 1 less the (I, T, Z) chain's value."""
+    """The reduced objective, N - 1 less the plane chain's value (one theta per prefix)."""
     return params.n_qubits - 1 - float(_Chain(params).value_and_grad(np.arccos(z)[None])[0][0])
 
 
@@ -237,26 +237,21 @@ class TestPauliTensor:
         ) / 2**n
         assert np.max(np.abs(rebuilt - rho.entries)) <= 1e-14
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    def test_family_plane_tensor_is_the_dense_one_on_i_t_z(self, rng, n):
-        # T is X where |c1| >= |c2| and Y otherwise; the swapped draw takes the other
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_x_layout_is_the_dense_one_on_iz_and_xy(self, rng, n):
+        # D over {I, Z}^N and A over {X, Y}^N, and the dense tensor is 0 on every
+        # other word; the swapped symmetric draw takes Y as T
         params = sample_physical_family(rng, n)
-        for c1, c2 in ((params.c1, params.c2), (params.c2, params.c1), (0.3, -0.3)):
-            state = FamilyParams(n, c1, c2, params.c3, params.s)
-            letters = [0, 1 if abs(c1) >= abs(c2) else 2, 3]
-            dense = _pauli_tensor(realize(state)).reshape((4,) * n)[np.ix_(*[letters] * n)]
-            plane = _pauli_tensor(state)
-            assert plane.shape == (3**n,) and np.max(np.abs(plane - dense.ravel())) <= 1e-15
-
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    def test_ghz_plane_tensor_is_the_dense_one_on_i_x_z(self, n):
-        # T is X for GHZ at every N; at even N, |Y..Y| = mu ties with X..X
-        params = GhzParams(n, 0.6)
-        dense = _pauli_tensor(realize(params)).reshape((4,) * n)
-        plane = _pauli_tensor(params)
-        assert plane.shape == (3**n,)
-        assert np.max(np.abs(plane - dense[np.ix_(*[[0, 1, 3]] * n)].ravel())) <= 1e-15
-        assert abs(abs(dense[(2,) * n]) - (0.6 if n % 2 == 0 else 0.0)) <= 1e-15
+        states = [params, FamilyParams(n, params.c2, params.c1, params.c3, params.s), GhzParams(n, 0.6),
+                  GhzParams(n, 1.0), DiagonalFieldParams(tuple(rng.uniform(-1.0 / n, 1.0 / n, n)))]
+        for state in states:
+            dense = _pauli_tensor(realize(state)).reshape((4,) * n)
+            d, a = dense[np.ix_(*[[0, 3]] * n)], dense[np.ix_(*[[1, 2]] * n)]
+            x_layout = _pauli_tensor(state)
+            assert x_layout.shape == (2 ** (n + 1),)
+            assert np.max(np.abs(x_layout - np.concatenate((d.ravel(), a.ravel())))) <= 1e-15, state
+            dense[np.ix_(*[[0, 3]] * n)] = dense[np.ix_(*[[1, 2]] * n)] = 0.0
+            assert np.max(np.abs(dense)) <= 1e-15, state
 
 
 class TestMeasuredConditionalEntropy:
@@ -382,7 +377,7 @@ class TestChainGradient:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_plane_chain_matches_four_letters(self, rng, n):
-        # the (I, T, Z) chain of a family state at theta rows is the 4-letter
+        # the X-layout chain of a family state at theta rows is the 4-letter
         # chain of its dense state at (theta, phi) pairs, phi pinned to T's axis
         d = 2 ** (n - 1) - 1
         params = sample_physical_family(rng, n)
@@ -398,6 +393,31 @@ class TestChainGradient:
             assert grad.shape == (8, d)
             assert np.max(np.abs(value - dense_value)) <= 1e-13, (n, c1, c2)
             assert np.max(np.abs(grad - dense_grad[:, ::2])) <= 1e-13, (n, c1, c2)
+
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_family_chain_matches_dense(self, rng, n):
+        # the X layout's chain at (theta, phi) rows is the 4-letter chain of the dense state
+        npar = 2 ** (n - 1) - 1
+        params = sample_physical_family(rng, n)
+        states = [params, FamilyParams(n, params.c2, params.c1, params.c3, params.s), GhzParams(n, 0.6),
+                  GhzParams(n, 1.0), DiagonalFieldParams(tuple(rng.uniform(-1.0 / n, 1.0 / n, n)))]
+        for state in states:
+            angles = np.empty((8, 2 * npar))
+            angles[:, 0::2] = np.arccos(rng.uniform(-1.0, 1.0, (8, npar)))
+            angles[:, 1::2] = rng.uniform(0.0, 2 * np.pi, (8, npar))
+            chain, dense = _Chain(state), _Chain(realize(state))
+            value, grad = chain.value_and_grad(angles)
+            dense_value, dense_grad = dense.value_and_grad(angles)
+            assert abs(chain.base - dense.base) <= 1e-13, state
+            assert np.max(np.abs(value - dense_value)) <= 1e-13, state
+            assert np.max(np.abs(grad - dense_grad)) <= 1e-13, state
+
+    @pytest.mark.parametrize("state", [DensityMatrix(3, np.eye(8) / 8), DiagonalFieldParams((0.1, -0.2, 0.3))],
+                             ids=["dense", "diagonal"])
+    def test_one_angle_row_needs_a_t_azimuth(self, state):
+        with pytest.raises(ValueError, match="^one angle per prefix is theta in the z-T plane"):
+            _Chain(state).value_and_grad(np.zeros((1, 3)))
 
 
 class TestDiscordObjective:
@@ -581,6 +601,18 @@ class TestMinimizeDiscord:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == [minimize_discord(realize(p), cfg).value for p in states]
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    def test_family_params_match_dense(self, rng, n):
+        # the X layout and the dense tensor run the same starts to the same minima
+        cfg = OracleConfig(starts=3, seed=n)
+        states = [DiagonalFieldParams(tuple(rng.uniform(-1.0 / n, 1.0 / n, n)))]
+        if n <= 4:
+            states += [sample_case1_family(rng, n), sample_physical_family(rng, n), GhzParams(n, 0.6)]
+        for params in states:
+            out, dense = minimize_discord(params, cfg), minimize_discord(realize(params), cfg)
+            assert out.oracle == "full" and out.value == pytest.approx(dense.value, abs=1e-12), params
+            assert out.starts_converged == dense.starts_converged, params
+
     @pytest.mark.parametrize("rho", [
         realize(GhzParams(2, 0.6)),
         DensityMatrix(2, np.eye(4) / 4),
@@ -738,11 +770,22 @@ class TestMinimizeFamily:
         assert oracle_reaches(params)
         assert minimize_family(params, cfg) == expected
 
-    @pytest.mark.parametrize("params", [FamilyParams(5, 0.9, 0.9, 0.9, 0.5), FamilyParams(3, 0.9, 0.9, 0.9)])
+    # the diagonal state past the dense cap is refused as unphysical, before the cap
+    @pytest.mark.parametrize("params", [FamilyParams(5, 0.9, 0.9, 0.9, 0.5), FamilyParams(3, 0.9, 0.9, 0.9),
+                                        DiagonalFieldParams((0.2,) * 9)])
     def test_refuses_unphysical(self, params, monkeypatch):
-        monkeypatch.setattr(oracle, "realize", lambda p: pytest.fail("realize called"))
-        with pytest.raises(ValueError, match="unphysical"):
+        monkeypatch.setattr(pauli, "realize", lambda p: pytest.fail("realize called"))
+        monkeypatch.setattr(oracle, "_pauli_tensor", lambda p: pytest.fail("Pauli weights built"))
+        with pytest.raises(ValueError, match="^unphysical parameters"):
             minimize_family(params, FAST)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_solves_without_dense_state(self, n, monkeypatch):
+        states = [FamilyParams(n, 0.1, 0.1, -0.2, 0.3 / n), GhzParams(n, 0.5), DiagonalFieldParams((0.1,) * n)]
+        expected = [minimize_family(params, FAST).value for params in states]
+        monkeypatch.setattr(pauli, "realize", lambda p: pytest.fail("realize called"))
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: pytest.fail("eigvalsh called"))
+        assert [minimize_family(params, FAST).value for params in states] == expected
 
     def test_past_reach_builds_nothing(self, monkeypatch):
         monkeypatch.setattr(np, "zeros", lambda *a, **k: pytest.fail("array allocated"))
