@@ -237,6 +237,38 @@ class TestPauliTensor:
         ) / 2**n
         assert np.max(np.abs(rebuilt - rho.entries)) <= 1e-14
 
+    @staticmethod
+    def x_layout_on_letters(state, letters):
+        """The X layout spread onto all 4^N words, 0 off {I, Z}^N and {X, Y}^N,
+        then read on the words over `letters` (indices into I, X, Y, Z)."""
+        n = state.n_qubits
+        x_layout = _pauli_tensor(state)
+        full = np.zeros((4,) * n)
+        full[np.ix_(*[[0, 3]] * n)] = x_layout[: 1 << n].reshape((2,) * n)
+        full[np.ix_(*[[1, 2]] * n)] = x_layout[1 << n :].reshape((2,) * n)
+        return full[np.ix_(*[letters] * n)]
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_family_plane_tensor_is_the_dense_one_on_i_t_z(self, rng, n):
+        # T is X where |c1| >= |c2| and Y otherwise; the swapped draw takes the other
+        params = sample_physical_family(rng, n)
+        for c1, c2 in ((params.c1, params.c2), (params.c2, params.c1), (0.3, -0.3)):
+            state = FamilyParams(n, c1, c2, params.c3, params.s)
+            letters = [0, 1 if abs(c1) >= abs(c2) else 2, 3]
+            dense = _pauli_tensor(realize(state)).reshape((4,) * n)[np.ix_(*[letters] * n)]
+            plane = self.x_layout_on_letters(state, letters)
+            assert plane.shape == (3,) * n and np.max(np.abs(plane - dense)) <= 1e-15
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_ghz_plane_tensor_is_the_dense_one_on_i_x_z(self, n):
+        # T is X for GHZ at every N; at even N, |Y..Y| = mu ties with X..X
+        params = GhzParams(n, 0.6)
+        dense = _pauli_tensor(realize(params)).reshape((4,) * n)
+        plane = self.x_layout_on_letters(params, [0, 1, 3])
+        assert plane.shape == (3,) * n
+        assert np.max(np.abs(plane - dense[np.ix_(*[[0, 1, 3]] * n)])) <= 1e-15
+        assert abs(abs(dense[(2,) * n]) - (0.6 if n % 2 == 0 else 0.0)) <= 1e-15
+
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_x_layout_is_the_dense_one_on_iz_and_xy(self, rng, n):
         # D over {I, Z}^N and A over {X, Y}^N, and the dense tensor is 0 on every
