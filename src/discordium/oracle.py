@@ -25,20 +25,15 @@ calls per evaluation grow with the level count, not the branch count.
 Each level is a linear map followed by 2x2 entropies, so one backward pass
 through the same contractions gives the exact gradient of the chain in the
 tree's angles. Every evaluation takes a leading start axis, so both oracles
-are a start policy plus one shared solve, `_solve`: it moves the starts off
-the axis trees (stationary points by symmetry) with `_off_axis`, runs them
-in one `_lockstep_minimize` call (a dense BFGS per start, each with its own
-strong-Wolfe line search, one batched chain evaluation per step), reduces
-every start with `MinimizeResult.reduce`, with no restart rule, and returns
-the `MeasurementTree` that attains the value. The module needs only numpy.
+are a start policy plus one shared solve, `_solve`, which runs every start in
+one `_lockstep_minimize` call and counts them all. It needs only numpy.
 
 For the symmetric and GHZ families the transverse components of a tree enter
 the chain only through the final level's Bloch norms, with a weight of at most
 c^2 prod(1 - z^2), c the larger of |c1| and |c2| (mu for GHZ). Trees in the
 plane of z and T, the axis `_transverse` picks, attain it, and the chain
 falls as those norms grow, so the reduced oracle searches that plane alone,
-up to 10 qubits: a row of one angle per prefix is theta in that plane, and a
-row of two is (theta, phi) for any state.
+up to 10 qubits.
 """
 
 from __future__ import annotations
@@ -69,10 +64,8 @@ ZERO_CLAMP = 1e-12
 REDUCED_ABOVE, REDUCED_ORACLE_CAP = 4, 10
 
 # (theta, phi) of the +z, +x, +y, -z, -x and -y directions
-AXIS_ANGLES = (
-    (0.0, 0.0), (np.pi / 2, 0.0), (np.pi / 2, np.pi / 2),
-    (np.pi, 0.0), (np.pi / 2, np.pi), (np.pi / 2, -np.pi / 2),
-)
+AXIS_ANGLES = ((0.0, 0.0), (np.pi / 2, 0.0), (np.pi / 2, np.pi / 2),
+               (np.pi, 0.0), (np.pi / 2, np.pi), (np.pi / 2, -np.pi / 2))
 
 
 @dataclass(frozen=True)
@@ -97,7 +90,7 @@ class MeasurementTree:
             raise ValueError(f"tree of {self.n_measured} measured qubits needs a ({rows}, 3) array, got {dirs.shape}")
         # a NaN or infinite component fails the unit test too; einsum sets no overflow flag
         unit = np.abs(np.sqrt(np.einsum("ij,ij->i", dirs, dirs)) - 1.0) <= 1e-12
-        if not unit.all():
+        if not np.logical_and.reduce(unit):
             row = int(unit.argmin())
             problem = "is not unit within 1e-12" if np.isfinite(dirs[row]).all() else "has a non-finite component"
             raise ValueError(f"direction row {row} {problem}")
@@ -116,9 +109,17 @@ class MeasurementTree:
     @classmethod
     def from_angles(cls, n_measured: int, angles: np.ndarray) -> "MeasurementTree":
         """Directions from a flat (theta, phi) vector in prefix order."""
-        angles = np.asarray(angles, dtype=float).reshape(-1, 2)
-        sin, cos = np.sin(angles), np.cos(angles)
-        return cls(n_measured, np.column_stack((sin[:, 0] * cos[:, 1], sin[:, 0] * sin[:, 1], cos[:, 0])))
+        require_count("n_measured", n_measured, 1)
+        angles, rows = np.asarray(angles, dtype=float), (1 << n_measured) - 1
+        if angles.size != 2 * rows:
+            raise ValueError(f"tree of {n_measured} measured qubits needs 2(2^{n_measured} - 1) = {2 * rows} "
+                             f"angles, (theta, phi) per prefix, got {angles.size}")
+        sin, cos = np.sin(angles.reshape(rows, 2)), np.cos(angles.reshape(rows, 2))
+        dirs = np.empty((rows, 3))
+        np.multiply(sin[:, 0], cos[:, 1], out=dirs[:, 0])
+        np.multiply(sin[:, 0], sin[:, 1], out=dirs[:, 1])
+        dirs[:, 2] = cos[:, 0]
+        return cls(n_measured, dirs)
 
 
 @dataclass(frozen=True)
@@ -173,21 +174,30 @@ def _clamp_zero(value: float) -> float:
     return 0.0 if abs(value) <= ZERO_CLAMP else value
 
 
+def _config(cfg) -> OracleConfig:
+    """cfg, or the defaults for None; anything else raises ValueError."""
+    if cfg is None or isinstance(cfg, OracleConfig):
+        return cfg or OracleConfig()
+    raise ValueError(f"cfg must be an OracleConfig, got {type(cfg).__name__}")
+
+
 # row 2i + j, column a: s_a[j, i], so a (.., 4) block of rho[i, j] entries times it gives Tr[. s_a]
 _PAULI_COLUMNS = np.array([[1, 0, 0, 1], [0, 1, 1j, 0], [0, 1, -1j, 0], [1, 0, 0, -1]])
 _PLUS_MINUS = np.array([1.0, -1.0])
 _BLOCH_NORM = np.array([0.0, 1.0, 1.0, 1.0])
 _LN2 = np.log(2.0)
+# elements per BFGS update block
+_UPDATE_BLOCK = 1 << 16
 # (1, r) over (I, X, Y, Z) times these gives the +- outcome projector rows (1, +-r)/2
 _HALF_SIGNS = 0.5 * np.array([[1.0, 1.0, 1.0, 1.0], [1.0, -1.0, -1.0, -1.0]])
 # (1, r) over (I, Z, X, Y) times these gives the (I, Z) and (X, Y) parts of the + row, then of the - row
 _X_HALF_SIGNS = 0.5 * np.array([[1, 1, 0, 0], [0, 0, 1, 1], [1, -1, 0, 0], [0, 0, -1, -1]])
-# (A, B, SIGN): E[A] * E[B] * SIGN gives (1, r), dr/dtheta and dr/dphi over (I, X, Y, Z),
+# ([A, B], SIGN): E[A] * E[B] * SIGN gives (1, r), dr/dtheta and dr/dphi over (I, X, Y, Z),
 # the last two as (0, .) rows, from a prefix's E = (1, cos theta, cos phi, sin theta, sin phi, 0)
-_TRIG = (np.array([[0, 3, 3, 1], [5, 1, 1, 3], [5, 3, 3, 5]]), np.array([[0, 2, 4, 0], [0, 2, 4, 0], [0, 4, 2, 0]]),
+_TRIG = (np.array([[[0, 3, 3, 1], [5, 1, 1, 3], [5, 3, 3, 5]], [[0, 2, 4, 0], [0, 2, 4, 0], [0, 4, 2, 0]]]),
          np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, -1.0], [1.0, -1.0, 1.0, 1.0]]))
 # the same rows over the X layout's (I, Z, X, Y)
-_X_TRIG = tuple(t[:, [0, 3, 1, 2]] for t in _TRIG)
+_X_TRIG = tuple(t[..., [0, 3, 1, 2]] for t in _TRIG)
 # (K (L + 1/ln 2), K lam/p) of a row's two eigenvalues, times this, gives (de/dp, de/d|w|)
 _ROW_GRAD = np.array([[-0.5, -0.5], [-0.5, 0.5], [1.0 / _LN2, 0.0], [1.0 / _LN2, 0.0]])
 
@@ -240,10 +250,8 @@ class _Chain:
     Built once per state and evaluated for many trees at once: every
     evaluation takes a leading start axis of k trees, and all of them share
     the Pauli weights from `_pauli_tensor`. A prefix's (1, r) row times the
-    layout's half signs gives its projector block: the outcome-o projector
-    (I +- r.s)/2 in Pauli coordinates, (1, +-r)/2, or for the X layout that
-    row's (I, Z) and (X, Y) parts. `_inputs` keeps each level's branch
-    tensors for the backward pass of `value_and_grad`.
+    layout's half signs gives its outcome projectors. `_inputs` keeps each
+    level's branch tensors for the backward pass of `value_and_grad`.
 
     A row of two angles per prefix is (theta, phi); a row of one is theta in
     the z-T plane, each direction (sin theta, cos theta) in (T, Z) with T's
@@ -265,12 +273,11 @@ class _Chain:
         self._azimuth = _transverse(rho)
         self.tensor = _pauli_tensor(rho)
         self._levels = rho.n_qubits - 1
-        self._halves = self._rows = None
         self._inputs = [None] * self._levels
         stride = self.tensor.size // 4
         first = self.tensor[: self._read * stride : stride]
         lam = 0.5 * (first[0] + np.sqrt(first[1:] @ first[1:]) * _PLUS_MINUS)
-        self.base = entropy + float(xlog2(lam).sum())
+        self.base = entropy + float(np.add.reduce(xlog2(lam)))
 
     def tree(self, x: np.ndarray) -> MeasurementTree:
         """The tree one row of angles stands for; a one-angle row's phi is T's azimuth."""
@@ -284,33 +291,32 @@ class _Chain:
         angles has shape (k, aP), each row one tree's a angles per prefix in
         prefix order, (theta, phi) or theta alone; the values have shape (k,)
         and the gradients (k, aP). A row (p, w) has entropy
-        e = -sum_+- lam log2(lam/p) with lam = (p +- |w|)/2.
-        With K_+- = 1 for a kept eigenvalue and 0 otherwise, and
-        L = log2(lam/p), de/dp = sum_+- K (lam/(p ln 2) - (L + 1/ln 2)/2) and
-        de/dw = -sum_+- (+-K) (L + 1/ln 2)/2 w/|w|; with both kept these are
-        -(L_+ + L_-)/2 and -(atanh(x)/x) w/(p ln 2), x = |w|/p, and the w
-        term is 0 at w = 0. A floored branch or eigenvalue adds 0 to the
-        value and the gradient. The row gradients are then carried back
-        through each level's contraction W' = H W into the projector rows,
-        and from r to the angles.
+        e = -sum_+- lam log2(lam/p) with lam = (p +- |w|)/2. With K_+- = 1
+        for a kept eigenvalue and 0 otherwise, and L = log2(lam/p),
+        de/dp = sum_+- K (lam/(p ln 2) - (L + 1/ln 2)/2) and
+        de/dw = -sum_+- (+-K) (L + 1/ln 2)/2 w/|w|, 0 at w = 0; a floored
+        branch or eigenvalue adds 0. The row gradients are then carried back
+        through each level's contraction W' = H W into the projector rows, and
+        from r to the angles.
         """
         k, npar = angles.shape[0], (1 << self._levels) - 1
         a = angles.shape[1] // npar
         if a == 1 and self._azimuth is None:
             raise ValueError("one angle per prefix is theta in the z-T plane, which needs symmetric or GHZ parameters")
-        trig = np.empty((k, npar, 6))
-        trig[..., ::5] = (1.0, 0.0)
+        trig = np.zeros((k, npar, 6))
+        trig[..., 0] = 1.0
         np.cos(angles.reshape(k, npar, a), out=trig[..., 1 : a + 1])
         np.sin(angles.reshape(k, npar, a), out=trig[..., 3 : a + 3])
         # (1, r) and dr/d(angle) of every prefix
-        trig_a, trig_b, trig_sign = self._trig
+        trig_ab, trig_sign = self._trig
         if a == 1:
             trig[..., 2:5:2] = self._azimuth
-            trig_a, trig_b, trig_sign = trig_a[:2], trig_b[:2], trig_sign[:2]
-        rows_and_jac = trig[..., trig_a] * trig[..., trig_b] * trig_sign
+            trig_ab, trig_sign = trig_ab[:, :2], trig_sign[:2]
+        factors = trig[..., trig_ab]
+        rows_and_jac = factors[..., 0, :, :] * factors[..., 1, :, :] * trig_sign
         self._propagate(rows_and_jac[:, :, 0])
         lam, ratio, log_ratio, keep, norm = self._eigen_terms()
-        value = -(lam * log_ratio).sum(axis=(1, 2))
+        value = -np.add.reduce(lam * log_ratio, axis=(1, 2))
 
         q = self._rows
         d_row = np.concatenate((keep * (log_ratio + 1.0 / _LN2), keep * ratio), axis=-1) @ _ROW_GRAD
@@ -330,18 +336,15 @@ class _Chain:
             if level:
                 g_out = np.matmul(halves[:, b - 1 : 2 * b - 1].swapaxes(-1, -2), g_out).reshape(k, b, -1)
 
-        grad_plus = (grad_halves * self._half_signs).sum(axis=-2)
+        grad_plus = np.add.reduce(grad_halves * self._half_signs, axis=-2)
         # not matmul, which hands a one-angle row to BLAS dot, rounding unlike the two-angle rows
-        grad = (rows_and_jac[:, :, 1:] * grad_plus[:, :, None]).sum(axis=-1)
+        grad = np.add.reduce(rows_and_jac[:, :, 1:] * grad_plus[:, :, None], axis=-1)
         return value, grad.reshape(k, a * npar)
 
     def _propagate(self, plus: np.ndarray) -> None:
-        """Fill every level's rows for k trees given as (1, r) rows, shape (k, P, 4).
-
-        Level m holds 2^m branches per tree (rows 2^m - 2 .. 2^(m+1) - 3).
-        Measuring with outcome +- maps a branch tensor W to (W[I] +- r.W[XYZ])/2,
-        one batched contraction per level for all trees.
-        """
+        """Fill every level's rows for k trees given as (1, r) rows, shape (k, P, 4),
+        one batched contraction per level; level m holds 2^m branches per tree
+        (rows 2^m - 2 .. 2^(m+1) - 3)."""
         k = plus.shape[0]
         halves = self._halves = plus[:, :, None, :] * self._half_signs
         # what a level does not read stays 0
@@ -370,88 +373,85 @@ class _Chain:
         return lam, ratio, np.log2(ratio), keep, norm
 
 
-def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return (a * b).sum(axis=-1)
-
-
 class _SearchStarts:
     """Per-start state of `_lockstep_minimize`, one row per start still running.
 
     Each start has its point x, value f, the roundoff allowance
     slack = F_TOL * max(|f|, 1), gradient g, dense inverse-Hessian estimate
     (the identity until its first update, while iters is 0), accepted steps,
-    direction p with slope0 = g.p, and trial step. A start whose line search
-    has made tries > 0 trials without accepting one also has the bracket ends
-    lo and hi as (step, value, slope) rows; hi's step is inf until the
-    minimum is bracketed.
+    direction p with slope0 = g.p, trial step, and in `brackets` None or,
+    inside a line search, [lo, hi, trials] with the ends as (step, value,
+    slope) lists, hi's step inf until the minimum is bracketed.
     """
 
     def __init__(self, ids, x, f, g):
         k, d = x.shape
         self.ids, self.x, self.f, self.g = ids, x, f, g
         self.slack = F_TOL * np.maximum(np.abs(f), 1.0)
-        self.hess = np.tile(np.eye(d), (k, 1, 1))
+        self.hess = np.zeros((k, d, d))
+        self.hess.reshape(k, -1)[:, :: d + 1] = 1.0
         self.iters = np.zeros(k, dtype=int)
-        self.p, self.slope0 = -g, -_rowdot(g, g)
+        self.p, self.slope0 = -g, -np.add.reduce(g * g, axis=-1)
         self.step = 1.0 / np.sqrt(-self.slope0)
-        self.lo, self.hi, self.tries = np.empty((k, 3)), np.empty((k, 3)), np.zeros(k, dtype=int)
+        self.brackets = [None] * k
 
     def sufficient(self, ft: np.ndarray) -> np.ndarray:
         """The sufficient-decrease test, passed also by a rise within the slack."""
         return ft <= self.f + self.slack + WOLFE_C1 * self.step * self.slope0
 
-    def search(self, ft: np.ndarray, slope: np.ndarray, sufficient: np.ndarray, curvature: np.ndarray):
-        """Line-search update of the rows that reject their trial or are inside a search.
-
-        Returns the accepted rows as a mask, and the rows whose search failed.
-        A trial inside a search is also rejected when it is not below the
-        bracket's low end plus the slack. A rejected trial becomes the high end
-        if it fails sufficient decrease or that test; otherwise it becomes the
-        low end, and the old low end the high one where the new
-        slope points back to it (Nocedal and Wright, algorithms 3.5 and 3.6).
-        """
-        accept = sufficient & curvature
-        failed = np.zeros_like(accept)
-        inside = self.tries > 0
-        for i in np.flatnonzero(~accept | inside).tolist():
-            if inside[i]:
-                lo, hi = self.lo[i].tolist(), self.hi[i].tolist()
-            else:
-                lo, hi = [0.0, float(self.f[i]), float(self.slope0[i])], [math.inf, 0.0, 0.0]
-            trial = [float(self.step[i]), float(ft[i]), float(slope[i])]
-            if not sufficient[i] or (inside[i] and trial[1] >= lo[1] + self.slack[i]):
+    def search(self, accept: np.ndarray, ft: np.ndarray, slope: np.ndarray, sufficient: np.ndarray) -> np.ndarray:
+        """Line-search update of the rows that reject their trial or are inside a
+        search; accept (sufficient & curvature) is left holding the accepted
+        rows, and the failed searches are returned. A trial inside a search is
+        also rejected when not below the low end plus the slack. A rejected trial
+        is the high end if it fails sufficient decrease or that test, else the
+        low end, the old low end then the high one where the new slope points
+        back to it (Nocedal and Wright, algorithms 3.5-3.6)."""
+        failed = np.zeros(accept.shape, dtype=bool)
+        ft, slope, passes, sufficient = ft.tolist(), slope.tolist(), accept.tolist(), sufficient.tolist()
+        for i, bracket in enumerate(self.brackets):
+            if not bracket and passes[i]:
+                continue
+            lo, hi, tries = bracket or ([0.0, float(self.f[i]), float(self.slope0[i])], [math.inf, 0.0, 0.0], 0)
+            trial = [float(self.step[i]), ft[i], slope[i]]
+            if not sufficient[i] or (bracket and trial[1] >= lo[1] + self.slack[i]):
                 hi = trial
-            elif curvature[i]:
+            elif passes[i]:
+                self.brackets[i] = None
                 continue
             else:
                 if (trial[2] > 0.0) == (hi[0] > lo[0]):
                     hi = lo
                 lo = trial
             accept[i] = False
-            self.lo[i], self.hi[i], self.step[i] = lo, hi, _next_step(lo, hi)
-            self.tries[i] += 1
-            failed[i] = self.tries[i] >= SEARCH_EVALS
-        return accept, failed
+            self.brackets[i] = [lo, hi, tries + 1]
+            self.step[i] = _next_step(lo, hi)
+            failed[i] = tries + 1 >= SEARCH_EVALS
+        return failed
 
     def advance(self, rows, trial, ft, gt, max_iters: int):
         """Move the rows to their accepted trial points, update their BFGS
         estimates and start their next line search. Returns whether each row
         converged, and whether it stops."""
         s, y = trial[rows] - self.x[rows], gt[rows] - self.g[rows]
-        sy = _rowdot(s, y)
+        sy = np.add.reduce(s * y, axis=-1)
+        # for rows = slice(None) a view of self.hess, updated in place
         h, fresh = self.hess[rows], self.iters[rows] == 0
-        if fresh.any():
+        if np.logical_or.reduce(fresh):
             # the first update scales the identity by s.y / y.y (Nocedal and Wright, eq. 6.20)
-            h *= np.where(fresh, sy / _rowdot(y, y), 1.0)[:, None, None]
+            h *= np.where(fresh, sy / np.add.reduce(y * y, axis=-1), 1.0)[:, None, None]
         hy = (h @ y[:, :, None])[:, :, 0]
         rho = 1.0 / sy
-        # H' = H + v s^T + s v^T is the BFGS inverse update; s.y > 0 after a strong-Wolfe step
-        v = (0.5 * rho * (1.0 + rho * _rowdot(y, hy)))[:, None] * s - rho[:, None] * hy
-        vs = v[:, :, None] * s[:, None, :]
-        # in place: for rows = slice(None), h is a view of self.hess and the store is free
-        h += vs
-        h += vs.transpose(0, 2, 1)
-        self.hess[rows] = h
+        # H' = H + v s^T + s v^T, the BFGS inverse update (s.y > 0 after a strong-Wolfe step),
+        # a block of rows at a time so the products stay in cache
+        v = (0.5 * rho * (1.0 + rho * np.add.reduce(y * hy, axis=-1)))[:, None] * s - rho[:, None] * hy
+        block = max(1, _UPDATE_BLOCK // s.size)
+        for i in range(0, s.shape[1], block):
+            h_rows = h[:, i : i + block]
+            h_rows += v[:, i : i + block, None] * s[:, None, :]
+            h_rows += s[:, i : i + block, None] * v[:, None, :]
+        if not isinstance(rows, slice):
+            self.hess[rows] = h
 
         f_old, f_new, g_new = self.f[rows], ft[rows], gt[rows]
         slack = F_TOL * np.maximum(np.abs(f_new), 1.0)
@@ -460,14 +460,13 @@ class _SearchStarts:
         self.x[rows], self.f[rows], self.g[rows], self.slack[rows] = trial[rows], f_new, g_new, slack
         self.iters[rows] += 1
         p = self.p[rows] = -(h @ g_new[:, :, None])[:, :, 0]
-        self.slope0[rows] = _rowdot(p, g_new)
+        self.slope0[rows] = np.add.reduce(p * g_new, axis=-1)
         self.step[rows] = 1.0
-        self.tries[rows] = 0
         return converged, converged | (self.iters[rows] >= max_iters)
 
     def keep(self, mask) -> None:
         for name, value in vars(self).items():
-            setattr(self, name, value[mask])
+            setattr(self, name, value[mask] if name != "brackets" else [b for b, m in zip(value, mask.tolist()) if m])
 
 
 def _next_step(lo: list[float], hi: list[float]) -> float:
@@ -509,8 +508,8 @@ class MinimizeResult(NamedTuple):
         """Over every start: the lowest value's index (the first on ties), the
         converged count, and the converged values' spread (NaN if none)."""
         done = self.fun[self.success]
-        spread = float(np.ptp(done)) if done.size else float("nan")
-        return int(np.argmin(self.fun)), int(self.success.sum()), spread
+        spread = float(np.maximum.reduce(done) - np.minimum.reduce(done)) if done.size else float("nan")
+        return int(self.fun.argmin()), int(np.count_nonzero(self.success)), spread
 
 
 def _off_axis(x0: np.ndarray) -> np.ndarray:
@@ -525,37 +524,42 @@ def _lockstep_minimize(fun, x0: np.ndarray, max_iters: int) -> MinimizeResult:
 
     fun maps a (k, d) array of points to their k values and (k, d)
     gradients. Each start runs its own dense BFGS with a strong-Wolfe line
-    search (c1 = 1e-3 and c2 = 0.9, as in L-BFGS-B's; first trial step 1/|g|,
-    later ones 1), and every step evaluates the trial points of all running
-    starts in one call. A start succeeds when max|g| <= GRAD_TOL, or when an
-    accepted step lowers f by at most F_TOL * max(|f_old|, |f|, 1) (L-BFGS-B's
-    two tests); it fails after max_iters accepted steps, or after
-    SEARCH_EVALS trials without one, keeping its last accepted point.
+    search (first trial step 1/|g|, later ones 1), and every step evaluates
+    the trial points of all running starts in one call. A start succeeds
+    when max|g| <= GRAD_TOL, or when an accepted step lowers f by at most
+    F_TOL * max(|f_old|, |f|, 1); it fails after max_iters accepted steps,
+    or after SEARCH_EVALS trials without one, keeping its last accepted point.
     """
     x = np.array(x0, dtype=float)
-    n_starts = len(x)
     f, g = fun(x)
-    nfev = 1
-    out_x, out_f, nit = x.copy(), f.copy(), np.zeros(n_starts, dtype=int)
     success = np.abs(g).max(axis=1) <= GRAD_TOL
-    run = None if success.all() else _SearchStarts(*(a[~success] for a in (np.arange(n_starts), x, f, g)))
-    while run is not None and run.ids.size:
+    nit = np.zeros(len(x), dtype=int)
+    if np.logical_and.reduce(success):
+        return MinimizeResult(x, f, success, nit, 1)
+    nfev, run = 1, _SearchStarts(*(a[~success] for a in (np.arange(len(x)), x, f, g)))
+    while run.ids.size:
         trial = run.x + run.step[:, None] * run.p
         ft, gt = fun(trial)
         nfev += 1
-        slope = _rowdot(gt, run.p)
-        sufficient, curvature = run.sufficient(ft), np.abs(slope) <= -WOLFE_C2 * run.slope0
-        accept, finished = run.search(ft, slope, sufficient, curvature)
-        # a slice when every row accepts keeps advance's in-place update of the estimates
-        rows = slice(None) if accept.all() else np.flatnonzero(accept)
-        converged = np.zeros_like(accept)
-        converged[rows], finished[rows] = run.advance(rows, trial, ft, gt, max_iters)
-        if finished.any():
+        slope = np.add.reduce(gt * run.p, axis=-1)
+        sufficient = run.sufficient(ft)
+        accept = sufficient & (np.abs(slope) <= -WOLFE_C2 * run.slope0)
+        whole = np.logical_and.reduce(accept)
+        if not whole or any(run.brackets):
+            failed = run.search(accept, ft, slope, sufficient)
+            whole = np.logical_and.reduce(accept)
+        if whole:
+            converged, finished = run.advance(slice(None), trial, ft, gt, max_iters)
+        else:
+            rows, converged, finished = accept.nonzero()[0], np.zeros(accept.shape, dtype=bool), failed
+            if rows.size:
+                converged[rows], finished[rows] = run.advance(rows, trial, ft, gt, max_iters)
+        if np.logical_or.reduce(finished):
             success[run.ids[converged]] = True
             ids = run.ids[finished]
-            out_x[ids], out_f[ids], nit[ids] = run.x[finished], run.f[finished], run.iters[finished]
+            x[ids], f[ids], nit[ids] = run.x[finished], run.f[finished], run.iters[finished]
             run.keep(~finished)
-    return MinimizeResult(out_x, out_f, success, nit, nfev)
+    return MinimizeResult(x, f, success, nit, nfev)
 
 
 # bench/tracing.py wraps this name and reads the result's nfev; being the same
@@ -576,32 +580,32 @@ def _solve(chain: _Chain, x0: np.ndarray, cfg: OracleConfig, oracle: str) -> Ora
 
 
 def minimize_discord(rho, cfg: OracleConfig | None = None) -> OracleResult:
-    """Discord of a `DensityMatrix` or of family parameters by lockstep BFGS
-    over their measurement trees, with the exact gradient.
+    """Discord of a `DensityMatrix` or of family parameters (on their X layout,
+    after `require_physical`) by lockstep BFGS over their measurement trees,
+    with the exact gradient, up to the dense cap of 8 qubits.
 
-    Family parameters run on their X layout, with no dense state, after
-    `require_physical`. The 2 cfg.starts starts, (theta, phi) at every
-    prefix, are the first min(cfg.starts, 6) axis trees (+z, +x, +y, -z, -x,
-    -y at every prefix), then seeded random trees, tree i from row i of one
-    generator's draws, run by `_solve`: a start converges when max|g| <=
-    1e-10 or a step lowers the value by at most 1e-15 relative, and stops
-    unconverged after cfg.max_iters steps or a failed line search. Up to the
-    dense cap, 8 qubits, where 3 starts take about 0.5 s.
+    The 2 cfg.starts starts, (theta, phi) at every prefix, are the first
+    min(cfg.starts, 6) axis trees (+z, +x, +y, -z, -x, -y at every prefix),
+    then seeded random trees, tree i from row i of one generator's draws,
+    run by `_solve`. At 8 qubits 3 starts take about 0.36 s on a dense state
+    and 0.26 s on family parameters.
     """
     if not isinstance(rho, (DensityMatrix, FamilyParams, GhzParams, DiagonalFieldParams)):
         raise ValueError(f"minimize_discord needs a DensityMatrix or family parameters, got {type(rho).__name__}")
+    cfg = _config(cfg)
     if not isinstance(rho, DensityMatrix):
         require_physical(rho)
-    cfg = cfg or OracleConfig()
     n = rho.n_qubits
     if n < 2:
         raise ValueError("discord needs at least 2 qubits")
-    npar = _dense_dim(n) // 2 - 1
-    axes = np.array([pair * npar for pair in AXIS_ANGLES[: cfg.starts]])
+    npar, axes = _dense_dim(n) // 2 - 1, min(cfg.starts, 6)
+    x0 = np.empty((2 * cfg.starts, npar, 2))
+    x0[:axes] = np.array(AXIS_ANGLES[:axes])[:, None]
     # per row, npar draws of uniform(0, 1) for cos(theta), then npar for phi
-    u = np.random.default_rng(cfg.seed).random((2 * cfg.starts - len(axes), 2 * npar))
-    drawn = np.stack((np.arccos(-1.0 + 2.0 * u[:, :npar]), 2 * np.pi * u[:, npar:]), axis=-1)
-    return _solve(_Chain(rho), np.concatenate((axes, drawn.reshape(len(u), 2 * npar))), cfg, "full")
+    u = np.random.default_rng(cfg.seed).random((2 * cfg.starts - axes, 2 * npar))
+    x0[axes:, :, 0] = np.arccos(-1.0 + 2.0 * u[:, :npar])
+    np.multiply(2 * np.pi, u[:, npar:], out=x0[axes:, :, 1])
+    return _solve(_Chain(rho), x0.reshape(len(x0), -1), cfg, "full")
 
 
 # --- reduced optimizer for the permutation-symmetric families --------------
@@ -609,28 +613,26 @@ def minimize_discord(rho, cfg: OracleConfig | None = None) -> OracleResult:
 
 def minimize_reduced(params, cfg: OracleConfig | None = None) -> OracleResult:
     """Discord of `FamilyParams` or `GhzParams` (nothing else) by minimizing
-    `_Chain` of the parameters in the z-T plane, on their X layout.
+    `_Chain` of the parameters in the z-T plane, on their X layout, up to 10
+    qubits; physicality is not checked here.
 
     Each start has one angle theta per outcome prefix. Negating the z of a
     prefix and swapping the subtrees of its two outcomes leaves the chain
     unchanged, so the starts need z in [0, 1] only: all-ones, all-zeros and
-    all-0.5 z, then seeded random ones on [0, 1]^d up to min(cfg.starts, 12)
-    in all, at least 3 whatever cfg.starts says, run by `_solve` as the full
-    oracle's are. A 3-start solve takes about 0.03 s at 8 qubits and 0.4 s
-    at 10; the cap is 10 qubits. Physicality is not checked here. best_tree
-    has the best start's theta at every prefix and T's azimuth (phi = 0 for
-    X, pi/2 for Y).
+    all-0.5 z, then seeded random ones, max(3, min(cfg.starts, 12)) in all,
+    run by `_solve`. 3 starts take about 0.02 s at 8 qubits and 0.23 s at
+    10. best_tree has T's azimuth at every prefix (phi = 0 for X, pi/2 for Y).
     """
     if not isinstance(params, (FamilyParams, GhzParams)):
         raise ValueError(f"minimize_reduced needs FamilyParams or GhzParams, got {type(params).__name__}")
-    cfg = cfg or OracleConfig()
+    cfg = _config(cfg)
     n = params.n_qubits
     if n > REDUCED_ORACLE_CAP:
         raise ValueError(f"n_qubits={n} exceeds reduced-oracle cap {REDUCED_ORACLE_CAP}")
-    d = 2 ** (n - 1) - 1
-    drawn = np.random.default_rng(cfg.seed).random((max(0, min(cfg.starts, 12) - 3), d))
-    theta0 = np.arccos(np.concatenate((np.array([np.ones(d), np.zeros(d), np.full(d, 0.5)]), drawn)))
-    return _solve(_Chain(params), theta0, cfg, "reduced")
+    z = np.empty((max(3, min(cfg.starts, 12)), 2 ** (n - 1) - 1))
+    z[:3] = ((1.0,), (0.0,), (0.5,))
+    np.random.default_rng(cfg.seed).random(out=z[3:])
+    return _solve(_Chain(params), np.arccos(z), cfg, "reduced")
 
 
 def _family_oracle(params) -> tuple[str, int]:
@@ -643,14 +645,11 @@ def _family_oracle(params) -> tuple[str, int]:
 
 
 def minimize_family(params, cfg: OracleConfig | None = None) -> OracleResult:
-    """Oracle discord of a family state, the one place that picks the oracle.
-
-    Unphysical states raise ValueError first. A symmetric or GHZ state above
-    4 qubits goes to `minimize_reduced`, up to 10 qubits; the rest go to
-    `minimize_discord`, which judges physicality itself, up to the dense cap.
-    Either way best_tree is a `MeasurementTree` that attains the value, and
-    the result's oracle field and branch label say which oracle ran.
-    """
+    """Oracle discord of a family state, the one place that picks the oracle
+    (by `_family_oracle`); unphysical states raise ValueError first. Either
+    way best_tree is a `MeasurementTree` that attains the value, and the
+    result's oracle field and branch label say which oracle ran."""
+    cfg = _config(cfg)
     if _family_oracle(params)[0] == "reduced":
         require_physical(params)
         return minimize_reduced(params, cfg)

@@ -36,7 +36,7 @@ def _float_dim(n: int) -> float:
 def xlog2(values):
     """Elementwise v*log2(v) with finite v <= 0 mapped to 0; NaN and -inf give NaN."""
     arr = np.asarray(values, dtype=float)
-    out = np.zeros_like(arr)
+    out = np.zeros(arr.shape)
     np.log2(arr, out=out, where=arr > 0.0)
     # |v| keeps the product +0.0 where v <= 0, as the masked form gave
     out *= np.abs(arr)

@@ -15,6 +15,7 @@ from discordium import (
     MeasurementTree,
     OracleConfig,
     discord_diagonal_field,
+    dynamics_sweep,
     evolved_params,
     minimize_discord,
     minimize_family,
@@ -84,6 +85,18 @@ CASES = [
      "unphysical state: min eigenvalue -6.250e-09"),
     ("oracle-unphysical-family", lambda: minimize_family(FamilyParams(4, 0.5000001, 0, 0.5, 0)),
      "unphysical parameters: min eigenvalue -6.250e-09"),
+    # a cfg that is not an OracleConfig fails before any solve work, on every oracle route
+    ("oracle-full-dict-config", lambda: minimize_discord(realize(GhzParams(2, 0.6)), {"starts": 3}),
+     "cfg must be an OracleConfig, got dict"),
+    ("oracle-reduced-dict-config", lambda: minimize_reduced(FamilyParams(5, 0.1, 0.1, -0.2, 0.05), {"seed": 1}),
+     "cfg must be an OracleConfig, got dict"),
+    ("oracle-family-dict-config", lambda: minimize_family(FamilyParams(6, 0.1, 0.1, -0.2, 0.05), {"starts": 3}),
+     "cfg must be an OracleConfig, got dict"),
+    ("dynamics-oracle-dict-config",
+     lambda: dynamics_sweep(FamilyParams(3, 0.1, 0.1, -0.2, 0.05), [0.0, 0.5], method="oracle", cfg={"starts": 3}),
+     "cfg must be an OracleConfig, got dict"),
+    ("tree-from-angles-one-angle", lambda: MeasurementTree.from_angles(1, [0.3]),
+     "tree of 1 measured qubits needs 2(2^1 - 1) = 2 angles, (theta, phi) per prefix, got 1"),
 ]
 
 

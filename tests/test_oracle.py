@@ -776,6 +776,89 @@ class TestLockstepBfgs:
         # the benchmark's tracer wraps oracle._scipy_minimize; it must stay this very function
         assert oracle._scipy_minimize is oracle._lockstep_minimize
 
+    # The minimizer's decisions, pinned: the values were taken before the
+    # minimizer's bookkeeping was rewritten for fewer numpy calls, which changed
+    # no float, so a changed branch decision fails here. Computed with Python
+    # 3.11.7 and numpy 2.4.6, like the CI pins.
+    # (value, slope) of 1-D objectives, start points, then the points `fun`
+    # receives, one list per batched call, and nfev, nit and success:
+    LINE_SEARCHES = {
+        # no bracket: every trial decreases f steeply, so the step grows 4x each time
+        "extrapolate": (
+            lambda t: ((t - 100.0) ** 2, 2.0 * (t - 100.0)), [0.0],
+            [[0.0], [1.0], [4.0], [16.0], [100.0]], 5, [2], [True],
+        ),
+        # 4.3 fails sufficient decrease and is the high end; 3.268 passes it with
+        # a positive slope, so the low end 0 becomes the high end; then cubic steps
+        "swap_and_cubic": (
+            lambda t: (np.cos(t), -np.sin(t)), [0.3],
+            [[0.3], [1.3], [4.3], [3.267995455646235], [2.380479969678196], [3.146350605152392],
+             [3.141579480601742], [3.1415926536393575]], 8, [4], [True],
+        ),
+        # the wall at 0.5 puts the cubic minimizer within 1e-4 of the low end: midpoints
+        "midpoint": (
+            lambda t: ((t - 0.2) ** 2 + (1e4 if t >= 0.5 else 0.0), 2.0 * (t - 0.2)), [0.0],
+            [[0.0], [1.0], [0.5], [0.25], [0.2]], 5, [2], [True],
+        ),
+        # the kink's trials are not below the low end, and the search fails after SEARCH_EVALS
+        "fails_after_search_evals": (
+            lambda t: (abs(t - 1.0) - 0.01 * t, (1.0 if t > 1.0 else -1.0) - 0.01), [0.0],
+            [[0.0], [1.0], [4.0], [1.4236117229565557], [1.0598156306087405], [1.0084462007806339],
+             [1.0011926365550403], [1.0001684049419806], [1.0000237794358755], [1.0000033577492673],
+             [1.0000004741273174], [1.00000006694863], [1.000000009453408], [1.0000000013348582],
+             [1.0000000001884872], [1.0000000000266152], [1.000000000003758], [1.0000000000005307],
+             [1.0000000000000748], [1.0000000000000104], [1.0000000000000016]], 21, [0], [False],
+        ),
+        # four starts in lockstep, each accepting or searching on its own
+        "lockstep": (
+            lambda t: (np.cos(t), -np.sin(t)), [0.3, 2.0, -1.0, 3.0],
+            [[0.3, 2.0, -1.0, 3.0], [1.3, 3.0, -2.0, 4.0], [4.3, 3.1837075714703986, -5.0, 3.1349282338059505],
+             [3.267995455646235, 3.1414936329489804, -3.011333746890304, 3.1416160287574653],
+             [2.380479969678196, 3.1415926827985894, -3.3784798513279517, 3.1415926534173666],
+             [3.146350605152392, 3.141592653589793, -3.1413184803462766, 3.141592653589793],
+             [3.141579480601742, -3.141593432100901], [3.1415926536393575, -3.1415926535897833]],
+            8, [4, 5, 4, 4], [True, True, True, True],
+        ),
+    }
+
+    @pytest.mark.parametrize("name", LINE_SEARCHES)
+    def test_line_search_trials_are_pinned(self, name):
+        f1, x0, points, nfev, nit, success = self.LINE_SEARCHES[name]
+        seen = []
+
+        def fun(x):
+            seen.append(x[:, 0].tolist())
+            pairs = [f1(t) for t in x[:, 0].tolist()]
+            return np.array([v for v, _ in pairs]), np.array([[g] for _, g in pairs])
+
+        res = oracle._lockstep_minimize(fun, np.array(x0).reshape(-1, 1), 100)
+        assert seen == points
+        assert (res.nfev, res.nit.tolist(), res.success.tolist()) == (nfev, nit, success)
+
+    @pytest.mark.parametrize("solve, state, cfg, nfev, nit, value, spread", [
+        # flat: every start converges at the first evaluation
+        (minimize_discord, realize(GhzParams(2, 0.6)), OracleConfig(starts=3, seed=5),
+         1, [0] * 6, "0x1.75e9795d67dc4p-2", "0x0.0p+0"),
+        (minimize_discord, realize(FamilyParams(2, 0.1, -0.05, -0.3, 0.07)), OracleConfig(starts=3, seed=1),
+         9, [2, 3, 5, 3, 5, 4], "0x1.9aeb3e9ac7680p-7", "0x0.0p+0"),
+        (minimize_discord, realize(FamilyParams(3, 0.1, -0.05, -0.3, 0.07)), OracleConfig(starts=3, seed=1),
+         27, [7, 7, 9, 20, 16, 10], "0x1.336874fc5dc00p-7", "0x1.09d1d19b3e470p-4"),
+        (minimize_reduced, FamilyParams(5, 0.2, 0.1, -0.3, 0.05), OracleConfig(starts=5, seed=1),
+         24, [16, 18, 16, 22, 18], "0x1.357ccc7a5b240p-5", "0x1.35ddd99e66840p-5"),
+    ], ids=["ghz2_flat", "case1_n2", "case1_n3", "reduced_n5"])
+    def test_seeded_solves_are_pinned(self, solve, state, cfg, nfev, nit, value, spread, monkeypatch):
+        real, calls = oracle._lockstep_minimize, []
+
+        def spy(*args, **kwargs):
+            calls.append(real(*args, **kwargs))
+            return calls[-1]
+
+        monkeypatch.setattr(oracle, "_lockstep_minimize", spy)
+        out = solve(state, cfg)
+        [res] = calls
+        assert (res.nfev, res.nit.tolist(), res.success.tolist()) == (nfev, nit, [True] * len(nit))
+        assert (out.value.hex(), float(out.spread).hex()) == (value, spread)
+
 
 class TestMinimizeFamily:
     def test_symmetric_past_full_cap_goes_reduced(self):
