@@ -192,12 +192,12 @@ _UPDATE_BLOCK = 1 << 16
 _HALF_SIGNS = 0.5 * np.array([[1.0, 1.0, 1.0, 1.0], [1.0, -1.0, -1.0, -1.0]])
 # (1, r) over (I, Z, X, Y) times these gives the (I, Z) and (X, Y) parts of the + row, then of the - row
 _X_HALF_SIGNS = 0.5 * np.array([[1, 1, 0, 0], [0, 0, 1, 1], [1, -1, 0, 0], [0, 0, -1, -1]])
-# ([A, B], SIGN): E[A] * E[B] * SIGN gives (1, r), dr/dtheta and dr/dphi over (I, X, Y, Z),
+# (A, B, SIGN): E[A] * E[B] * SIGN gives (1, r), dr/dtheta and dr/dphi over (I, X, Y, Z),
 # the last two as (0, .) rows, from a prefix's E = (1, cos theta, cos phi, sin theta, sin phi, 0)
-_TRIG = (np.array([[[0, 3, 3, 1], [5, 1, 1, 3], [5, 3, 3, 5]], [[0, 2, 4, 0], [0, 2, 4, 0], [0, 4, 2, 0]]]),
+_TRIG = (np.array([[0, 3, 3, 1], [5, 1, 1, 3], [5, 3, 3, 5]]), np.array([[0, 2, 4, 0], [0, 2, 4, 0], [0, 4, 2, 0]]),
          np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, -1.0], [1.0, -1.0, 1.0, 1.0]]))
 # the same rows over the X layout's (I, Z, X, Y)
-_X_TRIG = tuple(t[..., [0, 3, 1, 2]] for t in _TRIG)
+_X_TRIG = tuple(t[:, [0, 3, 1, 2]] for t in _TRIG)
 # (K (L + 1/ln 2), K lam/p) of a row's two eigenvalues, times this, gives (de/dp, de/d|w|)
 _ROW_GRAD = np.array([[-0.5, -0.5], [-0.5, 0.5], [1.0 / _LN2, 0.0], [1.0 / _LN2, 0.0]])
 
@@ -308,12 +308,11 @@ class _Chain:
         np.cos(angles.reshape(k, npar, a), out=trig[..., 1 : a + 1])
         np.sin(angles.reshape(k, npar, a), out=trig[..., 3 : a + 3])
         # (1, r) and dr/d(angle) of every prefix
-        trig_ab, trig_sign = self._trig
+        trig_a, trig_b, trig_sign = self._trig
         if a == 1:
             trig[..., 2:5:2] = self._azimuth
-            trig_ab, trig_sign = trig_ab[:, :2], trig_sign[:2]
-        factors = trig[..., trig_ab]
-        rows_and_jac = factors[..., 0, :, :] * factors[..., 1, :, :] * trig_sign
+            trig_a, trig_b, trig_sign = trig_a[:2], trig_b[:2], trig_sign[:2]
+        rows_and_jac = trig[..., trig_a] * trig[..., trig_b] * trig_sign
         self._propagate(rows_and_jac[:, :, 0])
         lam, ratio, log_ratio, keep, norm = self._eigen_terms()
         value = -np.add.reduce(lam * log_ratio, axis=(1, 2))
