@@ -41,6 +41,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
 
@@ -76,7 +77,7 @@ class MeasurementTree:
     qubit 1; rows 2^m - 1 .. 2^(m+1) - 2 are the 2^m prefixes of length m, as
     binary numbers with the first outcome most significant (0 for +, 1 for -),
     and each measures qubit m + 1. This is the order of `_Chain`. Trees
-    compare and hash by value, so results that hold them do too.
+    compare and hash by value.
     """
 
     n_measured: int
@@ -115,18 +116,14 @@ class MeasurementTree:
             raise ValueError(f"tree of {n_measured} measured qubits needs 2(2^{n_measured} - 1) = {2 * rows} "
                              f"angles, (theta, phi) per prefix, got {angles.size}")
         sin, cos = np.sin(angles.reshape(rows, 2)), np.cos(angles.reshape(rows, 2))
-        dirs = np.empty((rows, 3))
-        np.multiply(sin[:, 0], cos[:, 1], out=dirs[:, 0])
-        np.multiply(sin[:, 0], sin[:, 1], out=dirs[:, 1])
-        dirs[:, 2] = cos[:, 0]
-        return cls(n_measured, dirs)
+        return cls(n_measured, np.column_stack((sin[:, 0] * cos[:, 1], sin[:, 0] * sin[:, 1], cos[:, 0])))
 
 
 @dataclass(frozen=True)
 class OracleConfig:
     """Both oracles' start count, steps per start and seed: `minimize_discord`
     runs 2 * starts starts, `minimize_reduced` max(3, min(starts, 12)). Each is a
-    whole number by `pauli.require_count`: starts in 1..256 (2 * 256 full-oracle
+    whole number by `pauli.require_count`: starts in 1..256 (512 full-oracle
     starts at 8 qubits hold 0.26 GB of BFGS estimates), max_iters in 1..10000, seed >= 0."""
 
     starts: int = 64
@@ -155,14 +152,19 @@ class OracleConfig:
 
 @dataclass(frozen=True)
 class OracleResult:
-    """The discord value, the tree that attains it, the converged count and
-    spread over every start, and the oracle that ran ("full" or "reduced")."""
+    """The discord value, the converged count and spread over every start, the
+    oracle that ran ("full" or "reduced"), and the lowest start's (theta, phi)
+    per prefix, which `best_tree` turns into its tree when first read."""
 
     value: float
-    best_tree: MeasurementTree
     starts_converged: int
     spread: float
     oracle: str
+    best_angles: tuple[float, ...]
+
+    @cached_property
+    def best_tree(self) -> MeasurementTree:
+        return MeasurementTree.from_angles((len(self.best_angles) // 2).bit_length(), self.best_angles)
 
     @property
     def branch(self) -> str:
@@ -247,10 +249,9 @@ def _pauli_tensor(rho) -> np.ndarray:
 class _Chain:
     """The measured conditional-entropy chain of one state, levels 1..N-1.
 
-    Built once per state and evaluated for many trees at once: every
-    evaluation takes a leading start axis of k trees, and all of them share
-    the Pauli weights from `_pauli_tensor`. A prefix's (1, r) row times the
-    layout's half signs gives its outcome projectors. `_inputs` keeps each
+    Built once per state; an evaluation takes a leading axis of k trees, which
+    share the Pauli weights from `_pauli_tensor`. A prefix's (1, r) row times
+    the layout's half signs gives its outcome projectors. `_inputs` keeps each
     level's branch tensors for the backward pass of `value_and_grad`.
 
     A row of two angles per prefix is (theta, phi); a row of one is theta in
@@ -279,11 +280,11 @@ class _Chain:
         lam = 0.5 * (first[0] + np.sqrt(first[1:] @ first[1:]) * _PLUS_MINUS)
         self.base = entropy + float(np.add.reduce(xlog2(lam)))
 
-    def tree(self, x: np.ndarray) -> MeasurementTree:
-        """The tree one row of angles stands for; a one-angle row's phi is T's azimuth."""
+    def tree_angles(self, x: np.ndarray) -> tuple[float, ...]:
+        """A row of angles as (theta, phi) pairs; a one-angle row's phi is T's azimuth."""
         if x.size == (1 << self._levels) - 1:
             x = np.column_stack((x, np.full(x.size, np.arctan2(self._azimuth[1], self._azimuth[0]))))
-        return MeasurementTree.from_angles(self._levels, x)
+        return tuple(x.ravel().tolist())
 
     def value_and_grad(self, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Chain sums and their exact gradients for k trees.
@@ -432,10 +433,11 @@ class _SearchStarts:
         """Move the rows to their accepted trial points, update their BFGS
         estimates and start their next line search. Returns whether each row
         converged, and whether it stops."""
-        s, y = trial[rows] - self.x[rows], gt[rows] - self.g[rows]
+        x_new, f_new, g_new, iters = trial[rows], ft[rows], gt[rows], self.iters[rows] + 1
+        s, y = x_new - self.x[rows], g_new - self.g[rows]
         sy = np.add.reduce(s * y, axis=-1)
         # for rows = slice(None) a view of self.hess, updated in place
-        h, fresh = self.hess[rows], self.iters[rows] == 0
+        h, fresh = self.hess[rows], iters == 1
         if np.logical_or.reduce(fresh):
             # the first update scales the identity by s.y / y.y (Nocedal and Wright, eq. 6.20)
             h *= np.where(fresh, sy / np.add.reduce(y * y, axis=-1), 1.0)[:, None, None]
@@ -452,16 +454,15 @@ class _SearchStarts:
         if not isinstance(rows, slice):
             self.hess[rows] = h
 
-        f_old, f_new, g_new = self.f[rows], ft[rows], gt[rows]
         slack = F_TOL * np.maximum(np.abs(f_new), 1.0)
         # f_old - f_new <= F_TOL * max(|f_old|, |f_new|, 1)
-        converged = (np.abs(g_new).max(axis=1) <= GRAD_TOL) | (f_old - f_new <= np.maximum(self.slack[rows], slack))
-        self.x[rows], self.f[rows], self.g[rows], self.slack[rows] = trial[rows], f_new, g_new, slack
-        self.iters[rows] += 1
+        converged = np.maximum.reduce(np.abs(g_new), axis=1) <= GRAD_TOL
+        converged |= self.f[rows] - f_new <= np.maximum(self.slack[rows], slack)
+        self.x[rows], self.f[rows], self.g[rows], self.slack[rows], self.iters[rows] = x_new, f_new, g_new, slack, iters
         p = self.p[rows] = -(h @ g_new[:, :, None])[:, :, 0]
         self.slope0[rows] = np.add.reduce(p * g_new, axis=-1)
         self.step[rows] = 1.0
-        return converged, converged | (self.iters[rows] >= max_iters)
+        return converged, converged | (iters >= max_iters)
 
     def keep(self, mask) -> None:
         for name, value in vars(self).items():
@@ -531,7 +532,7 @@ def _lockstep_minimize(fun, x0: np.ndarray, max_iters: int) -> MinimizeResult:
     """
     x = np.array(x0, dtype=float)
     f, g = fun(x)
-    success = np.abs(g).max(axis=1) <= GRAD_TOL
+    success = np.maximum.reduce(np.abs(g), axis=1) <= GRAD_TOL
     nit = np.zeros(len(x), dtype=int)
     if np.logical_and.reduce(success):
         return MinimizeResult(x, f, success, nit, 1)
@@ -561,21 +562,20 @@ def _lockstep_minimize(fun, x0: np.ndarray, max_iters: int) -> MinimizeResult:
     return MinimizeResult(x, f, success, nit, nfev)
 
 
-# bench/tracing.py wraps this name and reads the result's nfev; being the same
-# object, its wrapper replaces `_lockstep_minimize` too, so the oracles' calls are seen
+# bench/tracing.py wraps this name and reads nfev; being the same object, its
+# wrapper replaces `_lockstep_minimize` too
 _scipy_minimize = _lockstep_minimize
 
 
 def _solve(chain: _Chain, x0: np.ndarray, cfg: OracleConfig, oracle: str) -> OracleResult:
     """Both oracles' solve: the starts x0, rows of `chain`'s angles, moved by
     `_off_axis` and run in one `_lockstep_minimize` call. Every start counts in
-    the value (the lowest, less `chain.base`), starts_converged and spread;
-    best_tree is the lowest start's tree."""
+    the value (the lowest, less `chain.base`), starts_converged and spread."""
     # looked up at call time: bench/tracing.py wraps this name by identity
     res = _lockstep_minimize(chain.value_and_grad, _off_axis(x0), cfg.max_iters)
     best, converged, spread = res.reduce()
     value = _clamp_zero(float(res.fun[best]) - chain.base)
-    return OracleResult(value, chain.tree(res.x[best]), converged, spread, oracle)
+    return OracleResult(value, converged, spread, oracle, chain.tree_angles(res.x[best]))
 
 
 def minimize_discord(rho, cfg: OracleConfig | None = None) -> OracleResult:
@@ -586,8 +586,8 @@ def minimize_discord(rho, cfg: OracleConfig | None = None) -> OracleResult:
     The 2 cfg.starts starts, (theta, phi) at every prefix, are the first
     min(cfg.starts, 6) axis trees (+z, +x, +y, -z, -x, -y at every prefix),
     then seeded random trees, tree i from row i of one generator's draws,
-    run by `_solve`. At 8 qubits 3 starts take about 0.36 s on a dense state
-    and 0.26 s on family parameters.
+    run by `_solve`. At 8 qubits 3 starts take about 0.4 s on a dense state
+    and 0.3 s on family parameters.
     """
     if not isinstance(rho, (DensityMatrix, FamilyParams, GhzParams, DiagonalFieldParams)):
         raise ValueError(f"minimize_discord needs a DensityMatrix or family parameters, got {type(rho).__name__}")
@@ -611,7 +611,7 @@ def minimize_discord(rho, cfg: OracleConfig | None = None) -> OracleResult:
 
 
 def minimize_reduced(params, cfg: OracleConfig | None = None) -> OracleResult:
-    """Discord of `FamilyParams` or `GhzParams` (nothing else) by minimizing
+    """Discord of `FamilyParams` or `GhzParams` only, by minimizing
     `_Chain` of the parameters in the z-T plane, on their X layout, up to 10
     qubits; physicality is not checked here.
 
@@ -619,7 +619,7 @@ def minimize_reduced(params, cfg: OracleConfig | None = None) -> OracleResult:
     prefix and swapping the subtrees of its two outcomes leaves the chain
     unchanged, so the starts need z in [0, 1] only: all-ones, all-zeros and
     all-0.5 z, then seeded random ones, max(3, min(cfg.starts, 12)) in all,
-    run by `_solve`. 3 starts take about 0.02 s at 8 qubits and 0.23 s at
+    run by `_solve`. 3 starts take about 0.03 s at 8 qubits and 0.25 s at
     10. best_tree has T's azimuth at every prefix (phi = 0 for X, pi/2 for Y).
     """
     if not isinstance(params, (FamilyParams, GhzParams)):

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -731,6 +732,30 @@ class TestReduction:
         assert first == second and hash(first) == hash(second)
         assert len({first, second}) == 1
 
+    @pytest.mark.parametrize(
+        "solve, state, azimuth",
+        [(minimize_discord, realize(FamilyParams(3, 0.2, 0.1, -0.3, 0.05)), None),
+         (minimize_reduced, FamilyParams(5, 0.2, 0.1, -0.3, 0.05), 0.0),
+         (minimize_reduced, FamilyParams(5, 0.1, 0.2, -0.3, 0.05), np.pi / 2)],
+        ids=["full", "reduced-x", "reduced-y"],
+    )
+    def test_best_tree_is_built_from_best_angles_when_read(self, solve, state, azimuth, monkeypatch):
+        real, trees = MeasurementTree.from_angles.__func__, []
+
+        def spy(cls, n_measured, angles):
+            trees.append(real(cls, n_measured, angles))
+            return trees[-1]
+
+        monkeypatch.setattr(MeasurementTree, "from_angles", classmethod(spy))
+        out = solve(state, OracleConfig(starts=3, seed=1))
+        assert trees == [] and all(type(a) is float for a in out.best_angles)
+        tree = out.best_tree
+        assert trees == [tree] and out.best_tree is tree
+        n = state.n_qubits
+        assert tree.n_measured == n - 1 and len(out.best_angles) == 2 * (2 ** (n - 1) - 1)
+        if azimuth is not None:
+            assert out.best_angles[1::2] == (azimuth,) * (2 ** (n - 1) - 1)
+
 
 class TestLockstepBfgs:
     @staticmethod
@@ -780,8 +805,8 @@ class TestLockstepBfgs:
     # minimizer's bookkeeping was rewritten for fewer numpy calls, which changed
     # no float, so a changed branch decision fails here. Computed with Python
     # 3.11.7 and numpy 2.4.6, like the CI pins.
-    # (value, slope) of 1-D objectives, start points, then the points `fun`
-    # receives, one list per batched call, and nfev, nit and success:
+    # (value, slope) of 1-D objectives in Python floats, start points, then the
+    # points `fun` receives, one list per batched call, and nfev, nit and success:
     LINE_SEARCHES = {
         # no bracket: every trial decreases f steeply, so the step grows 4x each time
         "extrapolate": (
@@ -791,7 +816,7 @@ class TestLockstepBfgs:
         # 4.3 fails sufficient decrease and is the high end; 3.268 passes it with
         # a positive slope, so the low end 0 becomes the high end; then cubic steps
         "swap_and_cubic": (
-            lambda t: (np.cos(t), -np.sin(t)), [0.3],
+            lambda t: (math.cos(t), -math.sin(t)), [0.3],
             [[0.3], [1.3], [4.3], [3.267995455646235], [2.380479969678196], [3.146350605152392],
              [3.141579480601742], [3.1415926536393575]], 8, [4], [True],
         ),
@@ -811,7 +836,7 @@ class TestLockstepBfgs:
         ),
         # four starts in lockstep, each accepting or searching on its own
         "lockstep": (
-            lambda t: (np.cos(t), -np.sin(t)), [0.3, 2.0, -1.0, 3.0],
+            lambda t: (math.cos(t), -math.sin(t)), [0.3, 2.0, -1.0, 3.0],
             [[0.3, 2.0, -1.0, 3.0], [1.3, 3.0, -2.0, 4.0], [4.3, 3.1837075714703986, -5.0, 3.1349282338059505],
              [3.267995455646235, 3.1414936329489804, -3.011333746890304, 3.1416160287574653],
              [2.380479969678196, 3.1415926827985894, -3.3784798513279517, 3.1415926534173666],
