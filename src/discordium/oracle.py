@@ -237,12 +237,11 @@ def _pauli_tensor(rho) -> np.ndarray:
                 a[[0, -1]] = rho.c1, rho.c2
         d[0] = 1.0
         return weights
-    acc = rho.entries.reshape(1, rho.dim, rho.dim)
-    for _ in range(rho.n_qubits):
-        a, d = acc.shape[0], acc.shape[1] // 2
-        # sum_{i,j} rho[(i, .), (j, .)] s_a[j, i] over the leading qubit
-        acc = acc.reshape(a, 2, d, 2, d).transpose(0, 2, 4, 1, 3).reshape(a, d * d, 4) @ _PAULI_COLUMNS
-        acc = acc.transpose(0, 2, 1).reshape(4 * a, d, d)
+    acc, a, c = rho.entries, 1, 1
+    for m in range(rho.n_qubits - 1, -1, -1):
+        # sum_{i,j} rho[(i, .), (j, .)] s_a[j, i] over the leading qubit; the last letter c joins the rows
+        acc = acc.reshape(a, 2, 1 << m, 2, 1 << m, c).transpose(0, 5, 2, 4, 1, 3).reshape(a * c, -1, 4) @ _PAULI_COLUMNS
+        a, c = a * c, 4
     return np.ascontiguousarray(acc.reshape(-1).real)
 
 
