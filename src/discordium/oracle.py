@@ -91,7 +91,7 @@ class MeasurementTree:
             raise ValueError(f"tree of {self.n_measured} measured qubits needs a ({rows}, 3) array, got {dirs.shape}")
         # a NaN or infinite component fails the unit test too; einsum sets no overflow flag
         unit = np.abs(np.sqrt(np.einsum("ij,ij->i", dirs, dirs)) - 1.0) <= 1e-12
-        if not np.logical_and.reduce(unit):
+        if not unit.all():
             row = int(unit.argmin())
             problem = "is not unit within 1e-12" if np.isfinite(dirs[row]).all() else "has a non-finite component"
             raise ValueError(f"direction row {row} {problem}")
