@@ -25,7 +25,6 @@ from .decoherence import (
     evolved_params,
 )
 from .oracle import (
-    MeasurementTree,
     OracleConfig,
     OracleResult,
     minimize_discord,

@@ -1,8 +1,9 @@
 """Command-line surface: discord values, spectra, GHZ curves, dynamics sweeps,
 state validation, and analytic-vs-oracle comparison.
 
-Exit codes: 0 success, 2 invalid or unphysical parameters, 3 no analytic case
-for the requested parameters (use --method oracle or --fallback oracle).
+Exit codes: 0 success, 1 when `compare` finds the two values further apart
+than --tol, 2 invalid or unphysical parameters, 3 no analytic case for the
+requested parameters (use --method oracle or --fallback oracle).
 All error messages are single lines prefixed "error:" on stderr. Output is
 deterministic for a fixed seed; floats carry 9 significant digits.
 """

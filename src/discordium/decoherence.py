@@ -22,7 +22,7 @@ import io
 import math
 from dataclasses import dataclass
 
-from .analytic import max_w, symmetric_row
+from .analytic import S_ZERO_TOL, max_w, symmetric_row
 from .oracle import OracleConfig, minimize_family
 from .pauli import FamilyParams
 from .spectral import h_scalar
@@ -130,7 +130,7 @@ def detect_freeze_transition(params: FamilyParams, coupling_tol: float = 1e-12) 
     """
     n = params.n_qubits
     not_frozen = FreezeReport(False, None, None)
-    if abs(params.s) > 1e-12 or n % 2 == 1:
+    if abs(params.s) > S_ZERO_TOL or n % 2 == 1:
         return not_frozen
     sign = -1.0 if (n // 2) % 2 else 1.0
     if abs(params.c2 - sign * params.c1 * params.c3) > coupling_tol:

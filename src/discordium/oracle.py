@@ -41,7 +41,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
-from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
 
@@ -67,56 +66,6 @@ REDUCED_ABOVE, REDUCED_ORACLE_CAP = 4, 10
 # (theta, phi) of the +z, +x, +y, -z, -x and -y directions
 AXIS_ANGLES = ((0.0, 0.0), (np.pi / 2, 0.0), (np.pi / 2, np.pi / 2),
                (np.pi, 0.0), (np.pi / 2, np.pi), (np.pi / 2, -np.pi / 2))
-
-
-@dataclass(frozen=True)
-class MeasurementTree:
-    """Conditional Bloch directions, one unit row per outcome prefix in prefix order.
-
-    directions has shape (2^n_measured - 1, 3). Row 0 is the root, measuring
-    qubit 1; rows 2^m - 1 .. 2^(m+1) - 2 are the 2^m prefixes of length m, as
-    binary numbers with the first outcome most significant (0 for +, 1 for -),
-    and each measures qubit m + 1. This is the order of `_Chain`. Trees
-    compare and hash by value.
-    """
-
-    n_measured: int
-    directions: np.ndarray
-
-    def __post_init__(self):
-        require_count("n_measured", self.n_measured, 1)
-        dirs = np.array(self.directions, dtype=float)
-        rows = 2**self.n_measured - 1
-        if dirs.shape != (rows, 3):
-            raise ValueError(f"tree of {self.n_measured} measured qubits needs a ({rows}, 3) array, got {dirs.shape}")
-        # a NaN or infinite component fails the unit test too; einsum sets no overflow flag
-        unit = np.abs(np.sqrt(np.einsum("ij,ij->i", dirs, dirs)) - 1.0) <= 1e-12
-        if not unit.all():
-            row = int(unit.argmin())
-            problem = "is not unit within 1e-12" if np.isfinite(dirs[row]).all() else "has a non-finite component"
-            raise ValueError(f"direction row {row} {problem}")
-        dirs.setflags(write=False)
-        object.__setattr__(self, "directions", dirs)
-
-    def __eq__(self, other):
-        if not isinstance(other, MeasurementTree):
-            return NotImplemented
-        return self.n_measured == other.n_measured and np.array_equal(self.directions, other.directions)
-
-    def __hash__(self):
-        # + 0.0 turns -0.0 into 0.0, which compares equal to it
-        return hash((self.n_measured, (self.directions + 0.0).tobytes()))
-
-    @classmethod
-    def from_angles(cls, n_measured: int, angles: np.ndarray) -> "MeasurementTree":
-        """Directions from a flat (theta, phi) vector in prefix order."""
-        require_count("n_measured", n_measured, 1)
-        angles, rows = np.asarray(angles, dtype=float), (1 << n_measured) - 1
-        if angles.size != 2 * rows:
-            raise ValueError(f"tree of {n_measured} measured qubits needs 2(2^{n_measured} - 1) = {2 * rows} "
-                             f"angles, (theta, phi) per prefix, got {angles.size}")
-        sin, cos = np.sin(angles.reshape(rows, 2)), np.cos(angles.reshape(rows, 2))
-        return cls(n_measured, np.column_stack((sin[:, 0] * cos[:, 1], sin[:, 0] * sin[:, 1], cos[:, 0])))
 
 
 @dataclass(frozen=True)
@@ -153,18 +102,14 @@ class OracleConfig:
 @dataclass(frozen=True)
 class OracleResult:
     """The discord value, the converged count and spread over every start, the
-    oracle that ran ("full" or "reduced"), and the lowest start's (theta, phi)
-    per prefix, which `best_tree` turns into its tree when first read."""
+    oracle that ran ("full" or "reduced"), and the tree that attains the value:
+    the lowest start's (theta, phi) per prefix, in `_Chain`'s prefix order."""
 
     value: float
     starts_converged: int
     spread: float
     oracle: str
     best_angles: tuple[float, ...]
-
-    @cached_property
-    def best_tree(self) -> MeasurementTree:
-        return MeasurementTree.from_angles((len(self.best_angles) // 2).bit_length(), self.best_angles)
 
     @property
     def branch(self) -> str:
@@ -253,12 +198,15 @@ class _Chain:
     the layout's half signs gives its outcome projectors. `_inputs` keeps each
     level's branch tensors for the backward pass of `value_and_grad`.
 
-    A row of two angles per prefix is (theta, phi); a row of one is theta in
-    the z-T plane, each direction (sin theta, cos theta) in (T, Z) with T's
-    azimuth from `_transverse` as phi, which a `DensityMatrix` or diagonal
-    state lacks. `base` is S(rho) - S(rho_A1), S(rho) from the eigenvalues or
-    the closed-form spectrum; rho_A1 = (T0 I + t.s)/2 is read off the
-    weights, so its eigenvalues are (T0 +- |t|)/2.
+    A tree is a row of a angles per prefix in prefix order: prefix 0 is the
+    root, measuring qubit 1, and prefixes 2^m - 1 .. 2^(m+1) - 2 are those of
+    length m as binary numbers, the first outcome most significant (0 for +,
+    1 for -), each measuring qubit m + 1. Two angles are (theta, phi); one is
+    theta in the z-T plane, each direction (sin theta, cos theta) in (T, Z)
+    with T's azimuth from `_transverse` as phi, which a `DensityMatrix` or
+    diagonal state lacks. `base` is S(rho) - S(rho_A1), S(rho) from the
+    eigenvalues or the closed-form spectrum; rho_A1 = (T0 I + t.s)/2 is read
+    off the weights, so its eigenvalues are (T0 +- |t|)/2.
     """
 
     def __init__(self, rho):
@@ -619,7 +567,7 @@ def minimize_reduced(params, cfg: OracleConfig | None = None) -> OracleResult:
     unchanged, so the starts need z in [0, 1] only: all-ones, all-zeros and
     all-0.5 z, then seeded random ones, max(3, min(cfg.starts, 12)) in all,
     run by `_solve`. 3 starts take about 0.03 s at 8 qubits and 0.25 s at
-    10. best_tree has T's azimuth at every prefix (phi = 0 for X, pi/2 for Y).
+    10. best_angles has T's azimuth as every phi (0 for X, pi/2 for Y).
     """
     if not isinstance(params, (FamilyParams, GhzParams)):
         raise ValueError(f"minimize_reduced needs FamilyParams or GhzParams, got {type(params).__name__}")
@@ -645,8 +593,8 @@ def _family_oracle(params) -> tuple[str, int]:
 def minimize_family(params, cfg: OracleConfig | None = None) -> OracleResult:
     """Oracle discord of a family state, the one place that picks the oracle
     (by `_family_oracle`); unphysical states raise ValueError first. Either
-    way best_tree is a `MeasurementTree` that attains the value, and the
-    result's oracle field and branch label say which oracle ran."""
+    way best_angles attains the value, and the result's oracle field and
+    branch label say which oracle ran."""
     cfg = _config(cfg)
     if _family_oracle(params)[0] == "reduced":
         require_physical(params)

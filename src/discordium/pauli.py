@@ -12,9 +12,9 @@ word carrying weight 1 (unit trace):
 
 `realize` fills the dense 2^N x 2^N matrix of any family's parameters entry
 by entry. It costs 4^N memory, so it refuses more than DENSE_CAP = 8 qubits
-before it allocates anything. Every count (qubits, measured qubits, oracle
-starts) is a whole number by one rule, `require_count`. Qubit indices are
-1-based in all public interfaces.
+before it allocates anything. Every count (qubits, oracle starts) is a
+whole number by one rule, `require_count`. Qubit indices are 1-based in
+all public interfaces.
 """
 
 from __future__ import annotations

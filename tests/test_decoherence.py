@@ -344,6 +344,17 @@ class TestFreezeDetection:
         params = FamilyParams(4, 5 / 6, (5 / 6) * (-0.2), -0.2, 0.1)
         assert not detect_freeze_transition(params).frozen
 
+    @pytest.mark.parametrize("s", S_NEAR_ZERO + [1e-13, -1e-13])
+    def test_frozen_report_means_a_plateau_row(self, s):
+        # the freeze test and the closed forms read s as 0 by one tolerance, so a
+        # frozen report's p = 0 row is a case-2 row on the plateau
+        params = FamilyParams(4, 0.8, 0.8 * -0.2, -0.2, s)
+        report = detect_freeze_transition(params)
+        [row] = dynamics_sweep(params, [0.0]).rows
+        assert report.frozen == (abs(s) <= S_ZERO_TOL)
+        if report.frozen:
+            assert row.branch.startswith("case2[") and abs(row.value - report.frozen_value) <= 1e-12
+
     def test_wrong_coupling_not_frozen(self):
         params = FamilyParams(4, 0.8, 0.3, -0.2, 0.0)
         assert not detect_freeze_transition(params).frozen

@@ -12,7 +12,6 @@ from discordium import (
     DiagonalFieldParams,
     FamilyParams,
     GhzParams,
-    MeasurementTree,
     OracleConfig,
     discord_diagonal_field,
     dynamics_sweep,
@@ -50,10 +49,6 @@ CASES = [
      "n_qubits must be >= 1, got 0"),
     ("diagonal-no-fields", lambda: DiagonalFieldParams(()),
      "need at least one field strength"),
-    ("tree-no-measured-qubit", lambda: MeasurementTree(0, np.zeros((0, 3))),
-     "n_measured must be >= 1, got 0"),
-    ("tree-fractional-measured", lambda: MeasurementTree(1.5, np.array([[0.0, 0.0, 1.0]])),
-     "n_measured must be a whole number, got 1.5"),
     ("oracle-config-fractional-starts", lambda: OracleConfig(starts=2.5),
      "starts must be a whole number, got 2.5"),
     ("oracle-config-fractional-seed", lambda: OracleConfig(seed=1.5),
@@ -95,8 +90,6 @@ CASES = [
     ("dynamics-oracle-dict-config",
      lambda: dynamics_sweep(FamilyParams(3, 0.1, 0.1, -0.2, 0.05), [0.0, 0.5], method="oracle", cfg={"starts": 3}),
      "cfg must be an OracleConfig, got dict"),
-    ("tree-from-angles-one-angle", lambda: MeasurementTree.from_angles(1, [0.3]),
-     "tree of 1 measured qubits needs 2(2^1 - 1) = 2 angles, (theta, phi) per prefix, got 1"),
 ]
 
 

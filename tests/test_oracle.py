@@ -18,7 +18,6 @@ from discordium import (
     DiagonalFieldParams,
     FamilyParams,
     GhzParams,
-    MeasurementTree,
     NoAnalyticCase,
     OracleConfig,
     classify_region,
@@ -40,16 +39,26 @@ from reference import PAULI, binary_h, conditional_ensemble, partial_trace
 FAST = OracleConfig(starts=10, seed=7)
 
 
+# A tree of m measured qubits is a (2^m - 1, 3) array of unit Bloch vectors,
+# one row per outcome prefix in the oracle's prefix order.
+
+
 def z_tree(m):
     """The tree that measures every qubit along +z."""
-    return MeasurementTree(m, np.tile([0.0, 0.0, 1.0], (2**m - 1, 1)))
+    return np.tile([0.0, 0.0, 1.0], (2**m - 1, 1))
 
 
 def random_tree(m, rng):
     """Directions uniform on the sphere: per row, z on [-1, 1] then phi on [0, 2 pi)."""
     z, phi = rng.uniform((-1.0, 0.0), (1.0, 2 * np.pi), (2**m - 1, 2)).T
     r = np.sqrt(1.0 - z * z)
-    return MeasurementTree(m, np.column_stack((r * np.cos(phi), r * np.sin(phi), z)))
+    return np.column_stack((r * np.cos(phi), r * np.sin(phi), z))
+
+
+def directions(angles):
+    """The tree of flat (theta, phi) pairs in prefix order, as `best_angles` holds them."""
+    theta, phi = np.reshape(angles, (-1, 2)).T
+    return np.column_stack((np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)))
 
 
 def prefix_strings(m):
@@ -59,7 +68,7 @@ def prefix_strings(m):
 
 def by_prefix(tree):
     """The tree as the prefix-keyed dict that `reference.conditional_ensemble` reads."""
-    return dict(zip(prefix_strings(tree.n_measured), tree.directions))
+    return dict(zip(prefix_strings(len(tree).bit_length()), tree))
 
 
 Z_TREE3 = z_tree(2)
@@ -91,9 +100,8 @@ def reduced_value(params, z):
     return params.n_qubits - 1 - float(_Chain(params).value_and_grad(np.arccos(z)[None])[0][0])
 
 
-def tree_angles(tree):
+def tree_angles(dirs):
     """A tree's (theta, phi) pairs in prefix order, as one row of `_Chain.value_and_grad`."""
-    dirs = tree.directions
     theta = np.arctan2(np.hypot(dirs[:, 0], dirs[:, 1]), dirs[:, 2])
     return np.column_stack((theta, np.arctan2(dirs[:, 1], dirs[:, 0]))).reshape(1, -1)
 
@@ -114,6 +122,13 @@ def objective(rho, tree):
     return chain_levels(rho, tree)[0] - _Chain(rho).base
 
 
+def ensemble_objective(rho, tree):
+    """The full oracle's objective of one tree through the full-dimension
+    ensemble, with S(rho) - S(rho_A1) from a dense partial trace."""
+    chain = sum(ensemble_entropy(rho, tree, k) for k in range(1, rho.n_qubits))
+    return chain - von_neumann_entropy(rho) + von_neumann_entropy(DensityMatrix(1, partial_trace(rho.entries, {1})))
+
+
 def random_full_rank(rng, n):
     g = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
     m = g @ g.conj().T
@@ -127,47 +142,6 @@ def ensemble_entropy(rho, tree, k):
         if not b.negligible:
             total += b.probability * von_neumann_entropy(DensityMatrix(1, partial_trace(b.state, {k + 1})))
     return total
-
-
-class TestMeasurementTree:
-    def test_completeness_enforced(self):
-        for rows in (1, 2, 4, 7):
-            with pytest.raises(ValueError, match=rf"^tree of 2 measured qubits needs a \(3, 3\) array, got \({rows}, 3\)$"):
-                MeasurementTree(2, np.tile([0.0, 0.0, 1.0], (rows, 1)))
-
-    def test_unit_norm_enforced(self):
-        # a component too large to square is refused too, with no overflow warning
-        for big in (2.0, 1e200):
-            dirs = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [0.0, 0.0, big]])
-            with pytest.raises(ValueError, match="^direction row 2 is not unit within 1e-12$"):
-                MeasurementTree(2, dirs)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_direction_refused(self, bad):
-        # NaN fails every comparison, so the unit-norm test alone cannot refuse [nan, 0, 1]
-        dirs = np.array([[0.0, 0.0, 1.0], [bad, 0.0, 1.0], [0.0, 0.0, 1.0]])
-        with pytest.raises(ValueError, match="^direction row 1 has a non-finite component$"):
-            MeasurementTree(2, dirs)
-
-    def test_directions_are_a_read_only_copy(self):
-        dirs = np.tile([1.0, 0.0, 0.0], (7, 1))
-        tree = MeasurementTree(3, dirs)
-        dirs[0] = 0.0
-        assert tree.directions.shape == (7, 3) and tree.directions[0].tolist() == [1.0, 0.0, 0.0]
-        with pytest.raises(ValueError):
-            tree.directions[0, 0] = 0.0
-
-    def test_compares_and_hashes_by_value(self):
-        tree = MeasurementTree(2, np.tile([0.0, 0.0, 1.0], (3, 1)))
-        # -0.0 equals 0.0, so it hashes alike
-        same = MeasurementTree(2, np.tile([-0.0, 0.0, 1.0], (3, 1)))
-        assert tree == same and hash(tree) == hash(same)
-        assert tree != MeasurementTree(2, np.tile([0.0, 0.0, -1.0], (3, 1)))
-        assert tree != MeasurementTree(1, [[0.0, 0.0, 1.0]]) and tree != tree.directions.tolist()
-
-    def test_from_angles_round_trip(self):
-        t = MeasurementTree.from_angles(2, np.array([0.0, 0.0, np.pi / 2, 0.0, np.pi / 2, np.pi / 2]))
-        assert np.allclose(t.directions, [[0, 0, 1], [1, 0, 0], [0, 1, 0]], atol=1e-12)
 
 
 class TestConditionalEnsemble:
@@ -397,8 +371,7 @@ class TestChainGradient:
                         up = chain.value_and_grad((angles + e)[None])[0][0]
                         down = chain.value_and_grad((angles - e)[None])[0][0]
                         assert grad[i] == pytest.approx((up - down) / (2 * step), abs=1e-7), (n, i)
-                    tree = MeasurementTree.from_angles(n - 1, angles)
-                    assert value == pytest.approx(chain_levels(rho, tree)[0], abs=1e-14)
+                    assert value == pytest.approx(chain_levels(rho, directions(angles))[0], abs=1e-14)
 
     def test_finite_at_zero_bloch_vector(self):
         # maximally mixed: every branch has w = 0, and the gradient is exactly flat
@@ -483,9 +456,8 @@ class TestDiscordObjective:
 
         def relabeled(tree):
             # complementing a prefix of length m reverses its level's block of rows
-            dirs = tree.directions
-            blocks = [dirs[2**m - 1 : 2 ** (m + 1) - 1][::-1] for m in range(tree.n_measured)]
-            return MeasurementTree(tree.n_measured, -np.concatenate(blocks))
+            blocks = [tree[2**m - 1 : 2 ** (m + 1) - 1][::-1] for m in range(len(tree).bit_length())]
+            return -np.concatenate(blocks)
 
         for _ in range(5):
             tree = random_tree(2, rng)
@@ -493,7 +465,7 @@ class TestDiscordObjective:
                 objective(rho, relabeled(tree)), abs=1e-9
             )
         out = minimize_discord(rho, FAST)
-        assert objective(rho, relabeled(out.best_tree)) == pytest.approx(
+        assert objective(rho, relabeled(directions(out.best_angles))) == pytest.approx(
             out.value, abs=1e-9
         )
 
@@ -612,7 +584,8 @@ class TestMinimizeDiscord:
     def test_best_tree_reproduces_value(self):
         rho = realize(FamilyParams(3, 0.1, 0.1, -0.2, 0.3))
         out = minimize_discord(rho, FAST)
-        assert objective(rho, out.best_tree) == pytest.approx(out.value, abs=1e-8)
+        assert len(out.best_angles) == 6 and all(type(a) is float for a in out.best_angles)
+        assert objective(rho, directions(out.best_angles)) == pytest.approx(out.value, abs=1e-8)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_matches_lbfgsb_reference(self, n):
@@ -645,6 +618,20 @@ class TestMinimizeDiscord:
             out, dense = minimize_discord(params, cfg), minimize_discord(realize(params), cfg)
             assert out.oracle == "full" and out.value == pytest.approx(dense.value, abs=1e-12), params
             assert out.starts_converged == dense.starts_converged, params
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_family_params_best_angles_replay_through_ensemble(self, rng, n):
+        # the X layout runs over (I, Z, X, Y), the dense tensor over (I, X, Y, Z);
+        # best_angles are Bloch angles either way, so a letter-order slip that keeps
+        # the value moves the replayed one. The first two optima lean along x and y.
+        cfg = OracleConfig(starts=3, seed=n)
+        states = [FamilyParams(n, 0.6, 0.1, 0.2, 0.0), FamilyParams(n, 0.1, -0.6, 0.2, 0.0),
+                  sample_physical_family(rng, n), GhzParams(n, 0.6),
+                  DiagonalFieldParams(tuple(rng.uniform(-1.0 / n, 1.0 / n, n)))]
+        for params in states:
+            out = minimize_discord(params, cfg)
+            tree = directions(out.best_angles)
+            assert ensemble_objective(realize(params), tree) == pytest.approx(out.value, abs=1e-10), params
 
     @pytest.mark.parametrize("rho", [
         realize(GhzParams(2, 0.6)),
@@ -728,33 +715,9 @@ class TestReduction:
     def test_equal_solves_compare_and_hash_equal(self, solve, state):
         cfg = OracleConfig(starts=3, seed=1)
         first, second = solve(state, cfg), solve(state, cfg)
-        assert first is not second and first.best_tree.directions is not second.best_tree.directions
+        assert first is not second and first.best_angles is not second.best_angles
         assert first == second and hash(first) == hash(second)
         assert len({first, second}) == 1
-
-    @pytest.mark.parametrize(
-        "solve, state, azimuth",
-        [(minimize_discord, realize(FamilyParams(3, 0.2, 0.1, -0.3, 0.05)), None),
-         (minimize_reduced, FamilyParams(5, 0.2, 0.1, -0.3, 0.05), 0.0),
-         (minimize_reduced, FamilyParams(5, 0.1, 0.2, -0.3, 0.05), np.pi / 2)],
-        ids=["full", "reduced-x", "reduced-y"],
-    )
-    def test_best_tree_is_built_from_best_angles_when_read(self, solve, state, azimuth, monkeypatch):
-        real, trees = MeasurementTree.from_angles.__func__, []
-
-        def spy(cls, n_measured, angles):
-            trees.append(real(cls, n_measured, angles))
-            return trees[-1]
-
-        monkeypatch.setattr(MeasurementTree, "from_angles", classmethod(spy))
-        out = solve(state, OracleConfig(starts=3, seed=1))
-        assert trees == [] and all(type(a) is float for a in out.best_angles)
-        tree = out.best_tree
-        assert trees == [tree] and out.best_tree is tree
-        n = state.n_qubits
-        assert tree.n_measured == n - 1 and len(out.best_angles) == 2 * (2 ** (n - 1) - 1)
-        if azimuth is not None:
-            assert out.best_angles[1::2] == (azimuth,) * (2 ** (n - 1) - 1)
 
 
 class TestLockstepBfgs:
@@ -890,14 +853,14 @@ class TestMinimizeFamily:
         params = FamilyParams(5, 0.1, 0.1, -0.2, 0.05)
         cfg = OracleConfig(starts=4, seed=2)
         out = minimize_family(params, cfg)
-        assert out.oracle == "reduced" and isinstance(out.best_tree, MeasurementTree)
+        assert out.oracle == "reduced" and len(out.best_angles) == 2 * 15
         assert out.value == minimize_reduced(params, cfg).value
 
     def test_other_states_go_full(self):
         cfg = OracleConfig(starts=3, seed=2)
         params = FamilyParams(3, 0.1, 0.1, -0.2, 0.3)
         out = minimize_family(params, cfg)
-        assert out.oracle == "full" and isinstance(out.best_tree, MeasurementTree)
+        assert out.oracle == "full" and len(out.best_angles) == 2 * 3
         assert out.value == minimize_discord(realize(params), cfg).value
         ghz = GhzParams(2, 0.5)
         assert minimize_family(ghz, cfg).value == minimize_discord(realize(ghz), cfg).value
@@ -1027,7 +990,7 @@ class TestMinimizeReduced:
         params = FamilyParams(3, 0.1, 0.1, -0.2, 0.3)
         out = minimize_reduced(params, OracleConfig(starts=4, seed=2))
         assert out.value == pytest.approx(discord_symmetric(params).value, abs=1e-7)
-        assert np.all(np.abs(out.best_tree.directions[:, 2] - 1.0) <= 1e-5)
+        assert np.all(np.abs(directions(out.best_angles)[:, 2] - 1.0) <= 1e-5)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_best_tree_reproduces_value(self, rng, n):
@@ -1048,9 +1011,13 @@ class TestMinimizeReduced:
             y_draw = sample_physical_family(rng, n, s_zero=True)
         for params in draws + [y_draw]:
             out = minimize_reduced(params, OracleConfig(starts=4, seed=3))
-            assert out.oracle == "reduced" and out.best_tree.n_measured == n - 1
-            assert objective(realize(params), out.best_tree) == pytest.approx(out.value, abs=1e-12), params
-        x_most, y_most = np.abs(out.best_tree.directions[:, :2]).max(axis=0)
+            # floats, a (theta, phi) pair per prefix, every phi T's azimuth
+            azimuth = np.pi / 2 if isinstance(params, FamilyParams) and abs(params.c2) > abs(params.c1) else 0.0
+            assert out.oracle == "reduced" and all(type(a) is float for a in out.best_angles)
+            assert out.best_angles[1::2] == (azimuth,) * (2 ** (n - 1) - 1), params
+            tree = directions(out.best_angles)
+            assert objective(realize(params), tree) == pytest.approx(out.value, abs=1e-12), params
+        x_most, y_most = np.abs(tree[:, :2]).max(axis=0)
         assert y_most >= 0.5 and x_most <= 1e-15
 
     def test_s_zero_matches_case2(self, rng):

@@ -24,7 +24,7 @@ DELETED = [
     "_tree_levels", "_leave_one_out", "_branch_gains", "_reduced_value_and_grad",
     "PauliSum", "PauliWord", "PAULI", "_check_word", "_single_site_word", "build_symmetric_family",
     "build_diagonal_field", "build_noisy_ghz_dense", "family_dense", "FULL_ORACLE_CAP",
-    "_unmeasured_term",
+    "_unmeasured_term", "MeasurementTree",
 ]
 
 
@@ -58,7 +58,7 @@ def test_package_keeps_no_moved_or_deleted_name():
         for name in MOVED + DELETED:
             assert not hasattr(module, name), f"{module.__name__}.{name}"
     assert not hasattr(discordium.oracle._Chain, "at_directions")
-    assert not hasattr(discordium.MeasurementTree, "uniform") and not hasattr(discordium.MeasurementTree, "random")
+    assert not hasattr(discordium.OracleResult, "best_tree")
     assert list(inspect.signature(discordium.oracle._Chain).parameters) == ["rho"]
     # one max W formula, the dephased-state sum; the paper's parity pattern lives in
     # tests/reference.py and the printed pairing in scripts/arbitration_report.py

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ import discordium
 from reference import binary_h
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+README = SCRIPTS.parent / "README.md"
 ENV = dict(os.environ, PYTHONPATH=str(Path(discordium.__file__).resolve().parents[1]))
 
 
@@ -64,3 +66,13 @@ def test_arbitration_report_smoke(tmp_path):
         "parity_abs_err", "printed_abs_err", "printed_agrees",
     }
     assert report["parity_max_abs_err"] <= 5e-3
+
+
+def test_readme_quick_start_runs():
+    # the python block under "## Library quick start", as its first comment says it prints
+    text = README.read_text()
+    block = re.search(r"```python\n(.*?)```", text[text.index("## Library quick start"):], re.S).group(1)
+    proc = subprocess.run([sys.executable, "-c", block], env=ENV, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    first = proc.stdout.splitlines()[0]
+    assert first.startswith("0.01643427845") and first.endswith("case1[parity]"), first
